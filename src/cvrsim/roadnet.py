@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (
     DisconnectedGraphError,
@@ -68,6 +70,14 @@ class RoadGraph:
         for arr in (self.coords, self.edge_u, self.edge_v, self.edge_len):
             arr.flags.writeable = False
 
+    def adjacency_matrix(self) -> csr_matrix:
+        """(N, N) sparse matrix holding each edge length in both directions."""
+        n = self.n_nodes
+        tail = np.concatenate([self.edge_u, self.edge_v])
+        head = np.concatenate([self.edge_v, self.edge_u])
+        weight = np.concatenate([self.edge_len, self.edge_len])
+        return csr_matrix((weight, (tail, head)), shape=(n, n))
+
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the node coordinates."""
         xmin, ymin = self.coords.min(axis=0)
@@ -81,6 +91,8 @@ class DistanceOracle:
 
     dist[i, j] is the shortest-path length in meters; next_hop[i, j] is the
     first node after i on a shortest path toward j (next_hop[i, i] == i).
+    Among equally short paths the next hop is the smallest-id neighbour v of
+    i with w(i, v) + dist[j, v] == dist[j, i].
     """
 
     dist: np.ndarray
@@ -160,20 +172,10 @@ def build_graph(nodes, edges) -> RoadGraph:
         edge_len=np.asarray(el, dtype=np.float64),
     )
 
-    # connectivity check via BFS from node 0
-    if n > 1:
-        visited = np.zeros(n, dtype=bool)
-        stack = [0]
-        visited[0] = True
-        while stack:
-            u = stack.pop()
-            for v, _ in graph.neighbors(u):
-                if not visited[v]:
-                    visited[v] = True
-                    stack.append(v)
-        if not visited.all():
-            missing = int(np.flatnonzero(~visited)[0])
-            raise DisconnectedGraphError(f"node {missing} unreachable from node 0")
+    _, labels = connected_components(graph.adjacency_matrix(), directed=False)
+    unreached = np.flatnonzero(labels != labels[0])
+    if unreached.size:
+        raise DisconnectedGraphError(f"node {unreached[0]} unreachable from node 0")
     return graph
 
 
@@ -212,24 +214,24 @@ def graph_from_json(doc) -> RoadGraph:
 
 
 def all_pairs_shortest(graph: RoadGraph) -> DistanceOracle:
-    """Dense all-pairs shortest paths (Floyd-Warshall) with next hops."""
-    n = graph.n_nodes
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    nxt = np.full((n, n), -1, dtype=np.int32)
-    nxt[np.arange(n), np.arange(n)] = np.arange(n)
-    u, v, w = graph.edge_u, graph.edge_v, graph.edge_len
-    dist[u, v] = w
-    dist[v, u] = w
-    nxt[u, v] = v
-    nxt[v, u] = u
+    """Dense all-pairs shortest paths (Dijkstra from every node) with next hops.
 
-    for k in range(n):
-        alt = dist[:, k, None] + dist[None, k, :]
-        better = alt < dist
-        if better.any():
-            dist[better] = alt[better]
-            nxt[better] = np.broadcast_to(nxt[:, k, None], (n, n))[better]
+    next_hop[i, j] is the smallest-id neighbour v of i with
+    w(i, v) + dist[j, v] == dist[j, i], and next_hop[i, i] == i. Both sides
+    come from the single-source run at j, so Dijkstra's own predecessor of i
+    always qualifies and the rule never comes up empty.
+    """
+    n = graph.n_nodes
+    adj = graph.adjacency_matrix()
+    dist = shortest_path(adj, method="D", directed=True)
+    to_target = np.ascontiguousarray(dist.T)  # to_target[v, j] == dist[j, v]
+    nxt = np.full((n, n), -1, dtype=np.int32)
+    tail = np.repeat(np.arange(n), np.diff(adj.indptr))
+    # Largest head first, so the smallest qualifying head is written last.
+    for k in np.argsort(adj.indices, kind="stable")[::-1]:
+        u, v = tail[k], adj.indices[k]
+        nxt[u, to_target[v] + adj.data[k] == to_target[u]] = v
+    np.fill_diagonal(nxt, np.arange(n))
     return DistanceOracle(dist=dist, next_hop=nxt)
 
 

@@ -66,6 +66,14 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _integer(value, field: str) -> int:
+    """A whole JSON number as an int; fractions, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise ConfigValidationError(field, f"must be a whole number, got {value!r}")
+    return int(value)
+
+
 def load_scenario(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
@@ -133,7 +141,7 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
     else:
         grid = graph_sec["grid"]
         _reject_unknown(grid, _GRID_KEYS, "graph.grid")
-        graph = grid_graph(int(_require(grid, "k", "graph.grid")),
+        graph = grid_graph(_integer(_require(grid, "k", "graph.grid"), "graph.grid.k"),
                            float(_require(grid, "spacing_m", "graph.grid")))
 
     demand_sec = _require(doc, "demand", "scenario")
@@ -174,17 +182,18 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
     if "mixture" in origin_sec:
         mixture = _parse_mixture(origin_sec["mixture"], "demand.origin.mixture")
 
-    seed = int(sim_sec.get("seed", 1)) if seed_override is None else int(seed_override)
+    seed = _integer(sim_sec.get("seed", 1) if seed_override is None else seed_override, "sim.seed")
+    r_graph_m = controller_sec.get("r_graph_m")
     cfg = SimConfig(
         graph=graph,
         origin_mass=origin_mass,
         destination_mass=dest_mass,
         profile=profile,
-        n_av=int(_require(fleet_sec, "n_av", "fleet")),
+        n_av=_integer(_require(fleet_sec, "n_av", "fleet"), "fleet.n_av"),
         placement=fleet_sec.get("placement", "uniform"),
         controller=str(_require(controller_sec, "name", "controller")),
         r_m=float(controller_sec.get("r_m", 1000.0)),
-        r_graph_m=controller_sec.get("r_graph_m"),
+        r_graph_m=None if r_graph_m is None else float(r_graph_m),
         alpha=float(controller_sec.get("alpha", 0.0)),
         k_p=float(controller_sec.get("k_p", 0.2)),
         k_i=float(controller_sec.get("k_i", 0.4)),
@@ -199,7 +208,8 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
         beta=float(sim_sec.get("beta", 1.5)),
         match_tolerance_s=float(sim_sec.get("match_tolerance_s", 60.0)),
         pickup_tolerance_s=float(sim_sec.get("pickup_tolerance_s", 300.0)),
-        baseline_accumulation=int(sim_sec.get("baseline_accumulation", 0)),
+        baseline_accumulation=_integer(sim_sec.get("baseline_accumulation", 0),
+                                       "sim.baseline_accumulation"),
         mfd=mfd,
         persistent_private_trips=bool(sim_sec.get("persistent_private_trips", False)),
         mixture=mixture,

@@ -166,8 +166,23 @@ class SimConfig:
 
         if self.controller not in rebalance.CONTROLLERS:
             fail("controller.name", f"unknown controller {self.controller!r}")
+        for name, value in (
+                ("controller.r_m", self.r_m), ("controller.r_graph_m", self.effective_r_graph()),
+                ("controller.alpha", self.alpha), ("controller.k_p", self.k_p),
+                ("controller.k_i", self.k_i), ("controller.y_ref", self.y_ref),
+                ("controller.y_hold", self.y_hold),
+                ("controller.min_retarget_gain_m", self.min_retarget_gain_m),
+                ("sim.tick_s", self.tick_s), ("sim.control_period_s", self.control_period_s),
+                ("sim.fleet_period_s", self.fleet_period_s), ("sim.horizon_s", self.horizon_s),
+                ("sim.beta", self.beta), ("sim.match_tolerance_s", self.match_tolerance_s),
+                ("sim.pickup_tolerance_s", self.pickup_tolerance_s),
+                ("sim.resolution_m", self.resolution_m)):
+            if not math.isfinite(value):
+                fail(name, f"must be finite, got {value}")
         if self.n_av < 0:
             fail("fleet.n_av", "fleet size must be nonnegative")
+        if self.seed < 0:
+            fail("sim.seed", "seed must be nonnegative")
         if self.placement not in ("uniform", "destination"):
             fail("fleet.placement", f"unknown placement {self.placement!r}")
         if self.tick_s <= 0:
@@ -183,6 +198,14 @@ class SimConfig:
             fail("sim.horizon_s", "horizon must be nonnegative")
         if self.r_m <= 0:
             fail("controller.r_m", "coverage radius must be positive")
+        if self.effective_r_graph() <= 0:
+            fail("controller.r_graph_m", "graph coverage radius must be positive")
+        if self.resolution_m <= 0:
+            fail("sim.resolution_m", "raster resolution must be positive")
+        if self.match_tolerance_s < 0:
+            fail("sim.match_tolerance_s", "match tolerance must be nonnegative")
+        if self.pickup_tolerance_s < 0:
+            fail("sim.pickup_tolerance_s", "pickup tolerance must be nonnegative")
         if not 0.0 <= self.alpha <= 1.0:
             fail("controller.alpha", "alpha must lie in [0, 1]")
         if self.beta < 0:

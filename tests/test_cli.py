@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -108,6 +109,33 @@ def test_run_missing_scenario_reports_json_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "ConfigValidation"
     assert err["field"] == "graph.path"
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("sim", "resolution_m", 0.0),
+    ("sim", "resolution_m", math.nan),
+    ("sim", "seed", -1),
+    ("sim", "seed", math.inf),
+    ("fleet", "n_av", 2.5),
+    ("fleet", "n_av", math.nan),
+    ("controller", "r_graph_m", -100.0),
+    ("controller", "r_graph_m", math.inf),
+    ("sim", "pickup_tolerance_s", -1.0),
+    ("sim", "pickup_tolerance_s", math.nan),
+    ("sim", "match_tolerance_s", -1.0),
+    ("sim", "horizon_s", math.inf),
+    ("sim", "horizon_s", math.nan),
+])
+def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key, value):
+    doc = mini_scenario_doc()
+    doc[section][key] = value
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ConfigValidation"
+    assert err["field"] == f"{section}.{key}"
 
 
 def test_run_twice_is_byte_identical(scenario_path, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvrsim.errors import (
     DisconnectedGraphError,
@@ -119,6 +121,65 @@ def test_next_hop_walk_reproduces_distance():
             walked = sum(g.edge_length(u, v) for u, v in zip(hops, hops[1:]))
             assert walked == pytest.approx(oracle.dist[a, b], rel=1e-9, abs=1e-9)
     assert np.allclose(oracle.dist, oracle.dist.T)
+
+
+def brute_next_hops(g, dist):
+    """Smallest-id neighbour v of i with w(i, v) + dist[j, v] == dist[j, i], by loops."""
+    n = g.n_nodes
+    out = np.empty((n, n), dtype=int)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = i if i == j else min(
+                v for v, w in g.neighbors(i) if w + dist[j, v] == dist[j, i])
+    return out
+
+
+def test_next_hop_is_smallest_neighbour_on_grid_ties():
+    g = grid_graph(5, 10.0)
+    oracle = all_pairs_shortest(g)
+    assert np.array_equal(oracle.next_hop, brute_next_hops(g, oracle.dist))
+    # from the corner toward the far corner, both first hops are shortest
+    assert oracle.next_hop[0, 24] == 1
+
+
+def test_next_hop_is_smallest_neighbour_on_random_graphs():
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        n = int(rng.integers(10, 60))
+        nodes, edges = random_connected_graph(rng, n, extra_edges=n, max_len=4)
+        g = build_graph(nodes, edges)
+        oracle = all_pairs_shortest(g)
+        assert np.array_equal(oracle.next_hop, brute_next_hops(g, oracle.dist))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random tree plus chords, with non-integer edge lengths."""
+    n = draw(st.integers(2, 30))
+    length = st.floats(0.1, 1000.0, allow_nan=False, allow_infinity=False)
+    edges = {(draw(st.integers(0, v - 1)), v): draw(length) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), draw(length))
+    nodes = [(i, float(i), 0.0) for i in range(n)]
+    return build_graph(nodes, [(u, v, w) for (u, v), w in edges.items()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_next_hop_walks_are_shortest_paths(g):
+    oracle = all_pairs_shortest(g)
+    n = g.n_nodes
+    for a in range(n):
+        for b in range(n):
+            walk = [a]
+            while walk[-1] != b and len(walk) <= n:
+                walk.append(int(oracle.next_hop[walk[-1], b]))
+            assert walk[-1] == b and len(walk) <= n
+            assert walk == oracle.path(a, b)
+            walked = sum(g.edge_length(u, v) for u, v in zip(walk, walk[1:]))
+            assert walked == pytest.approx(oracle.dist[a, b], rel=1e-9, abs=0.0)
 
 
 # -- graph_voronoi --------------------------------------------------------------
