@@ -5,11 +5,19 @@ normalized mass per pixel. All geometry below (Voronoi assignment, range
 limited cells, weighted centroids, polar moments, the coverage objective,
 and the move-toward-centroid step) works on pixel centers, with sums taken
 in ascending pixel index order so results do not depend on scheduling.
+
+Every pixel's nearest generator comes from one exact tiled pass: the raster
+is cut into 8x8-pixel tiles, each tile keeps only the generators that can be
+nearest to some pixel center in its bounding box, and the squared distances
+dx*dx + dy*dy are compared exactly, ties going to the smallest generator
+index. :func:`coverage_summary` derives every per-generator statistic from
+that pass; the objective and the Lloyd step derive from the summary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +30,7 @@ from .errors import (
 )
 from .roadnet import RoadGraph
 
-_CHUNK = 16384  # pixels per block in distance scans, bounds peak memory
+_TILE = 8  # tile side in pixels for the nearest-generator pass
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,27 @@ class GridField:
 
     def diagonal(self) -> float:
         return float(np.hypot(self.nx * self.resolution, self.ny * self.resolution))
+
+    @cached_property
+    def _tiles(self):
+        """Pixel indices and centers of the 8x8-pixel tiles, and their boxes.
+
+        Returns (pix, x, y, col_lo, col_hi, row_lo, row_hi): pix, x and y are
+        (tiles, 64) in row-major tile order; tile (r, c) lies inside the box
+        [col_lo[c], col_hi[c]] x [row_lo[r], row_hi[r]]. Edge tiles repeat
+        their last real row and column, so every box bounds real centers only.
+        """
+        t = _TILE
+        ix = np.minimum(np.arange(-(-self.nx // t) * t), self.nx - 1).reshape(1, -1, 1, t)
+        iy = np.minimum(np.arange(-(-self.ny // t) * t), self.ny - 1).reshape(-1, 1, t, 1)
+        pix = (iy * self.nx + ix).reshape(-1, t * t)
+        x = self.centers[pix, 0]
+        y = self.centers[pix, 1]
+        grid_x = x.reshape(len(iy), -1, t * t)
+        grid_y = y.reshape(len(iy), -1, t * t)
+        return (pix, x, y,
+                grid_x.min(axis=(0, 2))[:, None], grid_x.max(axis=(0, 2))[:, None],
+                grid_y.min(axis=(1, 2))[:, None], grid_y.max(axis=(1, 2))[:, None])
 
 
 @dataclass(frozen=True)
@@ -133,22 +162,65 @@ def rasterize_node_mass(box, resolution: float, graph: RoadGraph, node_mass) -> 
     return _field_from_raw(box, resolution, raw, xmin, ymin, nx, ny, centers)
 
 
-def plane_voronoi(field: GridField, generators) -> np.ndarray:
-    """Assign each pixel center to its Euclidean-nearest generator.
+def _box_distances(lo, hi, g):
+    """Squared distances from each coordinate in g to the nearest point and
+    to the farthest end of each interval [lo, hi], as (intervals, len(g))."""
+    below, above = lo - g, g - hi
+    near = np.maximum(np.maximum(below, above), 0.0)
+    far = np.minimum(below, above)
+    return near * near, far * far
 
-    Returns flat int32 generator indices; ties go to the smallest index.
+
+def _nearest_generator(field: GridField, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest generator of every pixel center and its squared distance.
+
+    A tile keeps the generators whose squared distance to its box is at most
+    (1 + 1e-9) times the smallest squared distance at which some generator
+    reaches the box's far corner. Rounding is monotone, so the computed
+    distance from a pixel to a generator never falls below that generator's
+    box distance nor exceeds its far-corner distance: every generator that
+    ties for the nearest survives, and no tile is left without a candidate
+    (reduceat needs that). Over the surviving (tile, generator) pairs
+    d2 = dx*dx + dy*dy is compared exactly and ties go to the smallest index.
     """
+    pix, x, y, col_lo, col_hi, row_lo, row_hi = field._tiles
+    gx, gy = gens[:, 0], gens[:, 1]
+    near_x, far_x = _box_distances(col_lo, col_hi, gx)
+    near_y, far_y = _box_distances(row_lo, row_hi, gy)
+    near = (near_x[None, :, :] + near_y[:, None, :]).reshape(len(pix), -1)
+    far = (far_x[None, :, :] + far_y[:, None, :]).reshape(len(pix), -1)
+    keep = near <= far.min(axis=1, keepdims=True) * (1.0 + 1e-9)
+    tile, gen = np.nonzero(keep)  # grouped by tile, generators ascending
+    starts = np.concatenate([[0], np.cumsum(keep.sum(axis=1))[:-1]])
+    dx = x[tile] - gx[gen, None]
+    dy = y[tile] - gy[gen, None]
+    d2 = dx * dx + dy * dy
+    best = np.minimum.reduceat(d2, starts, axis=0)
+    owner = np.minimum.reduceat(
+        np.where(d2 == best[tile], gen[:, None], len(gens)), starts, axis=0)
+    assignment = np.empty(field.n_pixels, dtype=np.int32)
+    own_d2 = np.empty(field.n_pixels)
+    assignment[pix] = owner
+    own_d2[pix] = best
+    return assignment, own_d2
+
+
+def _generators(generators) -> np.ndarray:
     gens = np.atleast_2d(np.asarray(generators, dtype=np.float64))
     if gens.size == 0:
         raise EmptyGeneratorSetError("no generators")
-    out = np.empty(field.n_pixels, dtype=np.int32)
-    centers = field.centers
-    for start in range(0, field.n_pixels, _CHUNK):
-        block = centers[start:start + _CHUNK]
-        delta = block[:, None, :] - gens[None, :, :]
-        d2 = np.einsum("pgc,pgc->pg", delta, delta)
-        out[start:start + _CHUNK] = np.argmin(d2, axis=1)
-    return out
+    if not np.isfinite(gens).all():
+        raise ValueError("generator coordinates must be finite")
+    return gens
+
+
+def plane_voronoi(field: GridField, generators) -> np.ndarray:
+    """Assign each pixel center to its Euclidean-nearest generator.
+
+    Returns flat int32 generator indices. The squared distances are compared
+    exactly as dx*dx + dy*dy; ties go to the smallest index.
+    """
+    return _nearest_generator(field, _generators(generators))[0]
 
 
 @dataclass(frozen=True)
@@ -170,40 +242,23 @@ class CoverageSummary:
 def coverage_summary(field: GridField, generators, r_m: float) -> CoverageSummary:
     """Assignment, limited centroids, and polar moments in one raster pass.
 
-    Numerically equivalent to composing plane_voronoi, r_limited_cell,
-    weighted_centroid, and polar_moment per generator, up to summation
-    order; results are deterministic for a given input.
+    The assignment is exactly plane_voronoi's (ties to the smallest index);
+    each statistic is one bincount over the pixels in ascending index order,
+    so it equals composing r_limited_cell, weighted_centroid, and
+    polar_moment per generator up to the order of the floating-point sums.
     """
-    gens = np.atleast_2d(np.asarray(generators, dtype=np.float64))
-    if gens.size == 0:
-        raise EmptyGeneratorSetError("no generators")
+    gens = _generators(generators)
     n = len(gens)
-    r2 = r_m * r_m
-    assignment = np.empty(field.n_pixels, dtype=np.int32)
-    mass_w = np.zeros(n)
-    sum_x = np.zeros(n)
-    sum_y = np.zeros(n)
-    j_lim = np.zeros(n)
-    j_full = np.zeros(n)
-    centers = field.centers
+    assignment, own_d2 = _nearest_generator(field, gens)
     mass = field.mass
-    g2 = np.einsum("ij,ij->i", gens, gens)
-    for start in range(0, field.n_pixels, _CHUNK):
-        block = centers[start:start + _CHUNK]
-        w = mass[start:start + _CHUNK]
-        p2 = np.einsum("ij,ij->i", block, block)
-        d2 = p2[:, None] + g2[None, :] - 2.0 * (block @ gens.T)
-        owner = np.argmin(d2, axis=1)
-        assignment[start:start + _CHUNK] = owner
-        own_d2 = np.maximum(d2[np.arange(len(block)), owner], 0.0)
-        j_full += np.bincount(owner, weights=w * own_d2, minlength=n)
-        inside = own_d2 <= r2
-        owner_in = owner[inside]
-        w_in = w[inside]
-        mass_w += np.bincount(owner_in, weights=w_in, minlength=n)
-        sum_x += np.bincount(owner_in, weights=w_in * block[inside, 0], minlength=n)
-        sum_y += np.bincount(owner_in, weights=w_in * block[inside, 1], minlength=n)
-        j_lim += np.bincount(owner_in, weights=w_in * own_d2[inside], minlength=n)
+    j_full = np.bincount(assignment, weights=mass * own_d2, minlength=n)
+    inside = own_d2 <= r_m * r_m
+    owner_in = assignment[inside]
+    w_in = mass[inside]
+    mass_w = np.bincount(owner_in, weights=w_in, minlength=n)
+    sum_x = np.bincount(owner_in, weights=w_in * field.centers[inside, 0], minlength=n)
+    sum_y = np.bincount(owner_in, weights=w_in * field.centers[inside, 1], minlength=n)
+    j_lim = np.bincount(owner_in, weights=w_in * own_d2[inside], minlength=n)
     with np.errstate(invalid="ignore", divide="ignore"):
         centroid = np.column_stack([sum_x, sum_y]) / mass_w[:, None]
     centroid[mass_w <= 0] = np.nan
@@ -244,13 +299,7 @@ def polar_moment(cell: PlanarCell, field: GridField, point) -> float:
 
 def coverage_objective(generators, field: GridField, r_m: float) -> float:
     """Sum of per-generator polar moments over range-limited cells."""
-    gens = np.atleast_2d(np.asarray(generators, dtype=np.float64))
-    assignment = plane_voronoi(field, gens)
-    total = 0.0
-    for i, g in enumerate(gens):
-        cell = r_limited_cell(assignment, field, i, g, r_m)
-        total += polar_moment(cell, field, g)
-    return total
+    return float(coverage_summary(field, generators, r_m).j_limited.sum())
 
 
 def lloyd_step(generators, field: GridField, r_m: float, step_fraction: float = 1.0) -> np.ndarray:
@@ -260,13 +309,8 @@ def lloyd_step(generators, field: GridField, r_m: float, step_fraction: float = 
     """
     if not 0.0 < step_fraction <= 1.0:
         raise ValueError("step fraction must lie in (0, 1]")
-    gens = np.atleast_2d(np.asarray(generators, dtype=np.float64)).copy()
-    assignment = plane_voronoi(field, gens)
-    for i in range(len(gens)):
-        cell = r_limited_cell(assignment, field, i, gens[i], r_m)
-        try:
-            target = weighted_centroid(cell, field)
-        except ZeroMassCellError:
-            continue
-        gens[i] = gens[i] + step_fraction * (target - gens[i])
+    gens = _generators(generators).copy()
+    summary = coverage_summary(field, gens, r_m)
+    moving = summary.limited_mass > 0
+    gens[moving] += step_fraction * (summary.limited_centroid[moving] - gens[moving])
     return gens

@@ -14,6 +14,7 @@ profile of roughly 300 requests over three hours.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -137,12 +138,21 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
         path = os.path.join(base_dir, graph_sec["path"])
         if not os.path.exists(path):
             raise ConfigValidationError("graph.path", f"no such file: {graph_sec['path']}")
-        graph = graph_from_json(path)
+        try:
+            graph = graph_from_json(path)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigValidationError("graph.path", f"invalid graph: {exc}") from None
     else:
         grid = graph_sec["grid"]
         _reject_unknown(grid, _GRID_KEYS, "graph.grid")
-        graph = grid_graph(_integer(_require(grid, "k", "graph.grid"), "graph.grid.k"),
-                           float(_require(grid, "spacing_m", "graph.grid")))
+        k = _integer(_require(grid, "k", "graph.grid"), "graph.grid.k")
+        if k < 2:
+            raise ConfigValidationError("graph.grid.k", f"grid needs k >= 2, got {k}")
+        spacing_m = float(_require(grid, "spacing_m", "graph.grid"))
+        if not (math.isfinite(spacing_m) and spacing_m > 0):
+            raise ConfigValidationError(
+                "graph.grid.spacing_m", f"must be positive and finite, got {spacing_m}")
+        graph = grid_graph(k, spacing_m)
 
     demand_sec = _require(doc, "demand", "scenario")
     _reject_unknown(demand_sec, _DEMAND_KEYS, "demand")

@@ -212,6 +212,25 @@ class SimConfig:
             fail("sim.beta", "beta must be nonnegative")
         if self.baseline_accumulation < 0:
             fail("sim.baseline_accumulation", "baseline accumulation must be nonnegative")
+        mfd = self.mfd
+        for key, value in mfd.__dict__.items():
+            if key == "linear_slope" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
+                fail(f"sim.mfd.{key}", f"must be a finite number, got {value!r}")
+        if mfd.free_flow_mps <= 0:
+            fail("sim.mfd.free_flow_mps", "free-flow speed must be positive")
+        if mfd.exp_rate < 0:
+            fail("sim.mfd.exp_rate", "decay rate must be nonnegative")
+        if mfd.exp_cutoff < 0:
+            fail("sim.mfd.exp_cutoff", "cutoff must be nonnegative")
+        if mfd.jam_accumulation <= mfd.exp_cutoff:
+            fail("sim.mfd.jam_accumulation", "jam accumulation must exceed exp_cutoff")
+        if mfd.linear_intercept < 0:
+            fail("sim.mfd.linear_intercept", "intercept must be nonnegative")
+        if mfd.linear_slope is not None and mfd.linear_slope < 0:
+            fail("sim.mfd.linear_slope", "slope must be null or nonnegative")
         n = self.graph.n_nodes
         for name, mass in (("demand.origin", self.origin_mass),
                            ("demand.destination", self.destination_mass)):

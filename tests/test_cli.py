@@ -5,8 +5,9 @@ import pytest
 
 from cvrsim.cli import main
 from cvrsim.errors import ConfigValidationError, UnknownParameterError
-from cvrsim.roadnet import graph_from_json
+from cvrsim.roadnet import graph_from_json, graph_to_json, grid_graph
 from cvrsim.scenario import build_config, set_sweep_value
+from cvrsim.sim import DEFAULT_MFD
 
 
 def mini_scenario_doc(**sim_overrides):
@@ -111,6 +112,16 @@ def test_run_missing_scenario_reports_json_error(tmp_path, capsys):
     assert err["field"] == "graph.path"
 
 
+def broken_grid_document(defect):
+    """The mini scenario's 5x5 grid as a graph document with one defect."""
+    doc = graph_to_json(grid_graph(5, 200.0))
+    if defect == "disconnected":
+        doc["edges"] = [e for e in doc["edges"] if 24 not in e[:2]]
+    else:
+        doc["edges"].append(list(reversed(doc["edges"][0][:2])) + [200.0])
+    return doc
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("sim", "resolution_m", 0.0),
     ("sim", "resolution_m", math.nan),
@@ -125,10 +136,30 @@ def test_run_missing_scenario_reports_json_error(tmp_path, capsys):
     ("sim", "match_tolerance_s", -1.0),
     ("sim", "horizon_s", math.inf),
     ("sim", "horizon_s", math.nan),
+    ("graph.grid", "k", 1),
+    ("graph.grid", "spacing_m", -5.0),
+    ("graph.grid", "spacing_m", math.nan),
+    ("graph", "path", "disconnected"),
+    ("graph", "path", "duplicate_edge"),
+    ("sim.mfd", "jam_accumulation", 100.0),
+    ("sim.mfd", "free_flow_mps", -3.0),
+    ("sim.mfd", "free_flow_mps", math.inf),
+    ("sim.mfd", "exp_rate", -1e-4),
+    ("sim.mfd", "exp_cutoff", -1.0),
+    ("sim.mfd", "linear_intercept", -1.0),
+    ("sim.mfd", "linear_slope", -0.01),
+    ("sim.mfd", "linear_slope", math.nan),
 ])
 def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key, value):
     doc = mini_scenario_doc()
-    doc[section][key] = value
+    if (section, key) == ("graph", "path"):
+        (tmp_path / "net.json").write_text(json.dumps(broken_grid_document(value)))
+        doc["graph"] = {"path": "net.json"}
+    else:
+        target = doc
+        for part in section.split("."):
+            target = target.setdefault(part, {})
+        target[key] = value
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
     code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
@@ -136,6 +167,12 @@ def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "ConfigValidation"
     assert err["field"] == f"{section}.{key}"
+
+
+def test_mfd_within_bounds_accepted():
+    assert build_config(mini_scenario_doc()).mfd == DEFAULT_MFD
+    doc = mini_scenario_doc(mfd={"exp_rate": 0.0, "exp_cutoff": 0.0, "linear_slope": 0.002})
+    assert build_config(doc).mfd.linear_slope == 0.002
 
 
 def test_run_twice_is_byte_identical(scenario_path, tmp_path, capsys):

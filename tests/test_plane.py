@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvrsim.errors import (
     EmptyGeneratorSetError,
@@ -30,6 +32,17 @@ def uniform_field(n=10, res=1.0):
     mass = np.full(n * n, 1.0 / (n * n))
     centers = np.array([[(i % n + 0.5) * res, (i // n + 0.5) * res] for i in range(n * n)])
     return GridField(xmin=0.0, ymin=0.0, resolution=res, nx=n, ny=n,
+                     mass=mass, centers=centers)
+
+
+def rect_field(nx, ny, res=1.0, xmin=0.0, ymin=0.0, mass=None):
+    """nx-by-ny raster laid out as GridField documents; uniform mass by default."""
+    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny))
+    centers = np.column_stack([(xmin + (ix + 0.5) * res).ravel(),
+                               (ymin + (iy + 0.5) * res).ravel()])
+    if mass is None:
+        mass = np.full(nx * ny, 1.0 / (nx * ny))
+    return GridField(xmin=xmin, ymin=ymin, resolution=res, nx=nx, ny=ny,
                      mass=mass, centers=centers)
 
 
@@ -133,9 +146,35 @@ def test_matches_brute_force_assignment():
     assert np.array_equal(plane_voronoi(field, gens), brute_plane_assignment(field, gens))
 
 
+@pytest.mark.parametrize("nx, ny", [(9, 17), (1, 1), (1, 40), (40, 1), (16, 8)])
+def test_lattice_ties_go_to_smallest_index(nx, ny):
+    field = rect_field(nx, ny)
+    # Generators on the half-pixel lattice sit exactly between pixel centers
+    # or on them, so many pixels tie; mirrored pairs about a pixel column and
+    # duplicates (listed after the original) add more exact ties.
+    rng = np.random.default_rng(nx * 100 + ny)
+    lattice = rng.integers(-2, 2 * max(nx, ny) + 3, size=(12, 2)) * 0.5
+    mirrored = np.array([[nx / 2 - 1.5, ny / 2], [nx / 2 + 1.5, ny / 2],
+                         [0.5, ny + 1.0], [0.5, -1.0]])
+    gens = np.vstack([mirrored, lattice, lattice[::3], mirrored[::-1]])
+    summary = coverage_summary(field, gens, 2.0)
+    assignment = plane_voronoi(field, gens)
+    assert np.array_equal(summary.assignment, assignment)
+    assert np.array_equal(assignment, brute_plane_assignment(field, gens))
+    for j in range(len(gens)):
+        if any(np.array_equal(gens[i], gens[j]) for i in range(j)):
+            assert not np.any(assignment == j)  # a later duplicate never wins
+
+
 def test_empty_generator_set_rejected():
     with pytest.raises(EmptyGeneratorSetError):
         plane_voronoi(uniform_field(), np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_generator_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        plane_voronoi(uniform_field(), [[bad, 1.0], [3.0, 3.0]])
 
 
 def test_every_pixel_assigned_exactly_once():
@@ -417,3 +456,50 @@ def test_coverage_summary_matches_granular_ops():
         if summary.limited_mass[i] > 0:
             assert np.allclose(summary.limited_centroid[i],
                                weighted_centroid(limited, field), rtol=1e-9)
+
+
+@st.composite
+def fields_and_generators(draw):
+    nx = draw(st.integers(1, 30))
+    ny = draw(st.integers(1, 30))
+    res = draw(st.sampled_from([0.25, 1.0, 3.0, 50.0, 9750.0 / 29]))
+    xmin = draw(st.floats(-1000.0, 1000.0))
+    ymin = draw(st.floats(-1000.0, 1000.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = rng.random(nx * ny) * (rng.random(nx * ny) < 0.7)
+    mass[rng.integers(0, nx * ny)] += 1.0
+    field = rect_field(nx, ny, res, xmin, ymin, mass / mass.sum())
+    # lattice points (exact ties) and arbitrary points, inside and outside the box
+    on_lattice = st.tuples(st.integers(-8, 2 * nx + 8), st.integers(-8, 2 * ny + 8)).map(
+        lambda k: (xmin + k[0] * res / 2, ymin + k[1] * res / 2))
+    anywhere = st.tuples(st.floats(xmin - 3 * nx * res, xmin + 4 * nx * res),
+                         st.floats(ymin - 3 * ny * res, ymin + 4 * ny * res))
+    gens = draw(st.lists(st.one_of(on_lattice, anywhere), min_size=1, max_size=12))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=4))  # duplicates
+    r = draw(st.floats(0.0, 1.5 * field.diagonal()))
+    return field, np.array(gens), r
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields_and_generators())
+def test_coverage_summary_exact_and_consistent_on_random_rasters(case):
+    field, gens, r = case
+    summary = coverage_summary(field, gens, r)
+    assignment = plane_voronoi(field, gens)
+    assert np.array_equal(summary.assignment, assignment)
+    assert np.array_equal(assignment, brute_plane_assignment(field, gens))
+    from cvrsim.plane import PlanarCell
+    for i in range(len(gens)):
+        limited = r_limited_cell(assignment, field, i, gens[i], r)
+        full = PlanarCell(generator=gens[i], pixels=np.flatnonzero(assignment == i))
+        assert summary.limited_mass[i] == pytest.approx(
+            field.mass[limited.pixels].sum(), rel=1e-12, abs=1e-15)
+        assert summary.j_limited[i] == pytest.approx(
+            polar_moment(limited, field, gens[i]), rel=1e-9, abs=1e-12)
+        assert summary.j_full[i] == pytest.approx(
+            polar_moment(full, field, gens[i]), rel=1e-9, abs=1e-12)
+        if summary.limited_mass[i] > 0:
+            assert np.allclose(summary.limited_centroid[i],
+                               weighted_centroid(limited, field), rtol=1e-9)
+        else:
+            assert np.all(np.isnan(summary.limited_centroid[i]))
