@@ -20,6 +20,7 @@ from .plane import (
     PlanarCell,
     coverage_objective,
     lloyd_step,
+    mixture_density,
     plane_voronoi,
     polar_moment,
     r_limited_cell,

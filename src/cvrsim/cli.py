@@ -107,7 +107,9 @@ def cmd_sweep(args) -> int:
         raise ConfigValidationError("values", f"cannot parse {args.values!r} as JSON scalars")
     if args.reps < 1:
         raise ConfigValidationError("reps", "need at least one repetition")
-    base_seed = args.seed if args.seed is not None else int(doc.get("sim", {}).get("seed", 1))
+    base_seed = args.seed
+    if base_seed is None:
+        base_seed = scenario_mod.build_config(doc, base_dir=base_dir).seed
     scenario_mod.set_sweep_value(doc, args.param, values[0])  # fail fast on bad names
 
     tasks = [(doc, base_dir, args.param, value, base_seed + rep)

@@ -8,6 +8,7 @@ pairs; request streams are Poisson with that piecewise constant rate.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,18 +46,14 @@ class Request:
     dropoff_time: float | None = None
     vehicle_id: int | None = None
 
-    @property
-    def wait_s(self) -> float | None:
-        if self.pickup_time is None:
-            return None
-        return self.pickup_time - self.t0
-
 
 def check_node_mass(values, name: str = "mass") -> np.ndarray:
-    """Validate and return a node-mass vector (>= 0, sums to 1 +- 1e-9)."""
+    """Validate and return a node-mass vector (finite, >= 0, sums to 1 +- 1e-9)."""
     p = np.asarray(values, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name} has non-finite entries")
     if (p < 0).any():
         raise ValueError(f"{name} has negative entries")
     if abs(p.sum() - 1.0) > 1e-9:
@@ -65,8 +62,10 @@ def check_node_mass(values, name: str = "mass") -> np.ndarray:
 
 
 def mass_from_counts(counts) -> np.ndarray:
-    """Normalize nonnegative per-node counts into a probability mass."""
+    """Normalize finite nonnegative per-node counts into a probability mass."""
     counts = np.asarray(counts, dtype=np.float64)
+    if not np.isfinite(counts).all():
+        raise ValueError("counts must be finite")
     if (counts < 0).any():
         raise ValueError("counts must be nonnegative")
     total = counts.sum()
@@ -94,6 +93,16 @@ def synthesize_destination(p_dest, p_origin_complement, gamma: float) -> np.ndar
     if len(p_dest) != len(p_comp):
         raise LengthMismatchError(f"{len(p_dest)} vs {len(p_comp)} nodes")
     return gamma * p_dest + (1.0 - gamma) * p_comp
+
+
+def check_profile(profile) -> None:
+    """Validate (duration_s, rate_per_hour) pairs: durations positive, rates
+    nonnegative, both finite (a non-finite entry would never end the stream)."""
+    for i, (duration, rate) in enumerate(profile):
+        if not (math.isfinite(duration) and duration > 0):
+            raise ValueError(f"entry {i}: duration must be positive and finite, got {duration!r}")
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ValueError(f"entry {i}: rate must be nonnegative and finite, got {rate!r}")
 
 
 def hellinger(p, q) -> float:
@@ -126,11 +135,7 @@ def generate_requests(
     p_destination = check_node_mass(p_destination, "p_destination")
     if len(p_origin) != len(p_destination):
         raise LengthMismatchError(f"{len(p_origin)} vs {len(p_destination)} nodes")
-    for duration, rate in profile:
-        if duration <= 0:
-            raise ValueError("profile durations must be positive")
-        if rate < 0:
-            raise ValueError("profile rates must be nonnegative")
+    check_profile(profile)
 
     rng = np.random.default_rng(seed)
     times: list[float] = []

@@ -117,6 +117,30 @@ def _field_from_raw(box, resolution, raw: np.ndarray, xmin, ymin, nx, ny, center
     )
 
 
+def mixture_density(points, components) -> np.ndarray:
+    """Density of a 2-D Gaussian mixture at each row of ``points``.
+
+    components: iterable of (weight, mean, cov) with positive definite 2x2
+    covariances; the weights are used as given. Raises
+    NonPositiveDefiniteCovarianceError when a covariance has no Cholesky
+    factor.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    density = np.zeros(len(points))
+    for weight, mean, cov in components:
+        cov = np.asarray(cov, dtype=np.float64)
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise NonPositiveDefiniteCovarianceError(f"covariance {cov.tolist()}") from None
+        delta = points - np.asarray(mean, dtype=np.float64)
+        # solve L z = delta^T, quadratic form = |z|^2
+        z = np.linalg.solve(chol, delta.T)
+        quad = np.einsum("ij,ij->j", z, z)
+        density += float(weight) * np.exp(-0.5 * quad) / (2.0 * np.pi * chol[0, 0] * chol[1, 1])
+    return density
+
+
 def rasterize_mixture(box, resolution: float, components) -> GridField:
     """Rasterize a 2-D Gaussian mixture onto a pixel grid.
 
@@ -129,19 +153,7 @@ def rasterize_mixture(box, resolution: float, components) -> GridField:
     weights = np.array([float(w) for w, _, _ in components])
     if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("component weights must be nonnegative and sum to 1")
-    raw = np.zeros(len(centers))
-    for weight, mean, cov in components:
-        cov = np.asarray(cov, dtype=np.float64)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise NonPositiveDefiniteCovarianceError(f"covariance {cov.tolist()}") from None
-        delta = centers - np.asarray(mean, dtype=np.float64)
-        # solve L z = delta^T, quadratic form = |z|^2
-        z = np.linalg.solve(chol, delta.T)
-        quad = np.einsum("ij,ij->j", z, z)
-        det = chol[0, 0] * chol[1, 1]
-        raw += float(weight) * np.exp(-0.5 * quad) / (2.0 * np.pi * det)
+    raw = mixture_density(centers, components)
     return _field_from_raw(box, resolution, raw, xmin, ymin, nx, ny, centers)
 
 
@@ -275,10 +287,6 @@ def r_limited_cell(
     delta = field.centers[owned] - position
     d2 = np.einsum("ij,ij->i", delta, delta)
     return PlanarCell(generator=position, pixels=owned[d2 <= r_m * r_m])
-
-
-def cell_mass(cell: PlanarCell, field: GridField) -> float:
-    return float(field.mass[cell.pixels].sum())
 
 
 def weighted_centroid(cell: PlanarCell, field: GridField) -> np.ndarray:

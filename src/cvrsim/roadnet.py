@@ -279,22 +279,20 @@ def graph_centroid(cell: GraphCell, mass: np.ndarray, oracle: DistanceOracle) ->
     return int(members[int(np.argmin(cost))])
 
 
+def nearest_nodes(graph: RoadGraph, points) -> np.ndarray:
+    """Euclidean-nearest node to each row of ``points``; ties to the smallest id.
+
+    The squared distances are compared exactly as dx*dx + dy*dy.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    dx = pts[:, 0, None] - graph.coords[None, :, 0]
+    dy = pts[:, 1, None] - graph.coords[None, :, 1]
+    return np.argmin(dx * dx + dy * dy, axis=1)
+
+
 def nearest_node(graph: RoadGraph, point) -> int:
     """Euclidean-nearest node to a planar point; ties to the smallest id."""
-    delta = graph.coords - np.asarray(point, dtype=np.float64)
-    return int(np.argmin(np.einsum("ij,ij->i", delta, delta)))
-
-
-def nearest_nodes(graph: RoadGraph, points) -> np.ndarray:
-    """Vectorized nearest_node over rows of ``points``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    coords = graph.coords
-    d2 = (
-        np.einsum("ij,ij->i", pts, pts)[:, None]
-        + np.einsum("ij,ij->i", coords, coords)[None, :]
-        - 2.0 * (pts @ coords.T)
-    )
-    return np.argmin(d2, axis=1)
+    return int(nearest_nodes(graph, point)[0])
 
 
 def position_node_distance(graph: RoadGraph, oracle: DistanceOracle, pos, node: int) -> float:

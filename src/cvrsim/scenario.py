@@ -2,8 +2,12 @@
 
 A scenario file is a JSON object with sections ``graph``, ``demand``,
 ``fleet``, ``controller``, ``sim`` and an optional ``output_dir``. Unknown
-keys anywhere are rejected so typos fail loudly. :func:`build_config` turns
-a parsed document into a runnable :class:`~cvrsim.sim.SimConfig`.
+keys anywhere are rejected so typos fail loudly, and every value must have
+its JSON type: a string is not a number and a number is not a flag.
+:func:`build_config` turns a parsed document into a runnable
+:class:`~cvrsim.sim.SimConfig`; every scalar of the fleet, controller and
+sim sections is declared once, in :data:`_KEYS`, and takes its default from
+:class:`~cvrsim.sim.SimConfig`.
 
 :func:`desk_scenario` builds the small 20x20-grid benchmark used by the
 test suite and the demos: a north-east origin hot spot, a destination
@@ -13,6 +17,8 @@ profile of roughly 300 requests over three hours.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import math
 import os
@@ -21,6 +27,7 @@ import numpy as np
 
 from . import demand
 from .errors import ConfigValidationError
+from .plane import mixture_density
 from .roadnet import RoadGraph, graph_from_json, grid_graph
 from .sim import DEFAULT_MFD, MFDParams, SimConfig
 
@@ -30,18 +37,7 @@ _GRID_KEYS = {"k", "spacing_m"}
 _DEMAND_KEYS = {"origin", "destination", "gamma", "profile"}
 _SOURCE_KEYS = {"mixture", "node_counts", "node_mass"}
 _COMPONENT_KEYS = {"weight", "mean", "cov"}
-_FLEET_KEYS = {"n_av", "placement"}
-_CONTROLLER_KEYS = {
-    "name", "r_m", "r_graph_m", "alpha", "k_p", "k_i", "y_ref", "y_hold",
-    "graph_hold_score", "min_retarget_gain_m",
-}
-_SIM_KEYS = {
-    "tick_s", "control_period_s", "fleet_period_s", "horizon_s", "beta",
-    "match_tolerance_s", "pickup_tolerance_s", "baseline_accumulation",
-    "resolution_m", "seed", "persistent_private_trips", "mfd",
-}
-_MFD_KEYS = {"free_flow_mps", "exp_rate", "exp_cutoff", "jam_accumulation",
-             "linear_intercept", "linear_slope"}
+_MFD_KEYS = {f.name for f in dataclasses.fields(MFDParams)}
 
 SWEEPABLE = {
     "gamma": ("demand", "gamma"),
@@ -54,7 +50,9 @@ SWEEPABLE = {
 }
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
+def _reject_unknown(section, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigValidationError(where, f"must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         key = sorted(unknown)[0]
@@ -67,6 +65,17 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, field: str) -> float:
+    """A JSON number as a float; strings, flags and null are not numbers."""
+    if not _is_number(value):
+        raise ConfigValidationError(field, f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value, field: str) -> int:
     """A whole JSON number as an int; fractions, NaN and infinities are rejected."""
     if isinstance(value, bool) or not (
@@ -75,69 +84,152 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
+def _flag(value, field: str) -> bool:
+    """A JSON true or false; strings and numbers are not flags."""
+    if not isinstance(value, bool):
+        raise ConfigValidationError(field, f"must be true or false, got {value!r}")
+    return value
+
+
+def _text(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigValidationError(field, f"must be a string, got {value!r}")
+    return value
+
+
+def _numbers(value, shape: tuple, field: str) -> np.ndarray:
+    """A JSON array of finite numbers with exactly the given shape, as floats."""
+    arr = np.array(value, dtype=object)
+    if arr.shape != shape or not all(_is_number(x) and math.isfinite(x) for x in arr.flat):
+        dims = "x".join(str(n) for n in shape)
+        raise ConfigValidationError(field, f"must be a {dims} array of finite numbers, got {value!r}")
+    return arr.astype(np.float64)
+
+
+def _mfd(value, field: str) -> MFDParams:
+    """The accumulation-speed relation; SimConfig.validate checks each value."""
+    _reject_unknown(value, _MFD_KEYS, field)
+    return dataclasses.replace(DEFAULT_MFD, **value)
+
+
+# Every key of the fleet, controller and sim sections: the SimConfig field it
+# sets and the parser its value must pass. An absent key takes the field's
+# default, and a key whose field has no default is required.
+_KEYS = {
+    ("fleet", "n_av"): ("n_av", _integer),
+    ("fleet", "placement"): ("placement", _text),
+    ("controller", "name"): ("controller", _text),
+    ("controller", "r_m"): ("r_m", _number),
+    ("controller", "r_graph_m"): ("r_graph_m", _number),
+    ("controller", "alpha"): ("alpha", _number),
+    ("controller", "k_p"): ("k_p", _number),
+    ("controller", "k_i"): ("k_i", _number),
+    ("controller", "y_ref"): ("y_ref", _number),
+    ("controller", "y_hold"): ("y_hold", _number),
+    ("controller", "graph_hold_score"): ("graph_hold_score", _flag),
+    ("controller", "min_retarget_gain_m"): ("min_retarget_gain_m", _number),
+    ("sim", "tick_s"): ("tick_s", _number),
+    ("sim", "control_period_s"): ("control_period_s", _number),
+    ("sim", "fleet_period_s"): ("fleet_period_s", _number),
+    ("sim", "horizon_s"): ("horizon_s", _number),
+    ("sim", "beta"): ("beta", _number),
+    ("sim", "match_tolerance_s"): ("match_tolerance_s", _number),
+    ("sim", "pickup_tolerance_s"): ("pickup_tolerance_s", _number),
+    ("sim", "baseline_accumulation"): ("baseline_accumulation", _integer),
+    ("sim", "mfd"): ("mfd", _mfd),
+    ("sim", "persistent_private_trips"): ("persistent_private_trips", _flag),
+    ("sim", "resolution_m"): ("resolution_m", _number),
+    ("sim", "seed"): ("seed", _integer),
+}
+_SECTION_KEYS = {name: {key for section, key in _KEYS if section == name}
+                 for name in ("fleet", "controller", "sim")}
+_REQUIRED = {f.name for f in dataclasses.fields(SimConfig) if f.default is dataclasses.MISSING}
+
+
 def load_scenario(path: str) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigValidationError("", f"scenario is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigValidationError("", "scenario document must be a JSON object")
     return doc
 
 
-def _node_mass_from_source(source: dict, graph: RoadGraph, where: str) -> np.ndarray:
+def _parse_mixture(raw, where: str) -> list:
+    """Checked (weight, mean, cov) components of a 2-D Gaussian mixture.
+
+    Weights are finite, nonnegative and sum to one within 1e-9; a mean is two
+    finite numbers; a covariance is a finite, symmetric, positive definite
+    2x2 matrix. Each failure names the offending component entry.
+    """
+    if not isinstance(raw, list) or not raw:
+        raise ConfigValidationError(where, f"need a nonempty list of components, got {raw!r}")
+    components = []
+    for i, comp in enumerate(raw):
+        at = f"{where}[{i}]"
+        _reject_unknown(comp, _COMPONENT_KEYS, at)
+        weight = _number(_require(comp, "weight", at), f"{at}.weight")
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ConfigValidationError(f"{at}.weight", f"must be finite and nonnegative, got {weight}")
+        mean = _numbers(_require(comp, "mean", at), (2,), f"{at}.mean")
+        cov = _numbers(_require(comp, "cov", at), (2, 2), f"{at}.cov")
+        if cov[0, 1] != cov[1, 0]:
+            raise ConfigValidationError(f"{at}.cov", f"must be symmetric, got {cov.tolist()}")
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise ConfigValidationError(f"{at}.cov", f"not positive definite: {cov.tolist()}") from None
+        components.append((weight, mean, cov))
+    total = sum(weight for weight, _, _ in components)
+    if abs(total - 1.0) > 1e-9:
+        raise ConfigValidationError(f"{at}.weight", f"weights sum to {total!r}, expected 1")
+    return components
+
+
+def _demand_source(source, graph: RoadGraph, where: str) -> tuple[np.ndarray, list | None]:
+    """A demand source's node mass, and its parsed mixture (None for node vectors)."""
     _reject_unknown(source, _SOURCE_KEYS, where)
     if len(source) != 1:
         raise ConfigValidationError(where, "need exactly one of mixture | node_counts | node_mass")
-    if "node_counts" in source:
-        try:
-            return demand.mass_from_counts(source["node_counts"])
-        except ValueError as exc:
-            raise ConfigValidationError(where, str(exc)) from None
-    if "node_mass" in source:
-        try:
-            return demand.check_node_mass(source["node_mass"], where)
-        except ValueError as exc:
-            raise ConfigValidationError(where, str(exc)) from None
-    components = _parse_mixture(source["mixture"], where + ".mixture")
-    density = np.zeros(graph.n_nodes)
-    for weight, mean, cov in components:
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ConfigValidationError(where + ".mixture", "covariance not positive definite") from None
-        delta = graph.coords - mean
-        z = np.linalg.solve(chol, delta.T)
-        quad = np.einsum("ij,ij->j", z, z)
-        density += weight * np.exp(-0.5 * quad) / (2.0 * np.pi * chol[0, 0] * chol[1, 1])
-    total = density.sum()
-    if total <= 0:
-        raise ConfigValidationError(where, "mixture density vanishes on every node")
-    return density / total
+    if "mixture" in source:
+        components = _parse_mixture(source["mixture"], where + ".mixture")
+        density = mixture_density(graph.coords, components)
+        total = density.sum()
+        if total <= 0:
+            raise ConfigValidationError(where, "mixture density vanishes on every node")
+        return density / total, components
+    key = next(iter(source))
+    values = _numbers(source[key], (graph.n_nodes,), where)
+    try:
+        if key == "node_counts":
+            return demand.mass_from_counts(values), None
+        return demand.check_node_mass(values, where), None
+    except ValueError as exc:
+        raise ConfigValidationError(where, str(exc)) from None
 
 
-def _parse_mixture(raw, where: str) -> list:
-    components = []
-    for i, comp in enumerate(raw):
-        _reject_unknown(comp, _COMPONENT_KEYS, f"{where}[{i}]")
-        components.append((
-            float(_require(comp, "weight", f"{where}[{i}]")),
-            np.asarray(_require(comp, "mean", f"{where}[{i}]"), dtype=np.float64),
-            np.asarray(_require(comp, "cov", f"{where}[{i}]"), dtype=np.float64),
-        ))
-    return components
+def _node_mass_from_source(source: dict, graph: RoadGraph, where: str) -> np.ndarray:
+    """The node mass of one demand source."""
+    return _demand_source(source, graph, where)[0]
 
 
 def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = None) -> SimConfig:
     """Validate a scenario document and resolve it into a SimConfig."""
     _reject_unknown(doc, _SECTIONS, "scenario")
+    if "output_dir" in doc:
+        _text(doc["output_dir"], "output_dir")
 
     graph_sec = _require(doc, "graph", "scenario")
     _reject_unknown(graph_sec, _GRAPH_KEYS, "graph")
     if ("path" in graph_sec) == ("grid" in graph_sec):
         raise ConfigValidationError("graph", "need exactly one of path | grid")
     if "path" in graph_sec:
-        path = os.path.join(base_dir, graph_sec["path"])
+        name = _text(graph_sec["path"], "graph.path")
+        path = os.path.join(base_dir, name)
         if not os.path.exists(path):
-            raise ConfigValidationError("graph.path", f"no such file: {graph_sec['path']}")
+            raise ConfigValidationError("graph.path", f"no such file: {name}")
         try:
             graph = graph_from_json(path)
         except (ValueError, KeyError, TypeError) as exc:
@@ -148,7 +240,7 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
         k = _integer(_require(grid, "k", "graph.grid"), "graph.grid.k")
         if k < 2:
             raise ConfigValidationError("graph.grid.k", f"grid needs k >= 2, got {k}")
-        spacing_m = float(_require(grid, "spacing_m", "graph.grid"))
+        spacing_m = _number(_require(grid, "spacing_m", "graph.grid"), "graph.grid.spacing_m")
         if not (math.isfinite(spacing_m) and spacing_m > 0):
             raise ConfigValidationError(
                 "graph.grid.spacing_m", f"must be positive and finite, got {spacing_m}")
@@ -156,76 +248,39 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
 
     demand_sec = _require(doc, "demand", "scenario")
     _reject_unknown(demand_sec, _DEMAND_KEYS, "demand")
-    origin_sec = _require(demand_sec, "origin", "demand")
-    origin_mass = _node_mass_from_source(origin_sec, graph, "demand.origin")
-    dest_sec = demand_sec.get("destination", origin_sec)
-    dest_base = _node_mass_from_source(dest_sec, graph, "demand.destination")
-    gamma = demand_sec.get("gamma")
-    if gamma is None:
-        dest_mass = dest_base
-    else:
+    origin_mass, mixture = _demand_source(
+        _require(demand_sec, "origin", "demand"), graph, "demand.origin")
+    dest_mass = origin_mass
+    if "destination" in demand_sec:
+        dest_mass, _ = _demand_source(demand_sec["destination"], graph, "demand.destination")
+    if "gamma" in demand_sec:
+        gamma = _number(demand_sec["gamma"], "demand.gamma")
         try:
             dest_mass = demand.synthesize_destination(
-                dest_base, demand.complement_mass(origin_mass), float(gamma))
+                dest_mass, demand.complement_mass(origin_mass), gamma)
         except ValueError as exc:
             raise ConfigValidationError("demand.gamma", str(exc)) from None
     raw_profile = _require(demand_sec, "profile", "demand")
-    try:
-        profile = [(float(d), float(r)) for d, r in raw_profile]
-    except (TypeError, ValueError):
+    if not (isinstance(raw_profile, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in raw_profile)):
         raise ConfigValidationError(
-            "demand.profile", "need a list of [duration_s, rate_per_hour] pairs") from None
+            "demand.profile", "need a list of [duration_s, rate_per_hour] pairs")
+    profile = [(_number(d, "demand.profile"), _number(r, "demand.profile")) for d, r in raw_profile]
 
-    fleet_sec = _require(doc, "fleet", "scenario")
-    _reject_unknown(fleet_sec, _FLEET_KEYS, "fleet")
-    controller_sec = _require(doc, "controller", "scenario")
-    _reject_unknown(controller_sec, _CONTROLLER_KEYS, "controller")
-    sim_sec = doc.get("sim", {})
-    _reject_unknown(sim_sec, _SIM_KEYS, "sim")
-
-    mfd = DEFAULT_MFD
-    if "mfd" in sim_sec:
-        _reject_unknown(sim_sec["mfd"], _MFD_KEYS, "sim.mfd")
-        mfd = MFDParams(**{**MFDParams().__dict__, **sim_sec["mfd"]})
-
-    mixture = None
-    if "mixture" in origin_sec:
-        mixture = _parse_mixture(origin_sec["mixture"], "demand.origin.mixture")
-
-    seed = _integer(sim_sec.get("seed", 1) if seed_override is None else seed_override, "sim.seed")
-    r_graph_m = controller_sec.get("r_graph_m")
-    cfg = SimConfig(
-        graph=graph,
-        origin_mass=origin_mass,
-        destination_mass=dest_mass,
-        profile=profile,
-        n_av=_integer(_require(fleet_sec, "n_av", "fleet"), "fleet.n_av"),
-        placement=fleet_sec.get("placement", "uniform"),
-        controller=str(_require(controller_sec, "name", "controller")),
-        r_m=float(controller_sec.get("r_m", 1000.0)),
-        r_graph_m=None if r_graph_m is None else float(r_graph_m),
-        alpha=float(controller_sec.get("alpha", 0.0)),
-        k_p=float(controller_sec.get("k_p", 0.2)),
-        k_i=float(controller_sec.get("k_i", 0.4)),
-        y_ref=float(controller_sec.get("y_ref", 60.0)),
-        y_hold=float(controller_sec.get("y_hold", 90.0)),
-        graph_hold_score=bool(controller_sec.get("graph_hold_score", False)),
-        min_retarget_gain_m=float(controller_sec.get("min_retarget_gain_m", 0.0)),
-        tick_s=float(sim_sec.get("tick_s", 1.0)),
-        control_period_s=float(sim_sec.get("control_period_s", 10.0)),
-        fleet_period_s=float(sim_sec.get("fleet_period_s", 300.0)),
-        horizon_s=float(sim_sec.get("horizon_s", 10800.0)),
-        beta=float(sim_sec.get("beta", 1.5)),
-        match_tolerance_s=float(sim_sec.get("match_tolerance_s", 60.0)),
-        pickup_tolerance_s=float(sim_sec.get("pickup_tolerance_s", 300.0)),
-        baseline_accumulation=_integer(sim_sec.get("baseline_accumulation", 0),
-                                       "sim.baseline_accumulation"),
-        mfd=mfd,
-        persistent_private_trips=bool(sim_sec.get("persistent_private_trips", False)),
-        mixture=mixture,
-        resolution_m=float(sim_sec.get("resolution_m", 50.0)),
-        seed=seed,
-    )
+    sections = {}
+    for name, keys in _SECTION_KEYS.items():
+        sections[name] = doc.get(name, {})
+        _reject_unknown(sections[name], keys, name)
+    values = {}
+    for (section, key), (field, parse) in _KEYS.items():
+        if key in sections[section]:
+            values[field] = parse(sections[section][key], f"{section}.{key}")
+        elif field in _REQUIRED:
+            raise ConfigValidationError(f"{section}.{key}", "missing required entry")
+    if seed_override is not None:
+        values["seed"] = _integer(seed_override, "sim.seed")
+    cfg = SimConfig(graph=graph, origin_mass=origin_mass, destination_mass=dest_mass,
+                    profile=profile, mixture=mixture, **values)
     cfg.validate()
     return cfg
 
@@ -280,10 +335,10 @@ def desk_document(controller: str = "cvr", seed: int = 1, gamma: float = 0.5,
     return {
         "graph": {"grid": {"k": DESK_K, "spacing_m": DESK_SPACING_M}},
         "demand": {
-            "origin": {"mixture": DESK_ORIGIN_MIXTURE},
-            "destination": {"mixture": DESK_DEST_MIXTURE},
+            "origin": {"mixture": copy.deepcopy(DESK_ORIGIN_MIXTURE)},
+            "destination": {"mixture": copy.deepcopy(DESK_DEST_MIXTURE)},
             "gamma": gamma,
-            "profile": DESK_PROFILE,
+            "profile": copy.deepcopy(DESK_PROFILE),
         },
         "fleet": {"n_av": n_av, "placement": "uniform"},
         "controller": controller_sec,

@@ -125,15 +125,15 @@ class SimConfig:
     destination_mass: np.ndarray
     profile: list
     n_av: int
-    controller: str = "cvr"
+    controller: str
     # controller parameters
     r_m: float = 1000.0
     r_graph_m: float | None = None       # None -> sqrt(2) * r_m
     alpha: float = 0.0
-    k_p: float = 0.2
-    k_i: float = 0.4
-    y_ref: float = 60.0
-    y_hold: float = 90.0
+    k_p: float = rebalance.PIState.k_p
+    k_i: float = rebalance.PIState.k_i
+    y_ref: float = rebalance.PIState.y_ref
+    y_hold: float = rebalance.PIState.y_hold
     graph_hold_score: bool = False
     min_retarget_gain_m: float = 0.0
     # clocks (seconds)
@@ -143,8 +143,8 @@ class SimConfig:
     horizon_s: float = 10800.0
     # passengers
     beta: float = 1.5
-    match_tolerance_s: float = 60.0
-    pickup_tolerance_s: float = 300.0
+    match_tolerance_s: float = demand.DEFAULT_MATCH_TOLERANCE_S
+    pickup_tolerance_s: float = demand.DEFAULT_PICKUP_TOLERANCE_S
     # congestion
     baseline_accumulation: int = 0
     mfd: MFDParams = DEFAULT_MFD
@@ -231,6 +231,10 @@ class SimConfig:
             fail("sim.mfd.linear_intercept", "intercept must be nonnegative")
         if mfd.linear_slope is not None and mfd.linear_slope < 0:
             fail("sim.mfd.linear_slope", "slope must be null or nonnegative")
+        try:
+            demand.check_profile(self.profile)
+        except ValueError as exc:
+            fail("demand.profile", str(exc))
         n = self.graph.n_nodes
         for name, mass in (("demand.origin", self.origin_mass),
                            ("demand.destination", self.destination_mass)):

@@ -41,19 +41,23 @@ def brute_graph_centroid(members, mass, dist):
     return best_node
 
 
-def brute_plane_assignment(field, generators):
-    """Per-pixel nearest-generator scan with plain loops over generators."""
+def brute_nearest(points, generators):
+    """Nearest generator of each point by plain loops; ties to the smallest index."""
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
-    out = np.empty(field.n_pixels, dtype=int)
-    for pix in range(field.n_pixels):
-        px, py = field.centers[pix]
+    out = np.empty(len(points), dtype=int)
+    for i, (px, py) in enumerate(points):
         best, best_d = 0, None
         for gi, (gx, gy) in enumerate(gens):
             d = (px - gx) ** 2 + (py - gy) ** 2
             if best_d is None or d < best_d:
                 best, best_d = gi, d
-        out[pix] = best
+        out[i] = best
     return out
+
+
+def brute_plane_assignment(field, generators):
+    """Per-pixel nearest-generator scan with plain loops over generators."""
+    return brute_nearest(field.centers, generators)
 
 
 def brute_coverage_objective(field, generators, r_m):

@@ -1,12 +1,18 @@
+import csv
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvrsim.cli import main
 from cvrsim.errors import ConfigValidationError, UnknownParameterError
 from cvrsim.roadnet import graph_from_json, graph_to_json, grid_graph
-from cvrsim.scenario import build_config, set_sweep_value
+from cvrsim.scenario import build_config, desk_document, set_sweep_value
 from cvrsim.sim import DEFAULT_MFD
 
 
@@ -122,6 +128,17 @@ def broken_grid_document(defect):
     return doc
 
 
+def entry(doc, path):
+    """The object at a dotted path such as ``demand.origin.mixture[1]``."""
+    target = doc
+    for part in re.findall(r"\w+", path):
+        target = target[int(part)] if isinstance(target, list) else target.setdefault(part, {})
+    return target
+
+
+DESK_NODES = 400
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("sim", "resolution_m", 0.0),
     ("sim", "resolution_m", math.nan),
@@ -149,17 +166,38 @@ def broken_grid_document(defect):
     ("sim.mfd", "linear_intercept", -1.0),
     ("sim.mfd", "linear_slope", -0.01),
     ("sim.mfd", "linear_slope", math.nan),
+    # values of the wrong JSON type are rejected, never coerced
+    ("controller", "r_m", "abc"),
+    ("controller", "r_m", "1000"),
+    ("controller", "r_m", None),
+    ("controller", "alpha", None),
+    ("controller", "graph_hold_score", "false"),
+    ("sim", "persistent_private_trips", "no"),
+    ("sim", "horizon_s", True),
+    ("sim", "tick_s", [1]),
+    ("demand", "gamma", "0.5"),
+    ("demand", "profile", [[-5.0, 75.0]]),
+    # node vectors must be finite
+    ("demand", "origin", {"node_mass": [math.nan] + [1 / (DESK_NODES - 1)] * (DESK_NODES - 1)}),
+    ("demand", "origin", {"node_counts": [math.nan] + [1] * (DESK_NODES - 1)}),
+    ("demand", "origin", {"node_counts": [math.inf] + [1] * (DESK_NODES - 1)}),
+    # each mixture is checked once, whichever controller reads it
+    ("demand.origin.mixture[1]", "weight", 0.5),
+    ("demand.destination.mixture[1]", "weight", 0.6),
+    ("demand.origin.mixture[0]", "weight", -0.3),
+    ("demand.origin.mixture[0]", "mean", math.nan),
+    ("demand.origin.mixture[0]", "mean", [3400.0, 3400.0, 0.0]),
+    ("demand.origin.mixture[0]", "cov", [[1.0]]),
+    ("demand.origin.mixture[0]", "cov", [[640000.0, 500000.0], [0.0, 640000.0]]),
 ])
 def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key, value):
-    doc = mini_scenario_doc()
+    doc = desk_document()
+    doc["sim"]["horizon_s"] = 60.0
     if (section, key) == ("graph", "path"):
         (tmp_path / "net.json").write_text(json.dumps(broken_grid_document(value)))
         doc["graph"] = {"path": "net.json"}
     else:
-        target = doc
-        for part in section.split("."):
-            target = target.setdefault(part, {})
-        target[key] = value
+        entry(doc, section)[key] = value
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
     code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
@@ -169,10 +207,78 @@ def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key
     assert err["field"] == f"{section}.{key}"
 
 
+def fuzz_document():
+    """A short planar run on a 4x4 grid touching every kind of scenario value."""
+    return {
+        "graph": {"grid": {"k": 4, "spacing_m": 300.0}},
+        "demand": {
+            "origin": {"mixture": [
+                {"weight": 0.75, "mean": [600.0, 600.0], "cov": [[90000.0, 0.0], [0.0, 90000.0]]},
+                {"weight": 0.25, "mean": [200.0, 300.0],
+                 "cov": [[160000.0, 20000.0], [20000.0, 160000.0]]},
+            ]},
+            "destination": {"node_counts": [1, 2, 0, 1] * 4},
+            "gamma": 0.5,
+            "profile": [[300.0, 240.0]],
+        },
+        "fleet": {"n_av": 4},
+        "controller": {"name": "cvr_alpha", "r_m": 500.0, "alpha": 0.5,
+                       "graph_hold_score": False},
+        "sim": {"horizon_s": 300.0, "tick_s": 1.0, "control_period_s": 10.0,
+                "persistent_private_trips": False},
+    }
+
+
+def leaf_paths(value, path=()):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaf_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from leaf_paths(item, path + (i,))
+    elif not isinstance(value, str):
+        yield path
+
+
+# every number and flag except the profile's (a malformed profile is covered
+# above and in test_demand)
+FUZZ_PATHS = [p for p in leaf_paths(fuzz_document()) if p[:2] != ("demand", "profile")]
+FUZZ_VALUES = ["abc", "1", None, True, False, [1.0], math.nan, math.inf, -math.inf, -3.0, 0.5]
+
+
+@settings(max_examples=120, deadline=None)
+@given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from(FUZZ_VALUES))
+def test_run_survives_any_mutated_value(path, value):
+    doc = fuzz_document()
+    target = doc
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scn.json"
+        scenario.write_text(json.dumps(doc))
+        code = main(["run", "--scenario", str(scenario), "--out", tmp])
+        assert code in (0, 2)
+        if code == 0:
+            with open(Path(tmp) / "timeseries.csv") as fh:
+                for row in csv.DictReader(fh):
+                    fleet = sum(int(row[c]) for c in (
+                        "n_idle_active", "n_idle_held", "n_assigned", "n_carrying"))
+                    assert fleet == doc["fleet"]["n_av"]
+
+
 def test_mfd_within_bounds_accepted():
     assert build_config(mini_scenario_doc()).mfd == DEFAULT_MFD
     doc = mini_scenario_doc(mfd={"exp_rate": 0.0, "exp_cutoff": 0.0, "linear_slope": 0.002})
     assert build_config(doc).mfd.linear_slope == 0.002
+
+
+def test_run_rejects_invalid_json(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text('{"graph": ')
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ConfigValidation"
 
 
 def test_run_twice_is_byte_identical(scenario_path, tmp_path, capsys):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cvrsim.demand import (
+    check_node_mass,
+    check_profile,
     complement_mass,
     generate_requests,
     hellinger,
@@ -36,6 +38,25 @@ def test_single_nonzero_count():
 def test_all_zero_counts_rejected():
     with pytest.raises(AllZeroCountsError):
         mass_from_counts([0, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_rejected(bad):
+    # a NaN sum passes the |sum - 1| test, so finiteness is checked first
+    with pytest.raises(ValueError, match="finite"):
+        mass_from_counts([bad, 1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        check_node_mass([bad, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("profile", [
+    [(math.nan, 75.0)], [(math.inf, 75.0)], [(3600.0, math.inf)], [(3600.0, math.nan)],
+    [(0.0, 75.0)], [(3600.0, -1.0)],
+])
+def test_malformed_profile_rejected(profile):
+    # a non-finite entry would otherwise never close the arrival loop
+    with pytest.raises(ValueError, match="entry 0"):
+        check_profile(profile)
 
 
 # -- complement_mass --------------------------------------------------------------

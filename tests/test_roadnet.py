@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from cvrsim.roadnet import (
     r_limited_graph_cell,
 )
 
-from oracles import brute_graph_centroid, dijkstra, random_connected_graph
+from oracles import brute_graph_centroid, brute_nearest, dijkstra, random_connected_graph
 
 
 def path_graph(lengths):
@@ -328,6 +330,15 @@ def test_nearest_nodes_matches_scalar_version():
     pts = rng.uniform(-5, 40, size=(50, 2))
     batch = nearest_nodes(g, pts)
     assert [nearest_node(g, p) for p in pts] == list(batch)
+    # Midpoints between node pairs tie exactly between two or more nodes; on a
+    # spacing that is not a binary fraction, an expanded |p|^2 + |c|^2 - 2 p.c
+    # breaks those ties by rounding instead of by the smallest id.
+    city = grid_graph(6, 9750 / 29)
+    mid = np.array([(city.coords[i] + city.coords[j]) / 2
+                    for i, j in itertools.combinations(range(city.n_nodes), 2)])
+    batch = nearest_nodes(city, mid)
+    assert list(batch) == list(brute_nearest(mid, city.coords))
+    assert [nearest_node(city, p) for p in mid] == list(batch)
 
 
 # -- helpers ---------------------------------------------------------------------

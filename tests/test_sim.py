@@ -342,6 +342,8 @@ def test_config_validation_errors():
         mini_config(control_period_s=7.5, tick_s=2.0).validate()
     with pytest.raises(ConfigValidationError):
         mini_config(n_av=-1).validate()
+    with pytest.raises(ConfigValidationError):
+        mini_config(profile=[(math.nan, 80.0)]).validate()
     cfg = mini_config()
     cfg.origin_mass = np.full(25, 0.1)  # sums to 2.5
     with pytest.raises(ConfigValidationError):
