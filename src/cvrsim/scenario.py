@@ -141,8 +141,7 @@ _KEYS = {
     ("sim", "resolution_m"): ("resolution_m", _number),
     ("sim", "seed"): ("seed", _integer),
 }
-_SECTION_KEYS = {name: {key for section, key in _KEYS if section == name}
-                 for name in ("fleet", "controller", "sim")}
+_SECTION_KEYS = {name: {key for section, key in _KEYS if section == name} for name, _ in _KEYS}
 _REQUIRED = {f.name for f in dataclasses.fields(SimConfig) if f.default is dataclasses.MISSING}
 
 
@@ -183,8 +182,9 @@ def _parse_mixture(raw, where: str) -> list:
             raise ConfigValidationError(f"{at}.cov", f"not positive definite: {cov.tolist()}") from None
         components.append((weight, mean, cov))
     total = sum(weight for weight, _, _ in components)
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigValidationError(f"{at}.weight", f"weights sum to {total!r}, expected 1")
+    if abs(total - 1.0) > 1e-9:  # named at the last weight, which closes the sum
+        raise ConfigValidationError(f"{where}[{len(raw) - 1}].weight",
+                                    f"weights sum to {total!r}, expected 1")
     return components
 
 
