@@ -7,7 +7,7 @@ and mass-weighted graph centroids.
 Vehicle positions elsewhere in the library are either a node id (``int``) or a
 mid-edge triple ``(u, v, offset_m)`` meaning "offset_m meters from u while
 driving toward v"; :func:`position_node_distance` implements the shortest-path
-distance for both forms.
+distance for both forms, driving a mid-edge vehicle forward.
 """
 
 from __future__ import annotations
@@ -298,11 +298,10 @@ def nearest_node(graph: RoadGraph, point) -> int:
 def position_node_distance(graph: RoadGraph, oracle: DistanceOracle, pos, node: int) -> float:
     """Shortest-path distance from a vehicle position to a node.
 
-    Mid-edge positions take the cheaper of backtracking to the rear endpoint
-    or continuing to the forward endpoint.
+    A mid-edge vehicle drives on to the edge's forward endpoint first; it
+    never turns back, just as the routes the simulator plans never do.
     """
     if isinstance(pos, (int, np.integer)):
         return float(oracle.dist[pos, node])
     u, v, offset = pos
-    length = graph.edge_length(u, v)
-    return float(min(offset + oracle.dist[u, node], (length - offset) + oracle.dist[v, node]))
+    return float((graph.edge_length(u, v) - offset) + oracle.dist[v, node])

@@ -343,12 +343,13 @@ def test_nearest_nodes_matches_scalar_version():
 
 # -- helpers ---------------------------------------------------------------------
 
-def test_position_distance_mid_edge_uses_both_endpoints():
+def test_position_distance_mid_edge_drives_forward():
     g = path_graph([100.0, 250.0])
     oracle = all_pairs_shortest(g)
     # 50 m before node 1 on edge (0, 1); node 2 is 250 m past node 1
     assert position_node_distance(g, oracle, (0, 1, 50.0), 2) == 300.0
-    assert position_node_distance(g, oracle, (0, 1, 50.0), 0) == 50.0
+    # no U-turn: on to node 1, then back along the edge to node 0
+    assert position_node_distance(g, oracle, (0, 1, 50.0), 0) == 150.0
 
 
 def test_grid_graph_counts():

@@ -5,7 +5,8 @@ import pytest
 
 from cvrsim.demand import CANCELLED, COMPLETED, PICKED_UP, Request
 from cvrsim.errors import ConfigValidationError
-from cvrsim.roadnet import all_pairs_shortest, grid_graph
+from cvrsim.roadnet import all_pairs_shortest, grid_graph, position_node_distance
+from cvrsim.scenario import desk_scenario
 from cvrsim.sim import (
     ASSIGNED,
     CARRYING,
@@ -384,3 +385,32 @@ def test_pi_with_graph_hold_scores_runs():
     cfg = mini_config("cvr_pi", y_ref=12.0, y_hold=4.0, graph_hold_score=True)
     metrics, _, _ = run_scenario(cfg)
     assert metrics.n_requests > 0
+
+
+class RouteAuditWorld(World):
+    """Records, at every match, the estimate's distance and the planned route's length."""
+
+    def __init__(self, cfg):
+        self.audit = []
+        super().__init__(cfg)
+
+    def _apply_match(self, req, veh, clock):
+        estimate = position_node_distance(self.graph, self.oracle, veh.position, req.origin)
+        super()._apply_match(req, veh, clock)
+        length = 0.0
+        nodes = list(veh.route)
+        if veh.node is not None:
+            nodes.insert(0, veh.node)
+        else:  # the route starts at the forward endpoint of the current edge
+            length = self.graph.edge_length(*veh.edge) - veh.offset
+        length += sum(self.graph.edge_length(a, b) for a, b in zip(nodes, nodes[1:]))
+        self.audit.append((veh.node is None, estimate, length))
+
+
+@pytest.mark.parametrize("controller", ["cvr", "lp"])
+def test_pickup_estimate_matches_planned_route(controller):
+    world = RouteAuditWorld(desk_scenario(controller, seed=1))
+    world.run()
+    assert any(mid_edge for mid_edge, _, _ in world.audit)
+    for _, estimate, length in world.audit:
+        assert length == pytest.approx(estimate, rel=1e-9)
