@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import os
+import reprlib
 
 import numpy as np
 
@@ -101,8 +102,8 @@ def _numbers(value, shape: tuple, field: str) -> np.ndarray:
     """A JSON array of finite numbers with exactly the given shape, as floats."""
     arr = np.array(value, dtype=object)
     if arr.shape != shape or not all(_is_number(x) and math.isfinite(x) for x in arr.flat):
-        dims = "x".join(str(n) for n in shape)
-        raise ConfigValidationError(field, f"must be a {dims} array of finite numbers, got {value!r}")
+        raise ConfigValidationError(
+            field, f"must be finite numbers in the shape {list(shape)}, got {reprlib.repr(value)}")
     return arr.astype(np.float64)
 
 
