@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -98,7 +99,18 @@ def _aggregate(values, results_by_value):
     return rows
 
 
+def _sweep_workers() -> int:
+    """Worker processes for a sweep: ``AMOD_THREADS``, a whole number >= 1, or one per CPU."""
+    text = os.environ.get("AMOD_THREADS")
+    if text is None:
+        return os.cpu_count() or 1
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ConfigValidationError("AMOD_THREADS", f"must be a whole number >= 1, got {text!r}")
+    return int(text)
+
+
 def cmd_sweep(args) -> int:
+    workers = _sweep_workers()
     doc = scenario_mod.load_scenario(args.scenario)
     base_dir = os.path.dirname(os.path.abspath(args.scenario))
     try:
@@ -114,7 +126,6 @@ def cmd_sweep(args) -> int:
 
     tasks = [(doc, base_dir, args.param, value, base_seed + rep)
              for value in values for rep in range(args.reps)]
-    workers = int(os.environ.get("AMOD_THREADS", os.cpu_count() or 1))
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             flat = list(pool.map(_sweep_worker, tasks))
@@ -152,6 +163,8 @@ def cmd_inspect(args) -> int:
     doc = scenario_mod.load_scenario(args.scenario)
     base_dir = os.path.dirname(os.path.abspath(args.scenario))
     cfg = scenario_mod.build_config(doc, base_dir=base_dir, seed_override=args.seed)
+    if not math.isfinite(args.time) or args.time < 0:
+        raise ConfigValidationError("time", f"must be a finite time >= 0, got {args.time}")
     if args.time > cfg.horizon_s:
         raise ConfigValidationError("time", f"{args.time} beyond horizon {cfg.horizon_s}")
     world = World(cfg)

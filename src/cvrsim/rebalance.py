@@ -19,12 +19,14 @@ from .errors import EmptyCellError
 from .roadnet import (
     DistanceOracle,
     RoadGraph,
+    graph_cells,
     graph_centroid,
-    graph_voronoi,
     nearest_nodes,
-    position_node_distance,
-    r_limited_graph_cell,
+    position_leads,
 )
+
+# No longer called here, but perfbench/run.py wraps them at these names.
+from .roadnet import graph_voronoi, position_node_distance, r_limited_graph_cell  # noqa: F401
 
 CONTROLLERS = ("do_nothing", "cvr", "cvr_graph", "cvr_alpha", "cvr_pi", "lp")
 
@@ -105,20 +107,16 @@ def hold_scores(positions, field: plane.GridField, r_m: float,
 def hold_scores_graph(nodes, node_mass, oracle: DistanceOracle, r_graph_m: float) -> np.ndarray:
     """Graph analogue of the hold score on shortest-path cells."""
     nodes = [int(n) for n in nodes]
-    gens = sorted(set(nodes))
-    assignment = graph_voronoi(oracle, gens)
+    cells = graph_cells(oracle, set(nodes), r_graph_m)
     mass = np.asarray(node_mass, dtype=np.float64)
-    scores = {}
-    for g in gens:
-        owned = np.flatnonzero(assignment == g)
-        d2 = oracle.dist[g, owned] ** 2
+    scores = np.zeros(len(cells.generators))
+    for k, owned in enumerate(cells.owned):
+        d2 = cells.owner_dist[owned] ** 2
         j_full = float(d2 @ mass[owned])
-        if j_full <= 0.0:
-            scores[g] = 0.0
-            continue
-        near = oracle.dist[g, owned] <= r_graph_m
-        scores[g] = float(d2[near] @ mass[owned[near]]) / j_full
-    return np.array([scores[n] for n in nodes])
+        if j_full > 0.0:
+            near = cells.in_range[owned]
+            scores[k] = float(d2[near] @ mass[owned[near]]) / j_full
+    return scores[np.searchsorted(cells.generators, nodes)]
 
 
 def select_holds(ids, hold_count: int, scores) -> set[int]:
@@ -200,14 +198,12 @@ def cvr_graph_targets(
     """
     ids = [int(v) for v in ids]
     nodes = [int(n) for n in nodes]
-    gens = sorted(set(nodes))
-    assignment = graph_voronoi(oracle, gens)
+    cells = graph_cells(oracle, set(nodes), r_graph_m)
     mass = np.asarray(node_mass, dtype=np.float64)
     target_of: dict[int, int | None] = {}
-    for g in gens:
-        cell = r_limited_graph_cell(assignment, oracle, g, r_graph_m)
+    for k, g in enumerate(cells.generators.tolist()):
         try:
-            target_of[g] = graph_centroid(cell, mass, oracle)
+            target_of[g] = graph_centroid(cells.limited(k), mass, oracle)
         except EmptyCellError:
             target_of[g] = None
     decision = {}
@@ -236,10 +232,8 @@ def lp_rebalance(
     origins = [int(o) for o in pending_origins]
     decision: dict[int, int | None] = {vid: None for vid in ids}
     if ids and origins:
-        cost = np.empty((len(ids), len(origins)))
-        for i, pos in enumerate(positions):
-            for j, origin in enumerate(origins):
-                cost[i, j] = position_node_distance(graph, oracle, pos, origin) / speed_mps
+        fwd, lead = position_leads(graph, list(positions))
+        cost = (lead[:, None] + oracle.dist[np.ix_(fwd, origins)]) / speed_mps
         rows, cols = linear_sum_assignment(cost)
         for i, j in zip(rows, cols):
             decision[ids[i]] = origins[j]

@@ -1,13 +1,15 @@
 """Road-network machinery.
 
 Validated undirected graphs, dense all-pairs shortest paths with next-hop
-routing, shortest-path (graph) Voronoi partitions, range-limited graph cells,
-and mass-weighted graph centroids.
+routing, shortest-path (graph) Voronoi partitions, range-limited graph cells
+(all of them at once through :func:`graph_cells`), and mass-weighted graph
+centroids.
 
 Vehicle positions elsewhere in the library are either a node id (``int``) or a
 mid-edge triple ``(u, v, offset_m)`` meaning "offset_m meters from u while
-driving toward v"; :func:`position_node_distance` implements the shortest-path
-distance for both forms, driving a mid-edge vehicle forward.
+driving toward v"; :func:`position_leads` reduces a batch of either form to a
+forward node plus the distance left to it, and :func:`position_node_distance`
+is its one-position view, driving a mid-edge vehicle forward.
 """
 
 from __future__ import annotations
@@ -235,21 +237,66 @@ def all_pairs_shortest(graph: RoadGraph) -> DistanceOracle:
     return DistanceOracle(dist=dist, next_hop=nxt)
 
 
-def graph_voronoi(oracle: DistanceOracle, generators) -> np.ndarray:
-    """Assign every node to its shortest-path-nearest generator.
+def _owners(oracle: DistanceOracle, generators) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted generators, each node's owner index into them, and its owner distance.
 
-    Returns an array of length N whose entries are generator node ids.
-    Distance ties go to the smaller generator id.
+    Distance ties go to the smaller generator id: argmin over the rows of the
+    sorted generator list returns the first occurrence.
     """
     gens = np.asarray(sorted(int(g) for g in generators), dtype=np.int64)
     if gens.size == 0:
         raise EmptyGeneratorSetError("no generators")
     if len(set(gens.tolist())) != len(gens):
         raise ValueError("generators must be distinct")
-    # argmin over rows of the sorted generator list: first occurrence wins,
-    # which is the smallest generator id.
-    rows = oracle.dist[gens, :]
-    return gens[np.argmin(rows, axis=0)]
+    rows = oracle.dist[gens]
+    owner = np.argmin(rows, axis=0)
+    return gens, owner, rows[owner, np.arange(rows.shape[1])]
+
+
+def graph_voronoi(oracle: DistanceOracle, generators) -> np.ndarray:
+    """Assign every node to its shortest-path-nearest generator.
+
+    Returns an array of length N whose entries are generator node ids.
+    Distance ties go to the smaller generator id.
+    """
+    gens, owner, _ = _owners(oracle, generators)
+    return gens[owner]
+
+
+@dataclass(frozen=True)
+class GraphCells:
+    """Every generator's graph Voronoi cell, from one pass over ``dist[generators]``.
+
+    generators : sorted distinct generator node ids
+    owner_dist : (N,) graph distance from each node to its generator
+    in_range : (N,) whether that distance is within the coverage radius
+    owned : per generator, the node ids of its full Voronoi cell, ascending
+    """
+
+    generators: np.ndarray
+    owner_dist: np.ndarray
+    in_range: np.ndarray
+    owned: list[np.ndarray]
+
+    def limited(self, k: int) -> GraphCell:
+        """Range-limited cell of the k-th generator, as r_limited_graph_cell returns it."""
+        owned = self.owned[k]
+        return GraphCell(generator=int(self.generators[k]), members=owned[self.in_range[owned]])
+
+
+def graph_cells(oracle: DistanceOracle, generators, r_graph_m: float) -> GraphCells:
+    """All graph Voronoi cells and their range-limited parts in one pass.
+
+    One stable sort by owner splits the nodes into cells, so every member
+    array comes out ascending; ties go to the smaller generator id as in
+    :func:`graph_voronoi`.
+    """
+    gens, owner, owner_dist = _owners(oracle, generators)
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(len(gens) + 1))
+    owned = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return GraphCells(generators=gens, owner_dist=owner_dist,
+                      in_range=owner_dist <= r_graph_m, owned=owned)
 
 
 def r_limited_graph_cell(
@@ -271,10 +318,10 @@ def graph_centroid(cell: GraphCell, mass: np.ndarray, oracle: DistanceOracle) ->
     Returns the member node minimizing the mass-weighted sum of squared
     shortest-path distances to all members; ties go to the smallest node id.
     """
-    members = cell.members
+    members = np.asarray(cell.members)
     if len(members) == 0:
         raise EmptyCellError("cell has no member nodes")
-    d = oracle.dist[np.ix_(members, members)]
+    d = oracle.dist[members[:, None], members]
     cost = (d * d) @ np.asarray(mass)[members]
     return int(members[int(np.argmin(cost))])
 
@@ -295,13 +342,30 @@ def nearest_node(graph: RoadGraph, point) -> int:
     return int(nearest_nodes(graph, point)[0])
 
 
+def position_leads(graph: RoadGraph, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Forward node and distance still to drive to it, for each vehicle position.
+
+    A node position leads to itself with 0.0 to go; a mid-edge position
+    ``(u, v, offset)`` leads to v with ``length - offset`` to go: a mid-edge
+    vehicle never turns back, just as the routes the simulator plans never do.
+    """
+    fwd = np.empty(len(positions), dtype=np.int64)
+    lead = np.zeros(len(positions))
+    for i, pos in enumerate(positions):
+        if isinstance(pos, (int, np.integer)):
+            fwd[i] = pos
+        else:
+            u, v, offset = pos
+            fwd[i] = v
+            lead[i] = graph.edge_length(u, v) - offset
+    return fwd, lead
+
+
 def position_node_distance(graph: RoadGraph, oracle: DistanceOracle, pos, node: int) -> float:
     """Shortest-path distance from a vehicle position to a node.
 
-    A mid-edge vehicle drives on to the edge's forward endpoint first; it
-    never turns back, just as the routes the simulator plans never do.
+    The one-position view of :func:`position_leads`: drive on to the forward
+    node, then take the shortest path.
     """
-    if isinstance(pos, (int, np.integer)):
-        return float(oracle.dist[pos, node])
-    u, v, offset = pos
-    return float((graph.edge_length(u, v) - offset) + oracle.dist[v, node])
+    fwd, lead = position_leads(graph, [pos])
+    return float(lead[0] + oracle.dist[fwd[0], node])

@@ -24,6 +24,7 @@ from .roadnet import (
     RoadGraph,
     all_pairs_shortest,
     graph_voronoi,
+    position_leads,
     position_node_distance,
 )
 
@@ -286,24 +287,26 @@ def match_tick(pending, idle_vehicles, clock: float, graph: RoadGraph,
     (matches, cancellations) as ([(request, vehicle)], [request]).
     """
     pool = list(idle_vehicles)
+    fwd, lead = position_leads(graph, [veh.position for veh in pool])
+    taken = np.zeros(len(pool), dtype=bool)
     matches = []
     cancellations = []
     for req in pending:
         if clock >= req.t0 + req.t_mtol - 1e-9:
             cancellations.append(req)
             continue
-        if not pool:
+        if len(matches) == len(pool):
             continue
-        best = None
-        best_d = math.inf
-        for veh in pool:
-            d = position_node_distance(graph, oracle, veh.position, req.origin)
-            if d < best_d:
-                best, best_d = veh, d
-        estimate = estimate_pickup(graph, oracle, best.position, req.origin, clock, speed_mps)
+        d = lead + oracle.dist[fwd, req.origin]
+        d[taken] = math.inf
+        best = int(np.argmin(d))  # first occurrence: the earliest vehicle in pool order
+        # estimate_pickup stays the one definition of the estimate; it
+        # recomputes the distance of the chosen vehicle only.
+        estimate = estimate_pickup(graph, oracle, pool[best].position, req.origin,
+                                   clock, speed_mps)
         if estimate - req.t0 <= req.t_ptol + 1e-9:
-            matches.append((req, best))
-            pool.remove(best)
+            matches.append((req, pool[best]))
+            taken[best] = True
     return matches, cancellations
 
 

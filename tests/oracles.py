@@ -6,6 +6,7 @@ loops so the tests never share a code path with what they verify.
 
 import heapq
 import itertools
+import math
 
 import numpy as np
 
@@ -39,6 +40,66 @@ def brute_graph_centroid(members, mass, dist):
         if best_cost is None or cost < best_cost:
             best_node, best_cost = q, cost
     return best_node
+
+
+def brute_graph_owner(dist, generators):
+    """Nearest generator of each node by plain loops; ties to the smaller generator id."""
+    gens = sorted(int(g) for g in generators)
+    owner = np.empty(dist.shape[1], dtype=np.int64)
+    for node in range(dist.shape[1]):
+        best = gens[0]
+        for g in gens[1:]:
+            if dist[g, node] < dist[best, node]:
+                best = g
+        owner[node] = best
+    return owner
+
+
+def brute_hold_scores_graph(nodes, mass, dist, r_graph_m):
+    """Graph hold scores generator by generator, each cell found by a full scan."""
+    owner = brute_graph_owner(dist, set(nodes))
+    scores = {}
+    for g in set(int(n) for n in nodes):
+        owned = np.flatnonzero(owner == g)
+        d2 = dist[g, owned] ** 2
+        j_full = float(d2 @ mass[owned])
+        near = dist[g, owned] <= r_graph_m
+        scores[g] = float(d2[near] @ mass[owned[near]]) / j_full if j_full > 0.0 else 0.0
+    return np.array([scores[int(n)] for n in nodes])
+
+
+def brute_position_distance(graph, dist, pos, node):
+    """Distance from a node, or from (u, v, offset) driving on to v, as one scalar sum."""
+    if isinstance(pos, (int, np.integer)):
+        return float(dist[pos, node])
+    u, v, offset = pos
+    return float((graph.edge_length(u, v) - offset) + dist[v, node])
+
+
+def brute_match_tick(pending, idle_vehicles, clock, graph, dist, speed_mps):
+    """First-come-first-served matching: a scalar scan of the pool for each request.
+
+    The first vehicle in pool order with the strictly smallest distance wins
+    and leaves the pool when its pickup estimate is within tolerance.
+    """
+    pool = list(idle_vehicles)
+    matches, cancellations = [], []
+    for req in pending:
+        if clock >= req.t0 + req.t_mtol - 1e-9:
+            cancellations.append(req)
+            continue
+        if not pool:
+            continue
+        best, best_d = None, math.inf
+        for veh in pool:
+            d = brute_position_distance(graph, dist, veh.position, req.origin)
+            if d < best_d:
+                best, best_d = veh, d
+        estimate = clock + best_d / speed_mps if speed_mps > 0 else math.inf
+        if estimate - req.t0 <= req.t_ptol + 1e-9:
+            matches.append((req, best))
+            pool.remove(best)
+    return matches, cancellations
 
 
 def brute_nearest(points, generators):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvrsim import cli
 from cvrsim.cli import main
+from cvrsim.demand import CANCELLED, COMPLETED, MATCHED, PENDING, PICKED_UP
 from cvrsim.errors import ConfigValidationError, UnknownParameterError
 from cvrsim.roadnet import graph_from_json, graph_to_json, grid_graph
 from cvrsim.scenario import build_config, desk_document, set_sweep_value
@@ -265,6 +267,32 @@ def test_run_survives_any_mutated_value(path, value):
                     fleet = sum(int(row[c]) for c in (
                         "n_idle_active", "n_idle_held", "n_assigned", "n_carrying"))
                     assert fleet == doc["fleet"]["n_av"]
+            check_terminal_states(Path(tmp))
+
+
+def implied_statuses(row):
+    """The statuses a requests.csv row's timestamps allow (its drop-off time is not written)."""
+    if row["pickup_t"]:
+        return {PICKED_UP, COMPLETED}
+    if row["match_t"]:
+        return {MATCHED}
+    return {PENDING, CANCELLED}
+
+
+def check_terminal_states(out_dir):
+    """Every request is in one state that its timestamps allow, and the counts add up."""
+    metrics = json.loads((out_dir / "metrics.json").read_text())
+    with open(out_dir / "requests.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["id"]) for row in rows] == list(range(len(rows)))
+    for row in rows:
+        assert row["status"] in implied_statuses(row)
+    statuses = [row["status"] for row in rows]
+    assert metrics["n_requests"] == len(rows)
+    assert metrics["n_orders"] == statuses.count(PICKED_UP) + statuses.count(COMPLETED)
+    assert metrics["n_cancelled"] == statuses.count(CANCELLED)
+    assert metrics["n_orders"] + metrics["n_cancelled"] + metrics["n_inflight"] \
+        == metrics["n_requests"]
 
 
 def test_mfd_within_bounds_accepted():
@@ -356,6 +384,22 @@ def test_sweep_unknown_parameter_errors(scenario_path, tmp_path, capsys):
     assert err["error"] == "UnknownParameter"
 
 
+@pytest.mark.parametrize("threads", ["abc", "1.5", "0", "-2"])
+def test_sweep_rejects_malformed_amod_threads(scenario_path, tmp_path, capsys, monkeypatch,
+                                              threads):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sweep with a malformed AMOD_THREADS started work")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(cli, "_sweep_worker", no_work)
+    monkeypatch.setenv("AMOD_THREADS", threads)
+    code = main(["sweep", "--scenario", scenario_path, "--param", "gamma",
+                 "--values", "0.5", "--reps", "2", "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ConfigValidation" and err["field"] == "AMOD_THREADS"
+
+
 def test_sweep_deterministic_across_invocations(scenario_path, tmp_path, capsys):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     args = ["sweep", "--scenario", scenario_path, "--param", "n_av",
@@ -414,6 +458,16 @@ def test_inspect_mid_run_counts_fleet(scenario_path, tmp_path, capsys):
     assert code == 0
     lines = (out / "snapshot_vehicles.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 5
+
+
+@pytest.mark.parametrize("time", ["nan", "-30", "inf"])
+def test_inspect_rejects_time_outside_the_run(scenario_path, tmp_path, capsys, time):
+    out = tmp_path / "snap"
+    code = main(["inspect", "--scenario", scenario_path, "--time", time, "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["field"] == "time"
+    assert not out.exists()
 
 
 def test_inspect_beyond_horizon_fails(scenario_path, tmp_path, capsys):

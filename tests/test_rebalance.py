@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cvrsim import rebalance
 from cvrsim.plane import (
     PlanarCell,
     plane_voronoi,
@@ -16,6 +17,7 @@ from cvrsim.rebalance import (
     do_nothing,
     hold_score,
     hold_scores,
+    hold_scores_graph,
     lp_rebalance,
     pi_update,
     select_holds,
@@ -29,7 +31,12 @@ from cvrsim.roadnet import (
     r_limited_graph_cell,
 )
 
-from oracles import brute_min_assignment_cost
+from oracles import (
+    brute_hold_scores_graph,
+    brute_min_assignment_cost,
+    brute_position_distance,
+    random_connected_graph,
+)
 
 BIG_R = 1e9
 
@@ -208,11 +215,28 @@ def test_graph_hold_scores_bounded_and_saturating(grid):
     mass = rng.random(100)
     mass /= mass.sum()
     nodes = [0, 37, 81]
-    from cvrsim.rebalance import hold_scores_graph
     scores = hold_scores_graph(nodes, mass, oracle, 40.0)
     assert ((scores >= 0) & (scores <= 1)).all()
     # a radius covering the whole graph saturates every score at 1
     assert np.allclose(hold_scores_graph(nodes, mass, oracle, 1e6), 1.0)
+
+
+def test_graph_hold_scores_equal_per_generator_loop(grid):
+    _, grid_oracle = grid
+    rng = np.random.default_rng(15)
+    cases = [(grid_oracle, 100)]
+    for _ in range(8):
+        n = int(rng.integers(5, 60))
+        graph_nodes, edges = random_connected_graph(rng, n, extra_edges=n // 3, max_len=6)
+        cases.append((all_pairs_shortest(build_graph(graph_nodes, edges)), n))
+    for oracle, n in cases:
+        mass = rng.random(n) * (rng.random(n) < 0.6)  # zero-mass cells score 0
+        mass /= max(mass.sum(), 1e-12)
+        nodes = rng.integers(0, n, size=int(rng.integers(1, 12))).tolist()  # repeats share a cell
+        for radius in (0.0, 6.0, 25.0, 1e9):
+            got = hold_scores_graph(nodes, mass, oracle, radius)
+            want = brute_hold_scores_graph(nodes, mass, oracle.dist, radius)
+            assert np.array_equal(got, want)
 
 
 def test_retarget_hysteresis_suppresses_small_flips(grid):
@@ -312,6 +336,30 @@ def test_lp_no_pending_all_hold(grid):
     g, oracle = grid
     decision = lp_rebalance([1, 2], [0, 5], [], g, oracle, 10.0)
     assert decision.destination == {1: None, 2: None}
+
+
+def test_lp_cost_matrix_equals_per_pair_distances(monkeypatch):
+    rng = np.random.default_rng(31)
+    nodes, edges = random_connected_graph(rng, 40, extra_edges=15)
+    g = build_graph(nodes, edges)
+    oracle = all_pairs_shortest(g)
+    seen = []
+
+    def spy(cost):
+        seen.append(cost.copy())
+        return real(cost)
+
+    real = rebalance.linear_sum_assignment
+    monkeypatch.setattr(rebalance, "linear_sum_assignment", spy)
+    for speed in (1.0, 7.3, 1 / 3):
+        positions = []
+        for u, v, w in edges[:12]:
+            positions += [u, (u, v, w * rng.random()), (v, u, w / 3.0)]
+        origins = rng.integers(0, 40, size=9).tolist()
+        lp_rebalance(list(range(len(positions))), positions, origins, g, oracle, speed)
+        want = np.array([[brute_position_distance(g, oracle.dist, p, o) / speed
+                          for o in origins] for p in positions])
+        assert np.array_equal(seen[-1], want)
 
 
 def test_lp_matches_brute_force(grid):

@@ -15,6 +15,7 @@ from cvrsim.errors import (
 from cvrsim.roadnet import (
     all_pairs_shortest,
     build_graph,
+    graph_cells,
     graph_centroid,
     graph_from_json,
     graph_to_json,
@@ -22,11 +23,19 @@ from cvrsim.roadnet import (
     grid_graph,
     nearest_node,
     nearest_nodes,
+    position_leads,
     position_node_distance,
     r_limited_graph_cell,
 )
 
-from oracles import brute_graph_centroid, brute_nearest, dijkstra, random_connected_graph
+from oracles import (
+    brute_graph_centroid,
+    brute_graph_owner,
+    brute_nearest,
+    brute_position_distance,
+    dijkstra,
+    random_connected_graph,
+)
 
 
 def path_graph(lengths):
@@ -304,6 +313,55 @@ def test_centroid_matches_brute_force():
                 cell.members, mass, oracle.dist)
 
 
+# -- graph_cells --------------------------------------------------------------------
+
+def check_graph_cells(oracle, gens, radius, mass):
+    """graph_cells against the brute owner, r_limited_graph_cell and the brute centroid."""
+    cells = graph_cells(oracle, gens, radius)
+    owner = brute_graph_owner(oracle.dist, gens)
+    assert cells.generators.tolist() == sorted(gens)
+    assert np.array_equal(cells.owner_dist, oracle.dist[owner, np.arange(len(owner))])
+    assert np.array_equal(cells.in_range, cells.owner_dist <= radius)
+    for k, gen in enumerate(sorted(gens)):
+        assert np.array_equal(cells.owned[k], np.flatnonzero(owner == gen))
+        want = r_limited_graph_cell(owner, oracle, gen, radius)
+        got = cells.limited(k)
+        assert got.generator == gen
+        assert np.array_equal(got.members, want.members)
+        assert graph_centroid(got, mass, oracle) == brute_graph_centroid(
+            want.members, mass, oracle.dist)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), n_gens=st.integers(1, 9),
+       radius=st.sampled_from([0.0, 7.0, 15.5, 40.0, 1e9]))
+def test_graph_cells_match_per_generator_views(seed, n, n_gens, radius):
+    # integer edge lengths: many nodes sit at exactly equal distance from two generators
+    rng = np.random.default_rng(seed)
+    nodes, edges = random_connected_graph(rng, n, extra_edges=n // 3, max_len=5)
+    oracle = all_pairs_shortest(build_graph(nodes, edges))
+    mass = rng.random(n)
+    mass /= mass.sum()
+    gens = rng.choice(n, size=min(n_gens, n), replace=False).tolist()
+    check_graph_cells(oracle, gens, radius, mass)
+
+
+def test_graph_cells_on_grid_ties():
+    oracle = all_pairs_shortest(grid_graph(7, 10.0))
+    mass = np.random.default_rng(4).random(49)
+    for gens in ([0, 48], [6, 42], [0, 6, 42, 48], [24], list(range(0, 49, 3))):
+        for radius in (0.0, 20.0, 35.0, 1e9):
+            check_graph_cells(oracle, gens, radius, mass)
+
+
+def test_graph_cells_reject_bad_generator_sets():
+    oracle = all_pairs_shortest(path_graph([1.0] * 3))
+    with pytest.raises(EmptyGeneratorSetError):
+        graph_cells(oracle, [], 1.0)
+    with pytest.raises(ValueError):
+        graph_cells(oracle, [1, 1], 1.0)
+
+
 # -- nearest_node -------------------------------------------------------------------
 
 def test_nearest_node_exact_hit():
@@ -350,6 +408,29 @@ def test_position_distance_mid_edge_drives_forward():
     assert position_node_distance(g, oracle, (0, 1, 50.0), 2) == 300.0
     # no U-turn: on to node 1, then back along the edge to node 0
     assert position_node_distance(g, oracle, (0, 1, 50.0), 0) == 150.0
+
+
+def test_position_leads_node_and_mid_edge():
+    g = path_graph([100.0, 250.0])
+    fwd, lead = position_leads(g, [2, (0, 1, 50.0), (2, 1, 0.0), np.int64(0)])
+    assert fwd.dtype == np.int64 and fwd.tolist() == [2, 1, 1, 0]
+    assert lead.tolist() == [0.0, 50.0, 250.0, 0.0]
+    fwd, lead = position_leads(g, [])
+    assert fwd.shape == lead.shape == (0,)
+
+
+def test_position_distance_equals_scalar_sum_on_random_graphs():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        n = int(rng.integers(3, 30))
+        nodes, edges = random_connected_graph(rng, n, extra_edges=n // 2)
+        g = build_graph(nodes, edges)
+        oracle = all_pairs_shortest(g)
+        for u, v, w in edges:
+            for pos in (u, v, (u, v, w * rng.random()), (v, u, w / 3.0)):
+                for node in range(n):
+                    assert position_node_distance(g, oracle, pos, node) == \
+                        brute_position_distance(g, oracle.dist, pos, node)
 
 
 def test_grid_graph_counts():

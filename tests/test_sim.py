@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvrsim.demand import CANCELLED, COMPLETED, PICKED_UP, Request
 from cvrsim.errors import ConfigValidationError
-from cvrsim.roadnet import all_pairs_shortest, grid_graph, position_node_distance
+from cvrsim.roadnet import all_pairs_shortest, build_graph, grid_graph, position_node_distance
 from cvrsim.scenario import desk_scenario
 from cvrsim.sim import (
     ASSIGNED,
@@ -19,6 +21,8 @@ from cvrsim.sim import (
     mfd_speed,
     run_scenario,
 )
+
+from oracles import brute_match_tick, random_connected_graph
 
 
 def mini_config(controller="do_nothing", seed=1, **overrides):
@@ -159,6 +163,58 @@ def test_matched_vehicle_leaves_pool_within_tick(mini_oracle):
     r1 = Request(id=1, origin=7, destination=4, t0=1.0)
     matches, _ = match_tick([r0, r1], [StubVehicle(0, 7)], 5.0, g, mini_oracle, 5.0)
     assert len(matches) == 1 and matches[0][0] is r0
+
+
+@st.composite
+def match_cases(draw):
+    """A random graph, an idle pool and a pending queue built to collide.
+
+    Vehicles stand at nodes or part way along edges, several share a
+    position exactly (distance ties), and requests start from a few nodes
+    so that they compete for the same vehicles.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 14))
+    chords = draw(st.integers(0, (n - 1) * (n - 2) // 2))  # a tree leaves this many free
+    nodes, edges = random_connected_graph(rng, n, extra_edges=min(chords, n), max_len=6)
+    graph = build_graph(nodes, edges)
+    node = st.integers(0, n - 1)
+    mid_edge = st.builds(
+        lambda e, back, frac: ((e[1], e[0]) if back else (e[0], e[1])) + (e[2] * frac,),
+        st.sampled_from(edges), st.booleans(), st.sampled_from([0.0, 0.25, 0.5, 1 / 3, 0.9]))
+    spots = draw(st.lists(st.one_of(node, mid_edge), min_size=1, max_size=6))
+    positions = draw(st.lists(st.sampled_from(spots), max_size=12))
+    origins = draw(st.lists(node, min_size=1, max_size=3))
+    requests = [
+        Request(id=i, origin=draw(st.sampled_from(origins)), destination=0,
+                t0=float(i), t_mtol=draw(st.sampled_from([5.0, 60.0, 600.0])),
+                t_ptol=draw(st.sampled_from([0.0, 5.0, 60.0, 600.0])))
+        for i in range(draw(st.integers(1, 10)))
+    ]
+    clock = draw(st.sampled_from([0.0, 4.0, 9.0, 30.0]))
+    speed = draw(st.sampled_from([0.0, 1.0, 5.0, 20.0]))
+    return graph, [StubVehicle(i, p) for i, p in enumerate(positions)], requests, clock, speed
+
+
+@settings(max_examples=200, deadline=None)
+@given(match_cases())
+def test_match_tick_equals_scalar_scan(case):
+    graph, pool, requests, clock, speed = case
+    oracle = all_pairs_shortest(graph)
+    got = match_tick(requests, pool, clock, graph, oracle, speed)
+    want = brute_match_tick(requests, pool, clock, graph, oracle.dist, speed)
+    assert [(r.id, v.id) for r, v in got[0]] == [(r.id, v.id) for r, v in want[0]]
+    assert [r.id for r in got[1]] == [r.id for r in want[1]]
+
+
+def test_tied_vehicles_go_to_requests_in_pool_order(mini_oracle):
+    g = grid_graph(5, 200.0)
+    # all three are 100 m short of node 12, two of them at the very same spot
+    pool = [StubVehicle(4, (11, 12, 100.0)), StubVehicle(1, (13, 12, 100.0)),
+            StubVehicle(2, (11, 12, 100.0))]
+    requests = [Request(id=i, origin=12, destination=0, t0=0.0) for i in range(4)]
+    matches, _ = match_tick(requests, pool, 0.0, g, mini_oracle, 5.0)
+    assert [(r.id, v.id) for r, v in matches] == [(0, 4), (1, 1), (2, 2)]
 
 
 # -- metrics_finalize ----------------------------------------------------------------------
