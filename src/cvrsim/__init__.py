@@ -34,10 +34,8 @@ from .rebalance import (
     cvr_graph_targets,
     cvr_targets,
     do_nothing,
-    hold_score,
     lp_rebalance,
     pi_update,
-    select_holds_alpha,
 )
 from .roadnet import (
     DistanceOracle,

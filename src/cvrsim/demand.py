@@ -7,7 +7,6 @@ pairs; request streams are Poisson with that piecewise constant rate.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -172,12 +171,3 @@ def generate_requests(
                 t_mtol=t_mtol, t_ptol=t_ptol)
         for i, (t0, o, d) in enumerate(zip(times, origins, destinations))
     ]
-
-
-def write_requests_csv(requests, path) -> None:
-    """Export a generated request stream for replay."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "t0_s", "origin", "destination"])
-        for r in requests:
-            writer.writerow([r.id, f"{r.t0:.6f}", r.origin, r.destination])

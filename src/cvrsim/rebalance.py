@@ -82,18 +82,6 @@ def pi_update(state: PIState, mean_wait_s: float, mean_idle: float,
     return PIUpdate(state=new_state, hold_count=int(math.floor(u_not)), hold_all=False, y=y)
 
 
-def hold_score(index: int, positions, field: plane.GridField, r_m: float,
-               assignment: np.ndarray) -> float:
-    """Coverage concentration of one idle vehicle, J(W)/J(V) in [0, 1]."""
-    pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))[index]
-    full = plane.PlanarCell(generator=pos, pixels=np.flatnonzero(assignment == index))
-    limited = plane.r_limited_cell(assignment, field, index, pos, r_m)
-    j_full = plane.polar_moment(full, field, pos)
-    if j_full <= 0.0:
-        return 0.0
-    return plane.polar_moment(limited, field, pos) / j_full
-
-
 def hold_scores(positions, field: plane.GridField, r_m: float,
                 summary: plane.CoverageSummary | None = None) -> np.ndarray:
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
@@ -123,13 +111,6 @@ def select_holds(ids, hold_count: int, scores) -> set[int]:
     """The ``hold_count`` vehicles with the largest scores; ties to smaller id."""
     order = sorted(zip(ids, scores), key=lambda pair: (-pair[1], pair[0]))
     return {vid for vid, _ in order[:max(hold_count, 0)]}
-
-
-def select_holds_alpha(ids, alpha: float, scores) -> set[int]:
-    """Hold floor(n_idle * alpha) top-scoring idle vehicles."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha={alpha!r} outside [0, 1]")
-    return select_holds(ids, int(math.floor(len(list(ids)) * alpha)), scores)
 
 
 def cvr_targets(

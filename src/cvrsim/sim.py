@@ -24,7 +24,6 @@ from .roadnet import (
     RoadGraph,
     all_pairs_shortest,
     graph_voronoi,
-    position_leads,
     position_node_distance,
 )
 
@@ -75,46 +74,132 @@ def mfd_speed(m: float, params: MFDParams = DEFAULT_MFD) -> float:
     return 0.0
 
 
+STATES = (IDLE, ASSIGNED, CARRYING)  # Fleet.state holds an index into this tuple
+_IDLE, _ASSIGNED = STATES.index(IDLE), STATES.index(ASSIGNED)
+
+
+class Fleet:
+    """Every vehicle's state as arrays; vehicle i owns slot i.
+
+    A vehicle stands at ``node[i]`` when ``tail[i] == -1``. Otherwise it
+    drives the edge ``(tail[i], node[i])`` and is ``offset[i]`` meters past
+    its tail, on an edge ``length[i]`` long (0.0 at a node). So ``node`` is
+    always the forward node and ``length - offset`` the distance still to
+    drive to it. Routes and requests stay per vehicle, in plain lists.
+
+    An unheld vehicle inside an edge always has a route, headed by the
+    edge's forward node: only a hold clears the route of a vehicle that is
+    not at a node. The masked step of :meth:`World._advance` relies on it.
+    """
+
+    def __init__(self, graph: RoadGraph, starts):
+        n = len(starts)
+        self.graph = graph
+        self.node = np.array(starts, dtype=np.int64)
+        self.tail = np.full(n, -1, dtype=np.int64)
+        self.offset = np.zeros(n)
+        self.length = np.zeros(n)
+        self.state = np.zeros(n, dtype=np.int8)
+        self.held = np.zeros(n, dtype=bool)
+        self.service_m = np.zeros(n)
+        self.rebalance_m = np.zeros(n)
+        self.routes: list[deque[int]] = [deque() for _ in range(n)]
+        self.requests: list[Request | None] = [None] * n
+
+    def xy(self, ids) -> np.ndarray:
+        """(k, 2) planar positions of the listed vehicles, interpolated along their edges."""
+        ids = np.asarray(ids, dtype=np.int64)
+        coords = self.graph.coords
+        out = coords[self.node[ids]]
+        on_edge = self.tail[ids] >= 0
+        if on_edge.any():
+            e = ids[on_edge]
+            frac = self.offset[e] / self.length[e]
+            start = coords[self.tail[e]]
+            out[on_edge] = start + frac[:, None] * (coords[self.node[e]] - start)
+        return out
+
+
+def _slot(name: str, convert):
+    """A Vehicle attribute that reads and writes element ``id`` of ``Fleet.<name>``."""
+    def get(self):
+        return convert(getattr(self._fleet, name)[self.id])
+
+    def put(self, value):
+        getattr(self._fleet, name)[self.id] = value
+
+    return property(get, put)
+
+
 class Vehicle:
-    """One taxi: position on the graph, occupancy state, route, odometers.
+    """One taxi, as a view of its :class:`Fleet` slot.
 
     Position is either a node id (``node`` set, ``edge`` None) or a point on
     an edge (``edge=(u, v)`` driving u->v with ``offset`` meters past u).
     ``route`` holds the upcoming nodes; when mid-edge its head is the edge's
-    forward endpoint.
+    forward endpoint. Setting ``node`` stands the vehicle there; setting
+    ``edge`` puts it on that edge, and ``edge = None`` stands it at the
+    edge's forward node.
     """
 
-    __slots__ = ("id", "node", "edge", "offset", "state", "route", "request",
-                 "held", "service_m", "rebalance_m")
+    __slots__ = ("id", "_fleet")
 
-    def __init__(self, vid: int, node: int):
+    def __init__(self, fleet: Fleet, vid: int):
         self.id = vid
-        self.node: int | None = int(node)
-        self.edge: tuple[int, int] | None = None
-        self.offset = 0.0
-        self.state = IDLE
-        self.route: deque[int] = deque()
-        self.request: Request | None = None
-        self.held = False
-        self.service_m = 0.0
-        self.rebalance_m = 0.0
+        self._fleet = fleet
+
+    offset = _slot("offset", float)
+    held = _slot("held", bool)
+    service_m = _slot("service_m", float)
+    rebalance_m = _slot("rebalance_m", float)
+    route = _slot("routes", lambda route: route)
+    request = _slot("requests", lambda request: request)
+
+    @property
+    def state(self) -> str:
+        return STATES[self._fleet.state[self.id]]
+
+    @state.setter
+    def state(self, state: str) -> None:
+        self._fleet.state[self.id] = STATES.index(state)
+
+    @property
+    def node(self) -> int | None:
+        f = self._fleet
+        return int(f.node[self.id]) if f.tail[self.id] < 0 else None
+
+    @node.setter
+    def node(self, node: int) -> None:
+        f, i = self._fleet, self.id
+        f.node[i], f.tail[i], f.offset[i], f.length[i] = node, -1, 0.0, 0.0
+
+    @property
+    def edge(self) -> tuple[int, int] | None:
+        f, i = self._fleet, self.id
+        return None if f.tail[i] < 0 else (int(f.tail[i]), int(f.node[i]))
+
+    @edge.setter
+    def edge(self, edge: tuple[int, int] | None) -> None:
+        f, i = self._fleet, self.id
+        if edge is None:
+            f.tail[i], f.offset[i], f.length[i] = -1, 0.0, 0.0
+        else:
+            u, v = int(edge[0]), int(edge[1])
+            f.tail[i], f.node[i], f.length[i] = u, v, f.graph.edge_length(u, v)
 
     @property
     def position(self):
-        if self.node is not None:
-            return self.node
-        return (self.edge[0], self.edge[1], self.offset)
+        f, i = self._fleet, self.id
+        node, tail = int(f.node[i]), int(f.tail[i])
+        return node if tail < 0 else (tail, node, float(f.offset[i]))
 
     def forward_node(self) -> int:
         """The node ahead: current node, or the edge endpoint being driven to."""
-        return self.node if self.node is not None else self.edge[1]
+        return int(self._fleet.node[self.id])
 
     def position_xy(self, graph: RoadGraph) -> np.ndarray:
-        if self.node is not None:
-            return graph.coords[self.node]
-        u, v = self.edge
-        frac = self.offset / graph.edge_length(u, v)
-        return graph.coords[u] + frac * (graph.coords[v] - graph.coords[u])
+        """Planar position; ``graph`` is the fleet's own road graph."""
+        return self._fleet.xy([self.id])[0]
 
 
 @dataclass
@@ -275,19 +360,35 @@ def estimate_pickup(graph: RoadGraph, oracle: DistanceOracle, position,
     return now + position_node_distance(graph, oracle, position, origin) / speed_mps
 
 
-def match_tick(pending, idle_vehicles, clock: float, graph: RoadGraph,
+@dataclass(frozen=True)
+class IdlePool:
+    """The idle vehicles offered to matching, in pool order.
+
+    ``fwd[k]`` is vehicle k's forward node and ``lead[k]`` the distance
+    still to drive to it, as :func:`roadnet.position_leads` gives them.
+    """
+
+    vehicles: list
+    fwd: np.ndarray
+    lead: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.vehicles)
+
+
+def match_tick(pending, pool: IdlePool, clock: float, graph: RoadGraph,
                oracle: DistanceOracle, speed_mps: float):
     """First-come-first-served matching decisions for one tick.
 
     Requests are visited in issue order. A request past its matching
     tolerance is cancelled without a further attempt; otherwise the
     spatially closest idle vehicle (shortest-path distance, ties to the
-    smaller id) is matched if its pickup estimate respects the pickup
-    tolerance, and leaves the pool immediately. Nothing is mutated; returns
-    (matches, cancellations) as ([(request, vehicle)], [request]).
+    earlier vehicle in pool order) is matched if its pickup estimate
+    respects the pickup tolerance, and leaves the pool immediately. Nothing
+    is mutated; returns (matches, cancellations) as
+    ([(request, vehicle)], [request]).
     """
-    pool = list(idle_vehicles)
-    fwd, lead = position_leads(graph, [veh.position for veh in pool])
+    fwd, lead = pool.fwd, pool.lead
     taken = np.zeros(len(pool), dtype=bool)
     matches = []
     cancellations = []
@@ -302,10 +403,10 @@ def match_tick(pending, idle_vehicles, clock: float, graph: RoadGraph,
         best = int(np.argmin(d))  # first occurrence: the earliest vehicle in pool order
         # estimate_pickup stays the one definition of the estimate; it
         # recomputes the distance of the chosen vehicle only.
-        estimate = estimate_pickup(graph, oracle, pool[best].position, req.origin,
+        estimate = estimate_pickup(graph, oracle, pool.vehicles[best].position, req.origin,
                                    clock, speed_mps)
         if estimate - req.t0 <= req.t_ptol + 1e-9:
-            matches.append((req, pool[best]))
+            matches.append((req, pool.vehicles[best]))
             taken[best] = True
     return matches, cancellations
 
@@ -358,7 +459,8 @@ class World:
             starts = placement_rng.integers(0, n_nodes, size=cfg.n_av)
         else:
             starts = placement_rng.choice(n_nodes, size=cfg.n_av, p=cfg.destination_mass)
-        self.vehicles = [Vehicle(i, int(n)) for i, n in enumerate(starts)]
+        self.fleet = Fleet(self.graph, starts)
+        self.vehicles = [Vehicle(self.fleet, i) for i in range(cfg.n_av)]
 
         self.field = self._build_field() if cfg.controller in ("cvr", "cvr_alpha", "cvr_pi") else None
 
@@ -396,8 +498,17 @@ class World:
     def current_speed(self) -> float:
         return mfd_speed(self.accumulation, self.cfg.mfd)
 
+    def _idle_ids(self) -> np.ndarray:
+        return (self.fleet.state == _IDLE).nonzero()[0]
+
     def idle_vehicles(self) -> list[Vehicle]:
-        return [v for v in self.vehicles if v.state == IDLE]
+        return [self.vehicles[i] for i in self._idle_ids().tolist()]
+
+    def _idle_pool(self) -> IdlePool:
+        f = self.fleet
+        ids = self._idle_ids()
+        return IdlePool([self.vehicles[i] for i in ids.tolist()],
+                        f.node[ids], (f.length - f.offset)[ids])
 
     def _build_field(self) -> plane.GridField:
         xmin, ymin, xmax, ymax = self.graph.bounding_box()
@@ -427,7 +538,7 @@ class World:
         # (2) match / cancel
         if self.pending:
             matches, cancellations = match_tick(
-                self.pending, self.idle_vehicles(), clock, self.graph, self.oracle, speed)
+                self.pending, self._idle_pool(), clock, self.graph, self.oracle, speed)
             for req, veh in matches:
                 self._apply_match(req, veh, clock)
             for req in cancellations:
@@ -460,8 +571,8 @@ class World:
         injected = self.requests[:self._next_request]
         return metrics_finalize(
             injected, self.cfg.beta,
-            rebalance_km=sum(v.rebalance_m for v in self.vehicles) / 1000.0,
-            service_km=sum(v.service_m for v in self.vehicles) / 1000.0,
+            rebalance_km=sum(self.fleet.rebalance_m.tolist()) / 1000.0,
+            service_km=sum(self.fleet.service_m.tolist()) / 1000.0,
         )
 
     # -- matching and cancellation -------------------------------------------
@@ -484,24 +595,25 @@ class World:
     # -- controller ------------------------------------------------------------
 
     def _controller_tick(self, speed: float) -> None:
-        idles = self.idle_vehicles()
-        if not idles:
+        idle_ids = self._idle_ids()
+        if not idle_ids.size:
             return
         cfg = self.cfg
-        ids = [v.id for v in idles]
+        ids = idle_ids.tolist()
+        nodes = self.fleet.node[idle_ids].tolist()  # forward nodes
         name = cfg.controller
         if name == "do_nothing" or (name == "lp" and speed <= 0):
             decision = rebalance.do_nothing(ids)
         elif name == "lp":
             decision = rebalance.lp_rebalance(
-                ids, [v.position for v in idles], [r.origin for r in self.pending],
+                ids, [self.vehicles[i].position for i in ids], [r.origin for r in self.pending],
                 self.graph, self.oracle, speed)
         elif name == "cvr_graph":
             decision = rebalance.cvr_graph_targets(
-                ids, [v.forward_node() for v in idles], cfg.origin_mass,
+                ids, nodes, cfg.origin_mass,
                 self.oracle, cfg.effective_r_graph())
         else:
-            xy = np.array([v.position_xy(self.graph) for v in idles])
+            xy = self.fleet.xy(idle_ids)
             summary = plane.coverage_summary(self.field, xy, cfg.r_m)
             held: set[int] = set()
             hold_n = 0
@@ -512,7 +624,7 @@ class World:
             if hold_n > 0:
                 if cfg.graph_hold_score:
                     scores = rebalance.hold_scores_graph(
-                        [v.forward_node() for v in idles], cfg.origin_mass,
+                        nodes, cfg.origin_mass,
                         self.oracle, cfg.effective_r_graph())
                 else:
                     scores = rebalance.hold_scores(xy, self.field, cfg.r_m, summary)
@@ -524,16 +636,15 @@ class World:
         self._apply_decision(decision)
 
     def _apply_decision(self, decision: rebalance.RebalanceDecision) -> None:
-        by_id = {v.id: v for v in self.vehicles}
+        f = self.fleet
         for vid, dest in decision.destination.items():
-            veh = by_id[vid]
             if dest is None:
-                veh.held = True
-                veh.route.clear()
+                f.held[vid] = True
+                f.routes[vid].clear()
             else:
-                veh.held = False
+                f.held[vid] = False
                 self.prev_dest[vid] = int(dest)
-                self._route_to(veh, int(dest))
+                self._route_to(self.vehicles[vid], int(dest))
 
     def _fleet_size_tick(self) -> None:
         window_ticks = max(self._window_ticks, 1)
@@ -541,7 +652,7 @@ class World:
                      if self._window_waits else 0.0)
         mean_idle = self._window_idle_sum / window_ticks
         update = rebalance.pi_update(self.pi_state, mean_wait, mean_idle,
-                                     self.cfg.n_av, len(self.idle_vehicles()))
+                                     self.cfg.n_av, len(self._idle_ids()))
         self.pi_state = update.state
         self.pi_hold_all = update.hold_all
         self.pi_hold_count = update.hold_count
@@ -553,12 +664,12 @@ class World:
 
     def _route_to(self, veh: Vehicle, dest: int) -> None:
         """Plan from the vehicle's forward node; mid-edge vehicles never U-turn."""
-        if veh.node is not None:
-            veh.route = deque(self.oracle.path(veh.node, dest)[1:])
+        f, i = self.fleet, veh.id
+        fwd = int(f.node[i])
+        if f.tail[i] < 0:
+            f.routes[i] = deque(self.oracle.path(fwd, dest)[1:])
         else:
-            fwd = veh.edge[1]
-            hops = [fwd] if fwd == dest else self.oracle.path(fwd, dest)
-            veh.route = deque(hops)
+            f.routes[i] = deque([fwd] if fwd == dest else self.oracle.path(fwd, dest))
 
     def _do_pickup(self, veh: Vehicle, t: float) -> None:
         req = veh.request
@@ -590,65 +701,78 @@ class World:
     def _advance(self, speed: float) -> None:
         dt = self.cfg.tick_s
         clock = self.clock
+        f = self.fleet
         # zero-distance events: vehicles matched while standing at the origin
-        for veh in self.vehicles:
-            if veh.state == ASSIGNED and not veh.route and veh.node == veh.request.origin:
+        for i in ((f.state == _ASSIGNED) & (f.tail < 0)).nonzero()[0].tolist():
+            veh = self.vehicles[i]
+            if not veh.route and veh.node == veh.request.origin:
                 self._do_pickup(veh, clock)
-        if speed <= 0:
-            self._window_idle_sum += len(self.idle_vehicles())
-            self._window_ticks += 1
-            return
-        t_end = clock + dt
-        for veh in self.vehicles:
-            if veh.held or not veh.route:
-                continue
+        if speed > 0:
             budget = speed * dt
-            while budget > 1e-12 and veh.route:
-                if veh.edge is None:
-                    veh.edge = (veh.node, veh.route[0])
-                    veh.offset = 0.0
-                    veh.node = None
-                u, w = veh.edge
-                length = self.graph.edge_length(u, w)
-                step = min(budget, length - veh.offset)
-                veh.offset += step
-                budget -= step
-                if veh.state == IDLE:
-                    veh.rebalance_m += step
-                else:
-                    veh.service_m += step
-                if veh.offset >= length - 1e-9:
-                    veh.node = w
-                    veh.edge = None
-                    veh.offset = 0.0
-                    veh.route.popleft()
-                    if not veh.route and self._on_route_end(veh, t_end):
-                        budget = 0.0
-        # private traffic from cancellations moves at the same network speed
-        if self.private_remaining and not self.cfg.persistent_private_trips:
-            move = speed * dt
-            self.private_remaining = [r - move for r in self.private_remaining if r - move > 1e-9]
-        self._window_idle_sum += len(self.idle_vehicles())
+            if budget > 1e-12:
+                self._move(budget, clock + dt)
+            # private traffic from cancellations moves at the same network speed
+            if self.private_remaining and not self.cfg.persistent_private_trips:
+                self.private_remaining = [r - budget for r in self.private_remaining
+                                          if r - budget > 1e-9]
+        self._window_idle_sum += int(np.count_nonzero(f.state == _IDLE))
         self._window_ticks += 1
+
+    def _move(self, budget: float, t_end: float) -> None:
+        """Drive every routed, unheld vehicle ``budget`` meters along its route.
+
+        A vehicle that stays inside its edge only adds ``budget`` to its
+        offset and to one odometer; all of those move in one masked step.
+        The rest reach a node this tick, or start it at one, and go through
+        :meth:`_drive` in ascending id order, so events keep their order.
+        """
+        f = self.fleet
+        unheld = ~f.held
+        offset = f.offset + budget
+        # At a node length is 0.0, so only a vehicle inside its edge glides.
+        glide = (offset < f.length - 1e-9) & (budget < f.length - f.offset) & unheld
+        np.copyto(f.offset, offset, where=glide)
+        idle = f.state == _IDLE
+        np.add(f.rebalance_m, budget, out=f.rebalance_m, where=glide & idle)
+        np.add(f.service_m, budget, out=f.service_m, where=glide > idle)
+        for i in (unheld ^ glide).nonzero()[0].tolist():
+            if f.routes[i]:
+                self._drive(i, budget, t_end)
+
+    def _drive(self, i: int, budget: float, t_end: float) -> None:
+        """Move vehicle i edge by edge until the budget or its route runs out."""
+        f = self.fleet
+        route = f.routes[i]
+        node, tail = int(f.node[i]), int(f.tail[i])
+        offset, length = float(f.offset[i]), float(f.length[i])
+        odometer = f.rebalance_m if f.state[i] == _IDLE else f.service_m
+        driven = float(odometer[i])
+        while budget > 1e-12 and route:
+            if tail < 0:
+                tail, node, offset = node, route[0], 0.0
+                length = self.graph.edge_length(tail, node)
+            step = min(budget, length - offset)
+            offset += step
+            budget -= step
+            driven += step
+            if offset >= length - 1e-9:
+                tail, offset, length = -1, 0.0, 0.0
+                route.popleft()
+        f.node[i], f.tail[i], f.offset[i], f.length[i] = node, tail, offset, length
+        odometer[i] = driven
+        if not route:  # the route ended at this node
+            self._on_route_end(self.vehicles[i], t_end)
 
     # -- observation --------------------------------------------------------------
 
     def _record_series(self) -> None:
-        idle_active = idle_held = assigned = carrying = 0
-        for v in self.vehicles:
-            if v.state == IDLE:
-                if v.held:
-                    idle_held += 1
-                else:
-                    idle_active += 1
-            elif v.state == ASSIGNED:
-                assigned += 1
-            else:
-                carrying += 1
+        f = self.fleet
+        idle, assigned, carrying = np.bincount(f.state, minlength=len(STATES)).tolist()
+        idle_held = int(np.count_nonzero(f.held & (f.state == _IDLE)))
         self.series.append((
-            self.clock, idle_active, idle_held, assigned, carrying,
+            self.clock, idle - idle_held, idle_held, assigned, carrying,
             self.accumulation,
-            sum(v.rebalance_m for v in self.vehicles) / 1000.0,
+            sum(f.rebalance_m.tolist()) / 1000.0,
             self.cum_cancelled,
         ))
 
@@ -666,7 +790,7 @@ class World:
         snap = {"t_s": self.clock, "vehicles": vehicles}
         idles = self.idle_vehicles()
         if self.field is not None and idles:
-            xy = np.array([v.position_xy(self.graph) for v in idles])
+            xy = self.fleet.xy([v.id for v in idles])
             snap["pixel_assignment"] = plane.plane_voronoi(self.field, xy)
             snap["pixel_generator_ids"] = [v.id for v in idles]
             snap["field"] = self.field

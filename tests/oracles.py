@@ -7,8 +7,14 @@ loops so the tests never share a code path with what they verify.
 import heapq
 import itertools
 import math
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
+
+from cvrsim import plane
+from cvrsim.demand import COMPLETED, PICKED_UP
+from cvrsim.sim import ASSIGNED, CARRYING, IDLE
 
 
 def dijkstra(graph, source):
@@ -102,6 +108,17 @@ def brute_match_tick(pending, idle_vehicles, clock, graph, dist, speed_mps):
     return matches, cancellations
 
 
+def brute_hold_score(index, positions, field, r_m, assignment):
+    """Coverage concentration J(W)/J(V) of one vehicle, from its own two cells."""
+    pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))[index]
+    full = plane.PlanarCell(generator=pos, pixels=np.flatnonzero(assignment == index))
+    limited = plane.r_limited_cell(assignment, field, index, pos, r_m)
+    j_full = plane.polar_moment(full, field, pos)
+    if j_full <= 0.0:
+        return 0.0
+    return plane.polar_moment(limited, field, pos) / j_full
+
+
 def brute_nearest(points, generators):
     """Nearest generator of each point by plain loops; ties to the smallest index."""
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
@@ -150,7 +167,14 @@ def brute_min_assignment_cost(cost):
 
 
 def random_connected_graph(rng, n_nodes, extra_edges, max_len=20):
-    """Random tree plus chords; integer edge lengths keep float sums exact."""
+    """Random tree plus chords; integer edge lengths keep float sums exact.
+
+    Raises ValueError when the tree leaves fewer than ``extra_edges`` node
+    pairs free for chords.
+    """
+    free = n_nodes * (n_nodes - 1) // 2 - (n_nodes - 1)
+    if extra_edges > free:
+        raise ValueError(f"{n_nodes} nodes leave {free} chords free, not {extra_edges}")
     nodes = [(i, float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
              for i in range(n_nodes)]
     edges = []
@@ -170,3 +194,131 @@ def random_connected_graph(rng, n_nodes, extra_edges, max_len=20):
         edges.append((u, v, float(rng.integers(1, max_len + 1))))
         added += 1
     return nodes, edges
+
+
+class ScalarVehicle:
+    """One taxi as plain attributes, as the simulator held it before its fleet arrays."""
+
+    __slots__ = ("id", "node", "edge", "offset", "state", "route", "request",
+                 "held", "service_m", "rebalance_m")
+
+    def __init__(self, vid, node):
+        self.id = vid
+        self.node = int(node)
+        self.edge = None
+        self.offset = 0.0
+        self.state = IDLE
+        self.route = deque()
+        self.request = None
+        self.held = False
+        self.service_m = 0.0
+        self.rebalance_m = 0.0
+
+
+class ScalarMovement:
+    """Per-vehicle movement, one vehicle and one edge at a time.
+
+    The methods below are ``cvrsim.sim.World``'s movement loop as it was
+    before the fleet moved into arrays, copied verbatim: the reference that
+    the masked step of ``World._advance`` must match bit for bit.
+    """
+
+    def __init__(self, graph, oracle, vehicles, tick_s, tick=0,
+                 private_remaining=(), persistent_private_trips=False):
+        self.graph = graph
+        self.oracle = oracle
+        self.vehicles = vehicles
+        self.cfg = SimpleNamespace(tick_s=tick_s,
+                                   persistent_private_trips=persistent_private_trips)
+        self.tick = tick
+        self.private_remaining = list(private_remaining)
+        self._window_waits = []
+        self._window_idle_sum = 0.0
+        self._window_ticks = 0
+
+    @property
+    def clock(self):
+        return self.tick * self.cfg.tick_s
+
+    def idle_vehicles(self):
+        return [v for v in self.vehicles if v.state == IDLE]
+
+    def _route_to(self, veh, dest):
+        """Plan from the vehicle's forward node; mid-edge vehicles never U-turn."""
+        if veh.node is not None:
+            veh.route = deque(self.oracle.path(veh.node, dest)[1:])
+        else:
+            fwd = veh.edge[1]
+            hops = [fwd] if fwd == dest else self.oracle.path(fwd, dest)
+            veh.route = deque(hops)
+
+    def _do_pickup(self, veh, t):
+        req = veh.request
+        req.status = PICKED_UP
+        req.pickup_time = t
+        self._window_waits.append(t - req.t0)
+        veh.state = CARRYING
+        self._route_to(veh, req.destination)
+        if not veh.route:
+            self._do_dropoff(veh, t)
+
+    def _do_dropoff(self, veh, t):
+        req = veh.request
+        req.status = COMPLETED
+        req.dropoff_time = t
+        veh.state = IDLE
+        veh.request = None
+
+    def _on_route_end(self, veh, t):
+        """State transition at a route's final node; True if the vehicle pauses."""
+        if veh.state == ASSIGNED:
+            self._do_pickup(veh, t)
+            return True
+        if veh.state == CARRYING:
+            self._do_dropoff(veh, t)
+            return True
+        return False  # idle vehicle reached its rebalancing destination
+
+    def _advance(self, speed):
+        dt = self.cfg.tick_s
+        clock = self.clock
+        # zero-distance events: vehicles matched while standing at the origin
+        for veh in self.vehicles:
+            if veh.state == ASSIGNED and not veh.route and veh.node == veh.request.origin:
+                self._do_pickup(veh, clock)
+        if speed <= 0:
+            self._window_idle_sum += len(self.idle_vehicles())
+            self._window_ticks += 1
+            return
+        t_end = clock + dt
+        for veh in self.vehicles:
+            if veh.held or not veh.route:
+                continue
+            budget = speed * dt
+            while budget > 1e-12 and veh.route:
+                if veh.edge is None:
+                    veh.edge = (veh.node, veh.route[0])
+                    veh.offset = 0.0
+                    veh.node = None
+                u, w = veh.edge
+                length = self.graph.edge_length(u, w)
+                step = min(budget, length - veh.offset)
+                veh.offset += step
+                budget -= step
+                if veh.state == IDLE:
+                    veh.rebalance_m += step
+                else:
+                    veh.service_m += step
+                if veh.offset >= length - 1e-9:
+                    veh.node = w
+                    veh.edge = None
+                    veh.offset = 0.0
+                    veh.route.popleft()
+                    if not veh.route and self._on_route_end(veh, t_end):
+                        budget = 0.0
+        # private traffic from cancellations moves at the same network speed
+        if self.private_remaining and not self.cfg.persistent_private_trips:
+            move = speed * dt
+            self.private_remaining = [r - move for r in self.private_remaining if r - move > 1e-9]
+        self._window_idle_sum += len(self.idle_vehicles())
+        self._window_ticks += 1

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -458,6 +459,20 @@ def test_inspect_mid_run_counts_fleet(scenario_path, tmp_path, capsys):
     assert code == 0
     lines = (out / "snapshot_vehicles.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 5
+
+
+DESK_SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "desk_scenario.json"
+# sha256 of snapshot_vehicles.csv at t = 3600 s on the desk scenario, recorded
+# while vehicles were still Python objects; the fleet-array views must reproduce it.
+DESK_SNAPSHOT_3600_SHA256 = "a97d214bd1c60883af9f16dbe5e2facaa60a7403430742ccdd7df34d57cbe1fd"
+
+
+def test_inspect_desk_snapshot_is_pinned(tmp_path, capsys):
+    out = tmp_path / "snap"
+    assert main(["inspect", "--scenario", str(DESK_SCENARIO), "--time", "3600",
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "snapshot_vehicles.csv").read_bytes()).hexdigest()
+    assert digest == DESK_SNAPSHOT_3600_SHA256
 
 
 @pytest.mark.parametrize("time", ["nan", "-30", "inf"])

@@ -11,7 +11,6 @@ from cvrsim.demand import (
     hellinger,
     mass_from_counts,
     synthesize_destination,
-    write_requests_csv,
 )
 from cvrsim.errors import (
     AllZeroCountsError,
@@ -192,13 +191,3 @@ def test_empirical_origin_frequencies_match():
     counts = np.bincount([r.origin for r in requests], minlength=12)
     freq = counts / counts.sum()
     assert 0.5 * np.abs(freq - p_o).sum() <= 0.02
-
-
-def test_requests_csv_export(tmp_path):
-    p = np.full(3, 1 / 3)
-    requests = generate_requests([(600, 120.0)], p, p, seed=2)
-    path = tmp_path / "requests.csv"
-    write_requests_csv(requests, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "id,t0_s,origin,destination"
-    assert len(lines) == len(requests) + 1

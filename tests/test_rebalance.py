@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,11 @@ from cvrsim.rebalance import (
     cvr_graph_targets,
     cvr_targets,
     do_nothing,
-    hold_score,
     hold_scores,
     hold_scores_graph,
     lp_rebalance,
     pi_update,
     select_holds,
-    select_holds_alpha,
 )
 from cvrsim.roadnet import (
     all_pairs_shortest,
@@ -32,6 +32,7 @@ from cvrsim.roadnet import (
 )
 
 from oracles import (
+    brute_hold_score,
     brute_hold_scores_graph,
     brute_min_assignment_cost,
     brute_position_distance,
@@ -176,7 +177,8 @@ def test_hold_score_one_when_radius_covers_cell(grid):
     field = unimodal_field([45.0, 45.0])
     positions = np.array([[30.0, 30.0], [60.0, 60.0]])
     assignment = plane_voronoi(field, positions)
-    assert hold_score(0, positions, field, BIG_R, assignment) == pytest.approx(1.0)
+    assert brute_hold_score(0, positions, field, BIG_R, assignment) == pytest.approx(1.0)
+    assert hold_scores(positions, field, BIG_R)[0] == pytest.approx(1.0)
 
 
 def test_hold_score_zero_when_limited_cell_empty_of_mass():
@@ -186,8 +188,10 @@ def test_hold_score_zero_when_limited_cell_empty_of_mass():
     positions = np.array([[10.0, 10.0], [70.0, 70.0]])
     assignment = plane_voronoi(field, positions)
     # vehicle 0 owns mass at (40, 10) but nothing within 10 m of itself
-    assert hold_score(0, positions, field, 10.0, assignment) == 0.0
-    assert hold_score(1, positions, field, 10.0, assignment) > 0.0
+    assert brute_hold_score(0, positions, field, 10.0, assignment) == 0.0
+    assert brute_hold_score(1, positions, field, 10.0, assignment) > 0.0
+    scores = hold_scores(positions, field, 10.0)
+    assert scores[0] == 0.0 and scores[1] > 0.0
 
 
 def test_hold_score_matches_manual_ratio(grid):
@@ -203,9 +207,9 @@ def test_hold_score_matches_manual_ratio(grid):
         limited = r_limited_cell(assignment, field, i, positions[i], r)
         expected = (polar_moment(limited, field, positions[i])
                     / polar_moment(full, field, positions[i]))
-        assert hold_score(i, positions, field, r, assignment) == pytest.approx(expected)
+        assert brute_hold_score(i, positions, field, r, assignment) == pytest.approx(expected)
     bulk = hold_scores(positions, field, r)
-    manual = [hold_score(i, positions, field, r, assignment) for i in range(3)]
+    manual = [brute_hold_score(i, positions, field, r, assignment) for i in range(3)]
     assert np.allclose(bulk, manual, rtol=1e-9)
 
 
@@ -256,18 +260,23 @@ def test_retarget_hysteresis_suppresses_small_flips(grid):
 
 # -- select_holds -----------------------------------------------------------------------
 
+def alpha_holds(ids, alpha, scores):
+    """The holds of cvr_alpha: World holds floor(n_idle * alpha) vehicles."""
+    return select_holds(ids, int(math.floor(len(ids) * alpha)), scores)
+
+
 def test_alpha_zero_holds_nobody():
-    assert select_holds_alpha([1, 2, 3], 0.0, [0.5, 0.9, 0.1]) == set()
+    assert alpha_holds([1, 2, 3], 0.0, [0.5, 0.9, 0.1]) == set()
 
 
 def test_alpha_one_holds_everyone():
-    assert select_holds_alpha([1, 2, 3], 1.0, [0.5, 0.9, 0.1]) == {1, 2, 3}
+    assert alpha_holds([1, 2, 3], 1.0, [0.5, 0.9, 0.1]) == {1, 2, 3}
 
 
 def test_alpha_half_takes_floor_and_breaks_ties_by_id():
     ids = [10, 11, 12, 13, 14]
     scores = [0.9, 0.1, 0.5, 0.5, 0.2]
-    assert select_holds_alpha(ids, 0.5, scores) == {10, 12}  # floor(2.5)=2
+    assert alpha_holds(ids, 0.5, scores) == {10, 12}  # floor(2.5)=2
 
 
 def test_select_holds_count_clamps():

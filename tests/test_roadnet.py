@@ -433,6 +433,16 @@ def test_position_distance_equals_scalar_sum_on_random_graphs():
                         brute_position_distance(g, oracle.dist, pos, node)
 
 
+def test_random_graph_rejects_more_chords_than_free_node_pairs():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        random_connected_graph(rng, 2, extra_edges=1)  # the tree takes the one pair
+    with pytest.raises(ValueError):
+        random_connected_graph(rng, 5, extra_edges=7)
+    _, edges = random_connected_graph(rng, 5, extra_edges=6)  # complete: 10 pairs
+    assert len(edges) == 10
+
+
 def test_grid_graph_counts():
     g = grid_graph(2, 100.0)
     assert (g.n_nodes, g.n_edges) == (4, 4)

@@ -1,17 +1,27 @@
+import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvrsim.demand import CANCELLED, COMPLETED, PICKED_UP, Request
+from cvrsim.demand import CANCELLED, COMPLETED, MATCHED, PICKED_UP, Request
 from cvrsim.errors import ConfigValidationError
-from cvrsim.roadnet import all_pairs_shortest, build_graph, grid_graph, position_node_distance
+from cvrsim.roadnet import (
+    all_pairs_shortest,
+    build_graph,
+    grid_graph,
+    position_leads,
+    position_node_distance,
+)
 from cvrsim.scenario import desk_scenario
 from cvrsim.sim import (
     ASSIGNED,
     CARRYING,
+    IDLE,
+    IdlePool,
     MFDParams,
     SimConfig,
     World,
@@ -22,7 +32,7 @@ from cvrsim.sim import (
     run_scenario,
 )
 
-from oracles import brute_match_tick, random_connected_graph
+from oracles import ScalarMovement, ScalarVehicle, brute_match_tick, random_connected_graph
 
 
 def mini_config(controller="do_nothing", seed=1, **overrides):
@@ -122,10 +132,16 @@ class StubVehicle:
         self.position = node
 
 
+def pool(graph, vehicles):
+    """The idle pool match_tick takes, built from each vehicle's position."""
+    vehicles = list(vehicles)
+    return IdlePool(vehicles, *position_leads(graph, [v.position for v in vehicles]))
+
+
 def test_match_vehicle_standing_at_origin(mini_oracle):
     g = grid_graph(5, 200.0)
     req = Request(id=0, origin=7, destination=3, t0=0.0)
-    matches, cancels = match_tick([req], [StubVehicle(0, 7)], 0.0, g, mini_oracle, 5.0)
+    matches, cancels = match_tick([req], pool(g, [StubVehicle(0, 7)]), 0.0, g, mini_oracle, 5.0)
     assert matches == [(req, matches[0][1])] and matches[0][1].id == 0
     assert cancels == []
 
@@ -134,9 +150,9 @@ def test_unreachable_request_cancelled_at_match_tolerance(mini_oracle):
     g = grid_graph(5, 200.0)
     req = Request(id=0, origin=24, destination=0, t0=0.0, t_mtol=60.0, t_ptol=10.0)
     veh = [StubVehicle(0, 0)]  # 1600 m away; est 320 s > 10 s tolerance
-    matches, cancels = match_tick([req], veh, 30.0, g, mini_oracle, 5.0)
+    matches, cancels = match_tick([req], pool(g, veh), 30.0, g, mini_oracle, 5.0)
     assert matches == [] and cancels == []
-    matches, cancels = match_tick([req], veh, 60.0, g, mini_oracle, 5.0)
+    matches, cancels = match_tick([req], pool(g, veh), 60.0, g, mini_oracle, 5.0)
     assert matches == [] and cancels == [req]
 
 
@@ -145,7 +161,7 @@ def test_fcfs_earlier_request_wins(mini_oracle):
     early = Request(id=0, origin=6, destination=3, t0=0.0)
     late = Request(id=1, origin=8, destination=3, t0=5.0)
     veh = StubVehicle(3, 7)  # equidistant from both origins
-    matches, _ = match_tick([early, late], [veh], 10.0, g, mini_oracle, 5.0)
+    matches, _ = match_tick([early, late], pool(g, [veh]), 10.0, g, mini_oracle, 5.0)
     assert [(r.id, v.id) for r, v in matches] == [(0, 3)]
 
 
@@ -153,7 +169,7 @@ def test_closest_vehicle_ties_break_by_id(mini_oracle):
     g = grid_graph(5, 200.0)
     req = Request(id=0, origin=12, destination=0, t0=0.0)
     vehicles = [StubVehicle(2, 11), StubVehicle(5, 13)]  # both 200 m away
-    matches, _ = match_tick([req], vehicles, 0.0, g, mini_oracle, 5.0)
+    matches, _ = match_tick([req], pool(g, vehicles), 0.0, g, mini_oracle, 5.0)
     assert matches[0][1].id == 2
 
 
@@ -161,7 +177,7 @@ def test_matched_vehicle_leaves_pool_within_tick(mini_oracle):
     g = grid_graph(5, 200.0)
     r0 = Request(id=0, origin=7, destination=3, t0=0.0)
     r1 = Request(id=1, origin=7, destination=4, t0=1.0)
-    matches, _ = match_tick([r0, r1], [StubVehicle(0, 7)], 5.0, g, mini_oracle, 5.0)
+    matches, _ = match_tick([r0, r1], pool(g, [StubVehicle(0, 7)]), 5.0, g, mini_oracle, 5.0)
     assert len(matches) == 1 and matches[0][0] is r0
 
 
@@ -199,10 +215,10 @@ def match_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(match_cases())
 def test_match_tick_equals_scalar_scan(case):
-    graph, pool, requests, clock, speed = case
+    graph, vehicles, requests, clock, speed = case
     oracle = all_pairs_shortest(graph)
-    got = match_tick(requests, pool, clock, graph, oracle, speed)
-    want = brute_match_tick(requests, pool, clock, graph, oracle.dist, speed)
+    got = match_tick(requests, pool(graph, vehicles), clock, graph, oracle, speed)
+    want = brute_match_tick(requests, vehicles, clock, graph, oracle.dist, speed)
     assert [(r.id, v.id) for r, v in got[0]] == [(r.id, v.id) for r, v in want[0]]
     assert [r.id for r in got[1]] == [r.id for r in want[1]]
 
@@ -210,10 +226,10 @@ def test_match_tick_equals_scalar_scan(case):
 def test_tied_vehicles_go_to_requests_in_pool_order(mini_oracle):
     g = grid_graph(5, 200.0)
     # all three are 100 m short of node 12, two of them at the very same spot
-    pool = [StubVehicle(4, (11, 12, 100.0)), StubVehicle(1, (13, 12, 100.0)),
-            StubVehicle(2, (11, 12, 100.0))]
+    vehicles = [StubVehicle(4, (11, 12, 100.0)), StubVehicle(1, (13, 12, 100.0)),
+                StubVehicle(2, (11, 12, 100.0))]
     requests = [Request(id=i, origin=12, destination=0, t0=0.0) for i in range(4)]
-    matches, _ = match_tick(requests, pool, 0.0, g, mini_oracle, 5.0)
+    matches, _ = match_tick(requests, pool(g, vehicles), 0.0, g, mini_oracle, 5.0)
     assert [(r.id, v.id) for r, v in matches] == [(0, 4), (1, 1), (2, 2)]
 
 
@@ -441,6 +457,162 @@ def test_pi_with_graph_hold_scores_runs():
     cfg = mini_config("cvr_pi", y_ref=12.0, y_hold=4.0, graph_hold_score=True)
     metrics, _, _ = run_scenario(cfg)
     assert metrics.n_requests > 0
+
+
+class EventLog:
+    """Records every pickup and drop-off, in the order they happen."""
+
+    def _do_pickup(self, veh, t):
+        self.events.append(("pickup", veh.id, t))
+        super()._do_pickup(veh, t)
+
+    def _do_dropoff(self, veh, t):
+        self.events.append(("dropoff", veh.id, t))
+        super()._do_dropoff(veh, t)
+
+
+class LoggedWorld(EventLog, World):
+    pass
+
+
+class LoggedScalarMovement(EventLog, ScalarMovement):
+    pass
+
+
+@st.composite
+def fleet_cases(draw):
+    """A random graph and a fleet in every state the movement loop meets.
+
+    Vehicles stand at nodes or part way along edges, some at an offset that
+    reaches the node exactly or falls just short of the arrival tolerance;
+    they are held, idle with or without a rebalancing route, carrying, or
+    assigned: some stand at their origin (a zero-length route), and some
+    have the origin as destination, so the drop-off follows the pickup.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 9))
+    chords = draw(st.integers(0, (n - 1) * (n - 2) // 2))
+    nodes, edges = random_connected_graph(rng, n, extra_edges=chords,
+                                          max_len=draw(st.sampled_from([1, 4, 20])))
+    scale = draw(st.sampled_from([1.0, 0.1, 9750.0 / 29]))  # non-dyadic lengths round
+    edges = [(u, v, w * scale) for u, v, w in edges]
+    graph = build_graph(nodes, edges)
+    tick_s = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    if draw(st.booleans()):
+        speed = draw(st.sampled_from([0.0, 1e-13, 0.7, 3.0, 11.3, 36.0, 400.0]))
+    else:  # one or two edges' length, or just short of it: ticks that end at a node
+        length = draw(st.sampled_from(edges))[2] * draw(st.sampled_from([1, 2]))
+        speed = (length - draw(st.sampled_from([0.0, 5e-10, 2e-9]))) / tick_s
+    budget = speed * tick_s
+    vehicles = []
+    for _ in range(draw(st.integers(1, 10))):
+        state = draw(st.sampled_from([IDLE, ASSIGNED, CARRYING]))
+        held = state == IDLE and draw(st.booleans())
+        if draw(st.booleans()):
+            place = draw(st.integers(0, n - 1))
+        else:
+            u, v, length = draw(st.sampled_from(edges))
+            if draw(st.booleans()):
+                u, v = v, u
+            offsets = [x for x in (0.0, 0.25 * length, 0.5 * length, 0.999 * length,
+                                   length - budget, length - budget - 1e-9,
+                                   length - budget - 2e-9, length - 1e-9, length - 5e-10)
+                       if 0.0 <= x < length]
+            place = (u, v, draw(st.sampled_from(offsets)))
+        # An unheld vehicle inside an edge always has a route.
+        routed = state != IDLE or not (held or isinstance(place, int)) or draw(st.booleans())
+        target = draw(st.integers(0, n - 1))
+        destination = draw(st.sampled_from([target, draw(st.integers(0, n - 1))]))
+        vehicles.append((state, held, place, routed, target, destination))
+    private = draw(st.lists(st.sampled_from([0.5, 5.0, 60.0]), max_size=3))
+    persistent = draw(st.booleans())
+    ticks = draw(st.integers(1, 6))
+    return graph, speed, tick_s, vehicles, private, persistent, ticks
+
+
+def place_fleet(graph, oracle, case_vehicles, make_request):
+    """Per vehicle: (node, edge, offset, state, held, route, request) of a fleet case."""
+    out = []
+    for vid, (state, held, place, routed, target, destination) in enumerate(case_vehicles):
+        if isinstance(place, int):
+            node, edge, offset = place, None, 0.0
+            route = oracle.path(place, target)[1:]
+        else:
+            u, v, offset = place
+            node, edge = None, (u, v)
+            route = [v] if v == target else oracle.path(v, target)
+        request = None
+        if state != IDLE:
+            origin = target if state == ASSIGNED else destination
+            request = make_request(vid, origin, destination if state == ASSIGNED else target)
+            if state == CARRYING:
+                request.status, request.pickup_time = PICKED_UP, 0.0
+        out.append((node, edge, offset, state, held, route if routed else [], request))
+    return out
+
+
+def fleet_view(world):
+    """Everything the movement loop writes, floats by their bits."""
+    vehicles = [
+        (v.node, v.edge, v.offset.hex(), v.state, v.held, list(v.route),
+         v.service_m.hex(), v.rebalance_m.hex(), None if v.request is None else v.request.id)
+        for v in world.vehicles
+    ]
+    return (vehicles, world.events, world._window_waits, world._window_idle_sum,
+            world._window_ticks, world.private_remaining)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fleet_cases())
+def test_masked_movement_equals_scalar_loop(case):
+    graph, speed, tick_s, case_vehicles, private, persistent, ticks = case
+    cfg = SimConfig(graph=graph, origin_mass=np.full(graph.n_nodes, 1 / graph.n_nodes),
+                    destination_mass=np.full(graph.n_nodes, 1 / graph.n_nodes),
+                    profile=[(60.0, 0.0)], n_av=len(case_vehicles), controller="do_nothing",
+                    tick_s=tick_s, control_period_s=tick_s, fleet_period_s=tick_s,
+                    persistent_private_trips=persistent)
+    world = LoggedWorld(cfg)
+    requests = []
+
+    def make_request(vid, origin, destination):
+        requests.append(Request(id=vid, origin=origin, destination=destination, t0=0.0,
+                                status=MATCHED, match_time=0.0, vehicle_id=vid))
+        return requests[-1]
+
+    fleet = place_fleet(graph, world.oracle, case_vehicles, make_request)
+    reference = LoggedScalarMovement(graph, world.oracle, [], tick_s,
+                                     private_remaining=private,
+                                     persistent_private_trips=persistent)
+    world.private_remaining = list(private)
+    ref_requests = []
+    for veh, (node, edge, offset, state, held, route, request) in zip(world.vehicles, fleet):
+        ref = ScalarVehicle(veh.id, 0)
+        reference.vehicles.append(ref)
+        if edge is None:
+            veh.node = node
+        else:
+            veh.edge = edge
+        ref.node, ref.edge = node, edge
+        for target in (veh, ref):
+            target.offset, target.state, target.held = offset, state, held
+            target.route = deque(route)
+        veh.request = request
+        if request is not None:
+            ref.request = dataclasses.replace(request)
+            ref_requests.append(ref.request)
+    world.events, reference.events = [], []
+
+    def request_view(reqs):
+        return [(r.id, r.status, r.pickup_time, r.dropoff_time) for r in reqs]
+
+    assert fleet_view(world) == fleet_view(reference)
+    for _ in range(ticks):
+        world._advance(speed)
+        reference._advance(speed)
+        world.tick += 1
+        reference.tick += 1
+        assert fleet_view(world) == fleet_view(reference)
+        assert request_view(requests) == request_view(ref_requests)
 
 
 class RouteAuditWorld(World):
