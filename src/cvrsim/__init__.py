@@ -56,7 +56,6 @@ from .sim import (
     MFDParams,
     SimConfig,
     SimMetrics,
-    Vehicle,
     World,
     estimate_pickup,
     match_tick,

@@ -151,6 +151,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen_grid(args) -> int:
+    if args.k < 2:
+        raise ConfigValidationError("k", f"grid needs k >= 2, got {args.k}")
+    if not (math.isfinite(args.spacing) and args.spacing > 0):
+        raise ConfigValidationError("spacing", f"must be positive and finite, got {args.spacing}")
     graph = grid_graph(args.k, args.spacing)
     with open(args.out, "w") as fh:
         json.dump(graph_to_json(graph), fh)

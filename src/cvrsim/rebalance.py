@@ -16,14 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import plane
 from .errors import EmptyCellError
-from .roadnet import (
-    DistanceOracle,
-    RoadGraph,
-    graph_cells,
-    graph_centroid,
-    nearest_nodes,
-    position_leads,
-)
+from .roadnet import DistanceOracle, RoadGraph, graph_cells, graph_centroid, nearest_nodes
 
 # No longer called here, but perfbench/run.py wraps them at these names.
 from .roadnet import graph_voronoi, position_node_distance, r_limited_graph_cell  # noqa: F401
@@ -195,14 +188,15 @@ def cvr_graph_targets(
 
 def lp_rebalance(
     ids,
-    positions,
+    fwd,
+    lead,
     pending_origins,
-    graph: RoadGraph,
     oracle: DistanceOracle,
     speed_mps: float,
 ) -> RebalanceDecision:
     """Reactive baseline: min-total-travel-time matching to pending origins.
 
+    Vehicle k is ``lead[k]`` meters short of its forward node ``fwd[k]``.
     Matches min(#idle, #pending) vehicle/origin pairs by optimal assignment
     on shortest-path travel times; matched vehicles get the request origin as
     a rebalancing destination, the rest hold.
@@ -213,7 +207,7 @@ def lp_rebalance(
     origins = [int(o) for o in pending_origins]
     decision: dict[int, int | None] = {vid: None for vid in ids}
     if ids and origins:
-        fwd, lead = position_leads(graph, list(positions))
+        lead = np.asarray(lead, dtype=np.float64)
         cost = (lead[:, None] + oracle.dist[np.ix_(fwd, origins)]) / speed_mps
         rows, cols = linear_sum_assignment(cost)
         for i, j in zip(rows, cols):

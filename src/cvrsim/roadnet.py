@@ -5,16 +5,16 @@ routing, shortest-path (graph) Voronoi partitions, range-limited graph cells
 (all of them at once through :func:`graph_cells`), and mass-weighted graph
 centroids.
 
-Vehicle positions elsewhere in the library are either a node id (``int``) or a
-mid-edge triple ``(u, v, offset_m)`` meaning "offset_m meters from u while
-driving toward v"; :func:`position_leads` reduces a batch of either form to a
-forward node plus the distance left to it, and :func:`position_node_distance`
-is its one-position view, driving a mid-edge vehicle forward.
+A vehicle's position is its forward node plus the lead, the distance still to
+drive to that node: 0.0 at a node, and the rest of the edge when mid-edge.
+:func:`position_node_distance` drives on to the forward node, never turning
+back, then takes the shortest path.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +132,7 @@ def build_graph(nodes, edges) -> RoadGraph:
     edges: iterable of (u, v, length_m).
 
     Raises DuplicateEdgeError, NonPositiveLengthError, DisconnectedGraphError,
-    or ValueError for malformed ids.
+    or ValueError for malformed ids and non-finite coordinates or lengths.
     """
     nodes = list(nodes)
     if not nodes:
@@ -147,7 +147,10 @@ def build_graph(nodes, edges) -> RoadGraph:
         if not 0 <= nid < n:
             raise ValueError(f"node ids must be dense 0..{n - 1}, got {nid}")
         seen_ids.add(nid)
-        coords[nid] = (float(x), float(y))
+        x, y = float(x), float(y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"node {nid} has non-finite coordinates ({x}, {y})")
+        coords[nid] = (x, y)
 
     eu, ev, el = [], [], []
     seen_edges = set()
@@ -157,6 +160,8 @@ def build_graph(nodes, edges) -> RoadGraph:
             raise ValueError(f"edge endpoint out of range: ({u}, {v})")
         if u == v:
             raise DuplicateEdgeError(f"self-loop at node {u}")
+        if not math.isfinite(length):
+            raise ValueError(f"edge ({u}, {v}) has non-finite length {length}")
         if length <= 0:
             raise NonPositiveLengthError(f"edge ({u}, {v}) has length {length}")
         key = (min(u, v), max(u, v))
@@ -166,6 +171,8 @@ def build_graph(nodes, edges) -> RoadGraph:
         eu.append(u)
         ev.append(v)
         el.append(length)
+    if not math.isfinite(sum(el)):  # bounds every path sum, so no distance overflows
+        raise ValueError(f"edge lengths add up to a non-finite total {sum(el)}")
 
     graph = RoadGraph(
         coords=coords,
@@ -342,30 +349,6 @@ def nearest_node(graph: RoadGraph, point) -> int:
     return int(nearest_nodes(graph, point)[0])
 
 
-def position_leads(graph: RoadGraph, positions) -> tuple[np.ndarray, np.ndarray]:
-    """Forward node and distance still to drive to it, for each vehicle position.
-
-    A node position leads to itself with 0.0 to go; a mid-edge position
-    ``(u, v, offset)`` leads to v with ``length - offset`` to go: a mid-edge
-    vehicle never turns back, just as the routes the simulator plans never do.
-    """
-    fwd = np.empty(len(positions), dtype=np.int64)
-    lead = np.zeros(len(positions))
-    for i, pos in enumerate(positions):
-        if isinstance(pos, (int, np.integer)):
-            fwd[i] = pos
-        else:
-            u, v, offset = pos
-            fwd[i] = v
-            lead[i] = graph.edge_length(u, v) - offset
-    return fwd, lead
-
-
-def position_node_distance(graph: RoadGraph, oracle: DistanceOracle, pos, node: int) -> float:
-    """Shortest-path distance from a vehicle position to a node.
-
-    The one-position view of :func:`position_leads`: drive on to the forward
-    node, then take the shortest path.
-    """
-    fwd, lead = position_leads(graph, [pos])
-    return float(lead[0] + oracle.dist[fwd[0], node])
+def position_node_distance(oracle: DistanceOracle, fwd: int, lead: float, node: int) -> float:
+    """Shortest-path distance to a node from ``lead`` meters short of node ``fwd``."""
+    return float(lead + oracle.dist[fwd, node])

@@ -75,7 +75,7 @@ def mfd_speed(m: float, params: MFDParams = DEFAULT_MFD) -> float:
 
 
 STATES = (IDLE, ASSIGNED, CARRYING)  # Fleet.state holds an index into this tuple
-_IDLE, _ASSIGNED = STATES.index(IDLE), STATES.index(ASSIGNED)
+_IDLE, _ASSIGNED, _CARRYING = range(len(STATES))
 
 
 class Fleet:
@@ -118,88 +118,6 @@ class Fleet:
             start = coords[self.tail[e]]
             out[on_edge] = start + frac[:, None] * (coords[self.node[e]] - start)
         return out
-
-
-def _slot(name: str, convert):
-    """A Vehicle attribute that reads and writes element ``id`` of ``Fleet.<name>``."""
-    def get(self):
-        return convert(getattr(self._fleet, name)[self.id])
-
-    def put(self, value):
-        getattr(self._fleet, name)[self.id] = value
-
-    return property(get, put)
-
-
-class Vehicle:
-    """One taxi, as a view of its :class:`Fleet` slot.
-
-    Position is either a node id (``node`` set, ``edge`` None) or a point on
-    an edge (``edge=(u, v)`` driving u->v with ``offset`` meters past u).
-    ``route`` holds the upcoming nodes; when mid-edge its head is the edge's
-    forward endpoint. Setting ``node`` stands the vehicle there; setting
-    ``edge`` puts it on that edge, and ``edge = None`` stands it at the
-    edge's forward node.
-    """
-
-    __slots__ = ("id", "_fleet")
-
-    def __init__(self, fleet: Fleet, vid: int):
-        self.id = vid
-        self._fleet = fleet
-
-    offset = _slot("offset", float)
-    held = _slot("held", bool)
-    service_m = _slot("service_m", float)
-    rebalance_m = _slot("rebalance_m", float)
-    route = _slot("routes", lambda route: route)
-    request = _slot("requests", lambda request: request)
-
-    @property
-    def state(self) -> str:
-        return STATES[self._fleet.state[self.id]]
-
-    @state.setter
-    def state(self, state: str) -> None:
-        self._fleet.state[self.id] = STATES.index(state)
-
-    @property
-    def node(self) -> int | None:
-        f = self._fleet
-        return int(f.node[self.id]) if f.tail[self.id] < 0 else None
-
-    @node.setter
-    def node(self, node: int) -> None:
-        f, i = self._fleet, self.id
-        f.node[i], f.tail[i], f.offset[i], f.length[i] = node, -1, 0.0, 0.0
-
-    @property
-    def edge(self) -> tuple[int, int] | None:
-        f, i = self._fleet, self.id
-        return None if f.tail[i] < 0 else (int(f.tail[i]), int(f.node[i]))
-
-    @edge.setter
-    def edge(self, edge: tuple[int, int] | None) -> None:
-        f, i = self._fleet, self.id
-        if edge is None:
-            f.tail[i], f.offset[i], f.length[i] = -1, 0.0, 0.0
-        else:
-            u, v = int(edge[0]), int(edge[1])
-            f.tail[i], f.node[i], f.length[i] = u, v, f.graph.edge_length(u, v)
-
-    @property
-    def position(self):
-        f, i = self._fleet, self.id
-        node, tail = int(f.node[i]), int(f.tail[i])
-        return node if tail < 0 else (tail, node, float(f.offset[i]))
-
-    def forward_node(self) -> int:
-        """The node ahead: current node, or the edge endpoint being driven to."""
-        return int(self._fleet.node[self.id])
-
-    def position_xy(self, graph: RoadGraph) -> np.ndarray:
-        """Planar position; ``graph`` is the fleet's own road graph."""
-        return self._fleet.xy([self.id])[0]
 
 
 @dataclass
@@ -352,32 +270,34 @@ class SimMetrics:
         return {k: jsonable(v) for k, v in self.__dict__.items()}
 
 
-def estimate_pickup(graph: RoadGraph, oracle: DistanceOracle, position,
-                    origin: int, now: float, speed_mps: float) -> float:
-    """Estimated pickup clock time; infinite when the network is at standstill."""
+def estimate_pickup(oracle: DistanceOracle, fwd: int, lead: float, origin: int,
+                    now: float, speed_mps: float) -> float:
+    """Estimated pickup clock time of a vehicle ``lead`` meters short of node ``fwd``.
+
+    Infinite when the network is at standstill.
+    """
     if speed_mps <= 0:
         return math.inf
-    return now + position_node_distance(graph, oracle, position, origin) / speed_mps
+    return now + position_node_distance(oracle, fwd, lead, origin) / speed_mps
 
 
 @dataclass(frozen=True)
 class IdlePool:
     """The idle vehicles offered to matching, in pool order.
 
-    ``fwd[k]`` is vehicle k's forward node and ``lead[k]`` the distance
-    still to drive to it, as :func:`roadnet.position_leads` gives them.
+    ``ids[k]`` is a :class:`Fleet` slot, ``fwd[k]`` its forward node and
+    ``lead[k]`` the distance still to drive to it.
     """
 
-    vehicles: list
+    ids: np.ndarray
     fwd: np.ndarray
     lead: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.vehicles)
+        return len(self.ids)
 
 
-def match_tick(pending, pool: IdlePool, clock: float, graph: RoadGraph,
-               oracle: DistanceOracle, speed_mps: float):
+def match_tick(pending, pool: IdlePool, clock: float, oracle: DistanceOracle, speed_mps: float):
     """First-come-first-served matching decisions for one tick.
 
     Requests are visited in issue order. A request past its matching
@@ -386,7 +306,7 @@ def match_tick(pending, pool: IdlePool, clock: float, graph: RoadGraph,
     earlier vehicle in pool order) is matched if its pickup estimate
     respects the pickup tolerance, and leaves the pool immediately. Nothing
     is mutated; returns (matches, cancellations) as
-    ([(request, vehicle)], [request]).
+    ([(request, vehicle id)], [request]).
     """
     fwd, lead = pool.fwd, pool.lead
     taken = np.zeros(len(pool), dtype=bool)
@@ -403,10 +323,9 @@ def match_tick(pending, pool: IdlePool, clock: float, graph: RoadGraph,
         best = int(np.argmin(d))  # first occurrence: the earliest vehicle in pool order
         # estimate_pickup stays the one definition of the estimate; it
         # recomputes the distance of the chosen vehicle only.
-        estimate = estimate_pickup(graph, oracle, pool.vehicles[best].position, req.origin,
-                                   clock, speed_mps)
+        estimate = estimate_pickup(oracle, fwd[best], lead[best], req.origin, clock, speed_mps)
         if estimate - req.t0 <= req.t_ptol + 1e-9:
-            matches.append((req, pool.vehicles[best]))
+            matches.append((req, int(pool.ids[best])))
             taken[best] = True
     return matches, cancellations
 
@@ -460,7 +379,6 @@ class World:
         else:
             starts = placement_rng.choice(n_nodes, size=cfg.n_av, p=cfg.destination_mass)
         self.fleet = Fleet(self.graph, starts)
-        self.vehicles = [Vehicle(self.fleet, i) for i in range(cfg.n_av)]
 
         self.field = self._build_field() if cfg.controller in ("cvr", "cvr_alpha", "cvr_pi") else None
 
@@ -476,11 +394,10 @@ class World:
         self.pi_hold_all = False
         self.pi_hold_count = 0
         self._window_waits: list[float] = []
-        self._window_idle_sum = 0.0
-        self._window_ticks = 0
         self.series: list[tuple] = []
         self.match_log: list[tuple[float, int, int]] = []  # (clock, request, vehicle)
         self._record_series()
+        self._window_start = len(self.series)  # first series row of the PI window
 
         self._ctrl_every = int(round(cfg.control_period_s / cfg.tick_s))
         self._fleet_every = int(round(cfg.fleet_period_s / cfg.tick_s))
@@ -501,14 +418,10 @@ class World:
     def _idle_ids(self) -> np.ndarray:
         return (self.fleet.state == _IDLE).nonzero()[0]
 
-    def idle_vehicles(self) -> list[Vehicle]:
-        return [self.vehicles[i] for i in self._idle_ids().tolist()]
-
     def _idle_pool(self) -> IdlePool:
         f = self.fleet
         ids = self._idle_ids()
-        return IdlePool([self.vehicles[i] for i in ids.tolist()],
-                        f.node[ids], (f.length - f.offset)[ids])
+        return IdlePool(ids, f.node[ids], (f.length - f.offset)[ids])
 
     def _build_field(self) -> plane.GridField:
         xmin, ymin, xmax, ymax = self.graph.bounding_box()
@@ -538,9 +451,9 @@ class World:
         # (2) match / cancel
         if self.pending:
             matches, cancellations = match_tick(
-                self.pending, self._idle_pool(), clock, self.graph, self.oracle, speed)
-            for req, veh in matches:
-                self._apply_match(req, veh, clock)
+                self.pending, self._idle_pool(), clock, self.oracle, speed)
+            for req, i in matches:
+                self._apply_match(req, i, clock)
             for req in cancellations:
                 self._apply_cancellation(req, clock)
             taken = {r.id for r, _ in matches} | {r.id for r in cancellations}
@@ -577,15 +490,14 @@ class World:
 
     # -- matching and cancellation -------------------------------------------
 
-    def _apply_match(self, req: Request, veh: Vehicle, clock: float) -> None:
+    def _apply_match(self, req: Request, i: int, clock: float) -> None:
+        f = self.fleet
         req.status = MATCHED
         req.match_time = clock
-        req.vehicle_id = veh.id
-        veh.state = ASSIGNED
-        veh.request = req
-        veh.held = False
-        self._route_to(veh, req.origin)
-        self.match_log.append((clock, req.id, veh.id))
+        req.vehicle_id = i
+        f.state[i], f.requests[i], f.held[i] = _ASSIGNED, req, False
+        self._route_to(i, req.origin)
+        self.match_log.append((clock, req.id, i))
 
     def _apply_cancellation(self, req: Request, clock: float) -> None:
         req.status = CANCELLED
@@ -599,21 +511,22 @@ class World:
         if not idle_ids.size:
             return
         cfg = self.cfg
+        f = self.fleet
         ids = idle_ids.tolist()
-        nodes = self.fleet.node[idle_ids].tolist()  # forward nodes
+        nodes = f.node[idle_ids].tolist()  # forward nodes
         name = cfg.controller
         if name == "do_nothing" or (name == "lp" and speed <= 0):
             decision = rebalance.do_nothing(ids)
         elif name == "lp":
             decision = rebalance.lp_rebalance(
-                ids, [self.vehicles[i].position for i in ids], [r.origin for r in self.pending],
-                self.graph, self.oracle, speed)
+                ids, f.node[idle_ids], (f.length - f.offset)[idle_ids],
+                [r.origin for r in self.pending], self.oracle, speed)
         elif name == "cvr_graph":
             decision = rebalance.cvr_graph_targets(
                 ids, nodes, cfg.origin_mass,
                 self.oracle, cfg.effective_r_graph())
         else:
-            xy = self.fleet.xy(idle_ids)
+            xy = f.xy(idle_ids)
             summary = plane.coverage_summary(self.field, xy, cfg.r_m)
             held: set[int] = set()
             hold_n = 0
@@ -644,59 +557,57 @@ class World:
             else:
                 f.held[vid] = False
                 self.prev_dest[vid] = int(dest)
-                self._route_to(self.vehicles[vid], int(dest))
+                self._route_to(vid, int(dest))
 
     def _fleet_size_tick(self) -> None:
-        window_ticks = max(self._window_ticks, 1)
+        window = self.series[self._window_start:]  # one row per tick since the last update
         mean_wait = (sum(self._window_waits) / len(self._window_waits)
                      if self._window_waits else 0.0)
-        mean_idle = self._window_idle_sum / window_ticks
+        mean_idle = sum(row[1] + row[2] for row in window) / max(len(window), 1)
         update = rebalance.pi_update(self.pi_state, mean_wait, mean_idle,
                                      self.cfg.n_av, len(self._idle_ids()))
         self.pi_state = update.state
         self.pi_hold_all = update.hold_all
         self.pi_hold_count = update.hold_count
         self._window_waits = []
-        self._window_idle_sum = 0.0
-        self._window_ticks = 0
+        self._window_start = len(self.series)
 
     # -- movement ---------------------------------------------------------------
 
-    def _route_to(self, veh: Vehicle, dest: int) -> None:
-        """Plan from the vehicle's forward node; mid-edge vehicles never U-turn."""
-        f, i = self.fleet, veh.id
+    def _route_to(self, i: int, dest: int) -> None:
+        """Plan from vehicle i's forward node; mid-edge vehicles never U-turn."""
+        f = self.fleet
         fwd = int(f.node[i])
         if f.tail[i] < 0:
             f.routes[i] = deque(self.oracle.path(fwd, dest)[1:])
         else:
             f.routes[i] = deque([fwd] if fwd == dest else self.oracle.path(fwd, dest))
 
-    def _do_pickup(self, veh: Vehicle, t: float) -> None:
-        req = veh.request
+    def _do_pickup(self, i: int, t: float) -> None:
+        f = self.fleet
+        req = f.requests[i]
         req.status = PICKED_UP
         req.pickup_time = t
         self._window_waits.append(t - req.t0)
-        veh.state = CARRYING
-        self._route_to(veh, req.destination)
-        if not veh.route:
-            self._do_dropoff(veh, t)
+        f.state[i] = _CARRYING
+        self._route_to(i, req.destination)
+        if not f.routes[i]:
+            self._do_dropoff(i, t)
 
-    def _do_dropoff(self, veh: Vehicle, t: float) -> None:
-        req = veh.request
+    def _do_dropoff(self, i: int, t: float) -> None:
+        f = self.fleet
+        req = f.requests[i]
         req.status = COMPLETED
         req.dropoff_time = t
-        veh.state = IDLE
-        veh.request = None
+        f.state[i], f.requests[i] = _IDLE, None
 
-    def _on_route_end(self, veh: Vehicle, t: float) -> bool:
-        """State transition at a route's final node; True if the vehicle pauses."""
-        if veh.state == ASSIGNED:
-            self._do_pickup(veh, t)
-            return True
-        if veh.state == CARRYING:
-            self._do_dropoff(veh, t)
-            return True
-        return False  # idle vehicle reached its rebalancing destination
+    def _on_route_end(self, i: int, t: float) -> None:
+        """State transition at a route's final node; an idle vehicle just stops there."""
+        state = self.fleet.state[i]
+        if state == _ASSIGNED:
+            self._do_pickup(i, t)
+        elif state == _CARRYING:
+            self._do_dropoff(i, t)
 
     def _advance(self, speed: float) -> None:
         dt = self.cfg.tick_s
@@ -704,9 +615,8 @@ class World:
         f = self.fleet
         # zero-distance events: vehicles matched while standing at the origin
         for i in ((f.state == _ASSIGNED) & (f.tail < 0)).nonzero()[0].tolist():
-            veh = self.vehicles[i]
-            if not veh.route and veh.node == veh.request.origin:
-                self._do_pickup(veh, clock)
+            if not f.routes[i] and f.node[i] == f.requests[i].origin:
+                self._do_pickup(i, clock)
         if speed > 0:
             budget = speed * dt
             if budget > 1e-12:
@@ -715,8 +625,6 @@ class World:
             if self.private_remaining and not self.cfg.persistent_private_trips:
                 self.private_remaining = [r - budget for r in self.private_remaining
                                           if r - budget > 1e-9]
-        self._window_idle_sum += int(np.count_nonzero(f.state == _IDLE))
-        self._window_ticks += 1
 
     def _move(self, budget: float, t_end: float) -> None:
         """Drive every routed, unheld vehicle ``budget`` meters along its route.
@@ -761,7 +669,7 @@ class World:
         f.node[i], f.tail[i], f.offset[i], f.length[i] = node, tail, offset, length
         odometer[i] = driven
         if not route:  # the route ended at this node
-            self._on_route_end(self.vehicles[i], t_end)
+            self._on_route_end(i, t_end)
 
     # -- observation --------------------------------------------------------------
 
@@ -778,25 +686,25 @@ class World:
 
     def snapshot(self) -> dict:
         """Per-vehicle state plus the current idle-fleet Voronoi assignment."""
+        f = self.fleet
         vehicles = []
-        for v in self.vehicles:
-            x, y = v.position_xy(self.graph)
+        for i, (x, y) in enumerate(f.xy(np.arange(len(f.node))).tolist()):
+            at_node = f.tail[i] < 0
             vehicles.append({
-                "id": v.id, "x_m": float(x), "y_m": float(y),
-                "node": v.node, "edge": v.edge, "offset_m": v.offset,
-                "state": v.state, "held": v.held,
-                "destination": self.prev_dest.get(v.id),
+                "id": i, "x_m": x, "y_m": y,
+                "node": int(f.node[i]) if at_node else None,
+                "edge": None if at_node else (int(f.tail[i]), int(f.node[i])),
+                "offset_m": float(f.offset[i]), "state": STATES[f.state[i]],
+                "held": bool(f.held[i]), "destination": self.prev_dest.get(i),
             })
         snap = {"t_s": self.clock, "vehicles": vehicles}
-        idles = self.idle_vehicles()
-        if self.field is not None and idles:
-            xy = self.fleet.xy([v.id for v in idles])
-            snap["pixel_assignment"] = plane.plane_voronoi(self.field, xy)
-            snap["pixel_generator_ids"] = [v.id for v in idles]
+        idle_ids = self._idle_ids()
+        if self.field is not None and idle_ids.size:
+            snap["pixel_assignment"] = plane.plane_voronoi(self.field, f.xy(idle_ids))
+            snap["pixel_generator_ids"] = idle_ids.tolist()
             snap["field"] = self.field
-        elif idles:
-            nodes = sorted({v.forward_node() for v in idles})
-            snap["node_assignment"] = graph_voronoi(self.oracle, nodes)
+        elif idle_ids.size:
+            snap["node_assignment"] = graph_voronoi(self.oracle, set(f.node[idle_ids].tolist()))
         return snap
 
 

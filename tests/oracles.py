@@ -74,6 +74,14 @@ def brute_hold_scores_graph(nodes, mass, dist, r_graph_m):
     return np.array([scores[int(n)] for n in nodes])
 
 
+def position_lead(graph, pos):
+    """Forward node and distance left to it, of a node id or of (u, v, offset) driving to v."""
+    if isinstance(pos, (int, np.integer)):
+        return int(pos), 0.0
+    u, v, offset = pos
+    return v, graph.edge_length(u, v) - offset
+
+
 def brute_position_distance(graph, dist, pos, node):
     """Distance from a node, or from (u, v, offset) driving on to v, as one scalar sum."""
     if isinstance(pos, (int, np.integer)):
@@ -219,8 +227,10 @@ class ScalarMovement:
     """Per-vehicle movement, one vehicle and one edge at a time.
 
     The methods below are ``cvrsim.sim.World``'s movement loop as it was
-    before the fleet moved into arrays, copied verbatim: the reference that
-    the masked step of ``World._advance`` must match bit for bit.
+    before the fleet moved into arrays, copied verbatim but for the idle
+    count of the PI window, which the world now reads from its series rows:
+    the reference that the masked step of ``World._advance`` must match bit
+    for bit.
     """
 
     def __init__(self, graph, oracle, vehicles, tick_s, tick=0,
@@ -233,15 +243,10 @@ class ScalarMovement:
         self.tick = tick
         self.private_remaining = list(private_remaining)
         self._window_waits = []
-        self._window_idle_sum = 0.0
-        self._window_ticks = 0
 
     @property
     def clock(self):
         return self.tick * self.cfg.tick_s
-
-    def idle_vehicles(self):
-        return [v for v in self.vehicles if v.state == IDLE]
 
     def _route_to(self, veh, dest):
         """Plan from the vehicle's forward node; mid-edge vehicles never U-turn."""
@@ -287,8 +292,6 @@ class ScalarMovement:
             if veh.state == ASSIGNED and not veh.route and veh.node == veh.request.origin:
                 self._do_pickup(veh, clock)
         if speed <= 0:
-            self._window_idle_sum += len(self.idle_vehicles())
-            self._window_ticks += 1
             return
         t_end = clock + dt
         for veh in self.vehicles:
@@ -320,5 +323,3 @@ class ScalarMovement:
         if self.private_remaining and not self.cfg.persistent_private_trips:
             move = speed * dt
             self.private_remaining = [r - move for r in self.private_remaining if r - move > 1e-9]
-        self._window_idle_sum += len(self.idle_vehicles())
-        self._window_ticks += 1

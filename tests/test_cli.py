@@ -126,8 +126,15 @@ def broken_grid_document(defect):
     doc = graph_to_json(grid_graph(5, 200.0))
     if defect == "disconnected":
         doc["edges"] = [e for e in doc["edges"] if 24 not in e[:2]]
-    else:
+    elif defect == "duplicate_edge":
         doc["edges"].append(list(reversed(doc["edges"][0][:2])) + [200.0])
+    elif defect == "nan_length":
+        doc["edges"][0][2] = math.nan
+    elif defect == "inf_bridge":  # corner node 24 hangs on one edge of infinite length
+        doc["edges"] = [e for e in doc["edges"] if e[:2] != [19, 24]]
+        next(e for e in doc["edges"] if e[:2] == [23, 24])[2] = math.inf
+    elif defect == "nan_coord":
+        doc["nodes"][7][1] = math.nan
     return doc
 
 
@@ -192,6 +199,10 @@ DESK_NODES = 400
     ("demand.origin.mixture[0]", "mean", [3400.0, 3400.0, 0.0]),
     ("demand.origin.mixture[0]", "cov", [[1.0]]),
     ("demand.origin.mixture[0]", "cov", [[640000.0, 500000.0], [0.0, 640000.0]]),
+    # non-finite graph values: an infinite bridge edge once made the run endless
+    ("graph", "path", "nan_length"),
+    ("graph", "path", "inf_bridge"),
+    ("graph", "path", "nan_coord"),
 ])
 def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key, value):
     doc = desk_document()
@@ -243,9 +254,8 @@ def leaf_paths(value, path=()):
         yield path
 
 
-# every number and flag except the profile's (a malformed profile is covered
-# above and in test_demand)
-FUZZ_PATHS = [p for p in leaf_paths(fuzz_document()) if p[:2] != ("demand", "profile")]
+# every number and flag, profile entries included
+FUZZ_PATHS = list(leaf_paths(fuzz_document()))
 FUZZ_VALUES = ["abc", "1", None, True, False, [1.0], math.nan, math.inf, -math.inf, -3.0, 0.5]
 
 
@@ -429,6 +439,22 @@ def test_gen_grid_output_reloads_cleanly(tmp_path, capsys):
     assert g.n_edges == 760
 
 
+@pytest.mark.parametrize("k, spacing, field", [
+    ("1", "100", "k"),
+    ("0", "100", "k"),
+    ("3", "-5", "spacing"),
+    ("3", "0", "spacing"),
+    ("3", "nan", "spacing"),
+    ("3", "inf", "spacing"),
+])
+def test_gen_grid_rejects_bad_arguments(tmp_path, capsys, k, spacing, field):
+    out = tmp_path / "net.json"
+    assert main(["gen-grid", "--k", k, "--spacing", spacing, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ConfigValidation" and err["field"] == field
+    assert not out.exists()
+
+
 def test_scenario_can_reference_generated_graph(tmp_path, capsys):
     net = tmp_path / "net.json"
     main(["gen-grid", "--k", "5", "--spacing", "200", "--out", str(net)])
@@ -463,7 +489,7 @@ def test_inspect_mid_run_counts_fleet(scenario_path, tmp_path, capsys):
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "desk_scenario.json"
 # sha256 of snapshot_vehicles.csv at t = 3600 s on the desk scenario, recorded
-# while vehicles were still Python objects; the fleet-array views must reproduce it.
+# while vehicles were still Python objects; the fleet arrays must reproduce it.
 DESK_SNAPSHOT_3600_SHA256 = "a97d214bd1c60883af9f16dbe5e2facaa60a7403430742ccdd7df34d57cbe1fd"
 
 

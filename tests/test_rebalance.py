@@ -36,6 +36,7 @@ from oracles import (
     brute_hold_scores_graph,
     brute_min_assignment_cost,
     brute_position_distance,
+    position_lead,
     random_connected_graph,
 )
 
@@ -336,14 +337,14 @@ def test_pi_u_not_monotone_when_under_reference():
 # -- lp_rebalance ------------------------------------------------------------------------------
 
 def test_lp_one_vehicle_two_requests(grid):
-    g, oracle = grid
-    decision = lp_rebalance([4], [0], [99, 1], g, oracle, 10.0)
+    _, oracle = grid
+    decision = lp_rebalance([4], [0], [0.0], [99, 1], oracle, 10.0)
     assert decision.destination[4] == 1  # node 1 is 10 m away, node 99 is 180 m
 
 
 def test_lp_no_pending_all_hold(grid):
-    g, oracle = grid
-    decision = lp_rebalance([1, 2], [0, 5], [], g, oracle, 10.0)
+    _, oracle = grid
+    decision = lp_rebalance([1, 2], [0, 5], [0.0, 0.0], [], oracle, 10.0)
     assert decision.destination == {1: None, 2: None}
 
 
@@ -365,14 +366,15 @@ def test_lp_cost_matrix_equals_per_pair_distances(monkeypatch):
         for u, v, w in edges[:12]:
             positions += [u, (u, v, w * rng.random()), (v, u, w / 3.0)]
         origins = rng.integers(0, 40, size=9).tolist()
-        lp_rebalance(list(range(len(positions))), positions, origins, g, oracle, speed)
+        fwd, lead = zip(*(position_lead(g, p) for p in positions))
+        lp_rebalance(list(range(len(positions))), fwd, lead, origins, oracle, speed)
         want = np.array([[brute_position_distance(g, oracle.dist, p, o) / speed
                           for o in origins] for p in positions])
         assert np.array_equal(seen[-1], want)
 
 
 def test_lp_matches_brute_force(grid):
-    g, oracle = grid
+    _, oracle = grid
     rng = np.random.default_rng(12)
     for _ in range(25):
         n_idle = int(rng.integers(1, 5))
@@ -380,7 +382,7 @@ def test_lp_matches_brute_force(grid):
         idle_nodes = rng.integers(0, 100, size=n_idle).tolist()
         origins = rng.integers(0, 100, size=n_pending).tolist()
         ids = list(range(n_idle))
-        decision = lp_rebalance(ids, idle_nodes, origins, g, oracle, 5.0)
+        decision = lp_rebalance(ids, idle_nodes, np.zeros(n_idle), origins, oracle, 5.0)
         cost = np.array([[oracle.dist[v, o] / 5.0 for o in origins] for v in idle_nodes])
         achieved = 0.0
         n_assigned = 0
@@ -397,8 +399,8 @@ def test_lp_matches_brute_force(grid):
 
 
 def test_lp_assigned_origins_are_pending_origins(grid):
-    g, oracle = grid
-    decision = lp_rebalance([0, 1, 2], [10, 20, 30], [55, 66], g, oracle, 5.0)
+    _, oracle = grid
+    decision = lp_rebalance([0, 1, 2], [10, 20, 30], np.zeros(3), [55, 66], oracle, 5.0)
     targets = [d for d in decision.destination.values() if d is not None]
     assert len(targets) == 2 and set(targets) <= {55, 66}
 

@@ -23,7 +23,6 @@ from cvrsim.roadnet import (
     grid_graph,
     nearest_node,
     nearest_nodes,
-    position_leads,
     position_node_distance,
     r_limited_graph_cell,
 )
@@ -34,6 +33,7 @@ from oracles import (
     brute_nearest,
     brute_position_distance,
     dijkstra,
+    position_lead,
     random_connected_graph,
 )
 
@@ -79,6 +79,19 @@ def test_nonpositive_length_rejected():
     nodes = [(0, 0, 0), (1, 1, 0)]
     with pytest.raises(NonPositiveLengthError):
         build_graph(nodes, [(0, 1, 0.0)])
+
+
+@pytest.mark.parametrize("nodes, length, last", [
+    ([(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)], np.nan, 1.0),
+    ([(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)], np.inf, 1.0),
+    ([(0, 0, 0), (1, np.nan, 0), (2, 2, 0), (3, 3, 0)], 1.0, 1.0),
+    ([(0, 0, 0), (1, 1, 0), (2, 2, -np.inf), (3, 3, 0)], 1.0, 1.0),
+    ([(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)], 1e308, 1e308),  # path 1-3 overflows
+])
+def test_non_finite_values_rejected(nodes, length, last):
+    # a path 0-1-2-3 whose middle edge is a bridge: connectivity alone passes it
+    with pytest.raises(ValueError, match="non-finite"):
+        build_graph(nodes, [(0, 1, 1.0), (1, 2, length), (2, 3, last)])
 
 
 def test_sparse_node_ids_rejected():
@@ -405,18 +418,9 @@ def test_position_distance_mid_edge_drives_forward():
     g = path_graph([100.0, 250.0])
     oracle = all_pairs_shortest(g)
     # 50 m before node 1 on edge (0, 1); node 2 is 250 m past node 1
-    assert position_node_distance(g, oracle, (0, 1, 50.0), 2) == 300.0
+    assert position_node_distance(oracle, 1, 50.0, 2) == 300.0
     # no U-turn: on to node 1, then back along the edge to node 0
-    assert position_node_distance(g, oracle, (0, 1, 50.0), 0) == 150.0
-
-
-def test_position_leads_node_and_mid_edge():
-    g = path_graph([100.0, 250.0])
-    fwd, lead = position_leads(g, [2, (0, 1, 50.0), (2, 1, 0.0), np.int64(0)])
-    assert fwd.dtype == np.int64 and fwd.tolist() == [2, 1, 1, 0]
-    assert lead.tolist() == [0.0, 50.0, 250.0, 0.0]
-    fwd, lead = position_leads(g, [])
-    assert fwd.shape == lead.shape == (0,)
+    assert position_node_distance(oracle, 1, 50.0, 0) == 150.0
 
 
 def test_position_distance_equals_scalar_sum_on_random_graphs():
@@ -428,8 +432,9 @@ def test_position_distance_equals_scalar_sum_on_random_graphs():
         oracle = all_pairs_shortest(g)
         for u, v, w in edges:
             for pos in (u, v, (u, v, w * rng.random()), (v, u, w / 3.0)):
+                fwd, lead = position_lead(g, pos)
                 for node in range(n):
-                    assert position_node_distance(g, oracle, pos, node) == \
+                    assert position_node_distance(oracle, fwd, lead, node) == \
                         brute_position_distance(g, oracle.dist, pos, node)
 
 

@@ -9,18 +9,14 @@ from hypothesis import strategies as st
 
 from cvrsim.demand import CANCELLED, COMPLETED, MATCHED, PICKED_UP, Request
 from cvrsim.errors import ConfigValidationError
-from cvrsim.roadnet import (
-    all_pairs_shortest,
-    build_graph,
-    grid_graph,
-    position_leads,
-    position_node_distance,
-)
+from cvrsim import rebalance
+from cvrsim.roadnet import all_pairs_shortest, build_graph, grid_graph, position_node_distance
 from cvrsim.scenario import desk_scenario
 from cvrsim.sim import (
     ASSIGNED,
     CARRYING,
     IDLE,
+    STATES,
     IdlePool,
     MFDParams,
     SimConfig,
@@ -32,7 +28,13 @@ from cvrsim.sim import (
     run_scenario,
 )
 
-from oracles import ScalarMovement, ScalarVehicle, brute_match_tick, random_connected_graph
+from oracles import (
+    ScalarMovement,
+    ScalarVehicle,
+    brute_match_tick,
+    position_lead,
+    random_connected_graph,
+)
 
 
 def mini_config(controller="do_nothing", seed=1, **overrides):
@@ -102,26 +104,23 @@ def test_negative_accumulation_rejected():
 # -- estimate_pickup ------------------------------------------------------------------
 
 def test_estimate_at_origin_is_now(mini_oracle):
-    g = grid_graph(5, 200.0)
-    assert estimate_pickup(g, mini_oracle, 7, 7, now=123.0, speed_mps=5.0) == 123.0
+    assert estimate_pickup(mini_oracle, 7, 0.0, 7, now=123.0, speed_mps=5.0) == 123.0
 
 
 def test_estimate_simple_division(mini_oracle):
-    g = grid_graph(5, 200.0)
     # nodes 0 and 3 are 600 m apart along the bottom row
-    assert estimate_pickup(g, mini_oracle, 0, 3, now=50.0, speed_mps=6.0) == pytest.approx(150.0)
+    assert estimate_pickup(mini_oracle, 0, 0.0, 3, now=50.0, speed_mps=6.0) == \
+        pytest.approx(150.0)
 
 
 def test_estimate_mid_edge(mini_oracle):
-    g = grid_graph(5, 200.0)
     # 150 m past node 0 on edge (0, 1): 50 m remain to node 1, then 200 m to node 2
-    est = estimate_pickup(g, mini_oracle, (0, 1, 150.0), 2, now=0.0, speed_mps=10.0)
+    est = estimate_pickup(mini_oracle, 1, 50.0, 2, now=0.0, speed_mps=10.0)
     assert est == pytest.approx(25.0)
 
 
 def test_estimate_zero_speed_is_infinite(mini_oracle):
-    g = grid_graph(5, 200.0)
-    assert estimate_pickup(g, mini_oracle, 0, 3, now=0.0, speed_mps=0.0) == math.inf
+    assert estimate_pickup(mini_oracle, 0, 0.0, 3, now=0.0, speed_mps=0.0) == math.inf
 
 
 # -- match_tick ------------------------------------------------------------------------
@@ -133,16 +132,18 @@ class StubVehicle:
 
 
 def pool(graph, vehicles):
-    """The idle pool match_tick takes, built from each vehicle's position."""
-    vehicles = list(vehicles)
-    return IdlePool(vehicles, *position_leads(graph, [v.position for v in vehicles]))
+    """The idle pool match_tick takes: each vehicle's id, forward node and lead."""
+    leads = [position_lead(graph, v.position) for v in vehicles]
+    return IdlePool(np.array([v.id for v in vehicles], dtype=np.int64),
+                    np.array([fwd for fwd, _ in leads], dtype=np.int64),
+                    np.array([lead for _, lead in leads], dtype=np.float64))
 
 
 def test_match_vehicle_standing_at_origin(mini_oracle):
     g = grid_graph(5, 200.0)
     req = Request(id=0, origin=7, destination=3, t0=0.0)
-    matches, cancels = match_tick([req], pool(g, [StubVehicle(0, 7)]), 0.0, g, mini_oracle, 5.0)
-    assert matches == [(req, matches[0][1])] and matches[0][1].id == 0
+    matches, cancels = match_tick([req], pool(g, [StubVehicle(0, 7)]), 0.0, mini_oracle, 5.0)
+    assert matches == [(req, 0)]
     assert cancels == []
 
 
@@ -150,9 +151,9 @@ def test_unreachable_request_cancelled_at_match_tolerance(mini_oracle):
     g = grid_graph(5, 200.0)
     req = Request(id=0, origin=24, destination=0, t0=0.0, t_mtol=60.0, t_ptol=10.0)
     veh = [StubVehicle(0, 0)]  # 1600 m away; est 320 s > 10 s tolerance
-    matches, cancels = match_tick([req], pool(g, veh), 30.0, g, mini_oracle, 5.0)
+    matches, cancels = match_tick([req], pool(g, veh), 30.0, mini_oracle, 5.0)
     assert matches == [] and cancels == []
-    matches, cancels = match_tick([req], pool(g, veh), 60.0, g, mini_oracle, 5.0)
+    matches, cancels = match_tick([req], pool(g, veh), 60.0, mini_oracle, 5.0)
     assert matches == [] and cancels == [req]
 
 
@@ -161,23 +162,23 @@ def test_fcfs_earlier_request_wins(mini_oracle):
     early = Request(id=0, origin=6, destination=3, t0=0.0)
     late = Request(id=1, origin=8, destination=3, t0=5.0)
     veh = StubVehicle(3, 7)  # equidistant from both origins
-    matches, _ = match_tick([early, late], pool(g, [veh]), 10.0, g, mini_oracle, 5.0)
-    assert [(r.id, v.id) for r, v in matches] == [(0, 3)]
+    matches, _ = match_tick([early, late], pool(g, [veh]), 10.0, mini_oracle, 5.0)
+    assert [(r.id, vid) for r, vid in matches] == [(0, 3)]
 
 
 def test_closest_vehicle_ties_break_by_id(mini_oracle):
     g = grid_graph(5, 200.0)
     req = Request(id=0, origin=12, destination=0, t0=0.0)
     vehicles = [StubVehicle(2, 11), StubVehicle(5, 13)]  # both 200 m away
-    matches, _ = match_tick([req], pool(g, vehicles), 0.0, g, mini_oracle, 5.0)
-    assert matches[0][1].id == 2
+    matches, _ = match_tick([req], pool(g, vehicles), 0.0, mini_oracle, 5.0)
+    assert matches[0][1] == 2
 
 
 def test_matched_vehicle_leaves_pool_within_tick(mini_oracle):
     g = grid_graph(5, 200.0)
     r0 = Request(id=0, origin=7, destination=3, t0=0.0)
     r1 = Request(id=1, origin=7, destination=4, t0=1.0)
-    matches, _ = match_tick([r0, r1], pool(g, [StubVehicle(0, 7)]), 5.0, g, mini_oracle, 5.0)
+    matches, _ = match_tick([r0, r1], pool(g, [StubVehicle(0, 7)]), 5.0, mini_oracle, 5.0)
     assert len(matches) == 1 and matches[0][0] is r0
 
 
@@ -217,9 +218,9 @@ def match_cases(draw):
 def test_match_tick_equals_scalar_scan(case):
     graph, vehicles, requests, clock, speed = case
     oracle = all_pairs_shortest(graph)
-    got = match_tick(requests, pool(graph, vehicles), clock, graph, oracle, speed)
+    got = match_tick(requests, pool(graph, vehicles), clock, oracle, speed)
     want = brute_match_tick(requests, vehicles, clock, graph, oracle.dist, speed)
-    assert [(r.id, v.id) for r, v in got[0]] == [(r.id, v.id) for r, v in want[0]]
+    assert [(r.id, vid) for r, vid in got[0]] == [(r.id, v.id) for r, v in want[0]]
     assert [r.id for r in got[1]] == [r.id for r in want[1]]
 
 
@@ -229,8 +230,8 @@ def test_tied_vehicles_go_to_requests_in_pool_order(mini_oracle):
     vehicles = [StubVehicle(4, (11, 12, 100.0)), StubVehicle(1, (13, 12, 100.0)),
                 StubVehicle(2, (11, 12, 100.0))]
     requests = [Request(id=i, origin=12, destination=0, t0=0.0) for i in range(4)]
-    matches, _ = match_tick(requests, pool(g, vehicles), 0.0, g, mini_oracle, 5.0)
-    assert [(r.id, v.id) for r, v in matches] == [(0, 4), (1, 1), (2, 2)]
+    matches, _ = match_tick(requests, pool(g, vehicles), 0.0, mini_oracle, 5.0)
+    assert matches == [(requests[0], 4), (requests[1], 1), (requests[2], 2)]
 
 
 # -- metrics_finalize ----------------------------------------------------------------------
@@ -276,48 +277,55 @@ def test_metrics_no_orders_keeps_system_time_defined():
 
 def test_held_vehicle_does_not_move():
     world = World(mini_config())
-    veh = world.vehicles[0]
-    veh.node, veh.edge, veh.offset = 12, None, 0.0
-    veh.held = True
-    veh.route.clear()
-    start = veh.position_xy(world.graph).copy()
+    f = world.fleet
+    f.node[0], f.held[0] = 12, True  # every vehicle starts at a node
+    f.routes[0].clear()
+    start = f.xy([0])[0]
     for _ in range(20):
         world.step()
-    moved = [r for r in world.requests if r.vehicle_id == veh.id]
+    moved = [r for r in world.requests if r.vehicle_id == 0]
     if not moved:  # held idle vehicles only move once matched
-        assert np.allclose(veh.position_xy(world.graph), start)
-        assert veh.rebalance_m == 0.0
+        assert np.allclose(f.xy([0])[0], start)
+        assert f.rebalance_m[0] == 0.0
 
 
 def test_arrival_triggers_dropoff_and_idle():
     cfg = mini_config()
     world = World(cfg)
-    veh = world.vehicles[0]
+    f = world.fleet
     req = Request(id=999, origin=12, destination=13, t0=0.0)
-    veh.node, veh.edge = 12, None
-    veh.state = ASSIGNED
-    veh.request = req
-    world._do_pickup(veh, t=0.0)
-    assert veh.state == CARRYING and req.status == PICKED_UP
+    f.node[0], f.state[0], f.requests[0] = 12, STATES.index(ASSIGNED), req
+    world._do_pickup(0, t=0.0)
+    assert STATES[f.state[0]] == CARRYING and req.status == PICKED_UP
     speed = world.current_speed()
     ticks = 0
-    while veh.state == CARRYING:
+    while STATES[f.state[0]] == CARRYING:
         world._advance(speed)
         ticks += 1
         assert ticks < 1000
     assert req.status == COMPLETED
-    assert veh.node == 13
-    assert veh.service_m == pytest.approx(200.0)
+    assert (f.node[0], f.tail[0]) == (13, -1)
+    assert f.service_m[0] == pytest.approx(200.0)
 
 
 def test_odometer_split_by_state():
     cfg = mini_config(controller="cvr")
     world = World(cfg)
     world.run()
-    for veh in world.vehicles:
-        assert veh.rebalance_m >= 0.0 and veh.service_m >= 0.0
-    total = sum(v.rebalance_m + v.service_m for v in world.vehicles)
-    assert total > 0.0
+    f = world.fleet
+    assert (f.rebalance_m >= 0.0).all() and (f.service_m >= 0.0).all()
+    assert (f.rebalance_m + f.service_m).sum() > 0.0
+
+
+def test_idle_pool_leads_node_and_mid_edge():
+    world = World(mini_config(n_av=3))
+    f = world.fleet
+    f.node[0] = 2
+    f.tail[1], f.node[1], f.offset[1], f.length[1] = 0, 1, 50.0, 200.0
+    f.state[2] = STATES.index(ASSIGNED)
+    idle = world._idle_pool()
+    assert len(idle) == 2 and idle.ids.tolist() == [0, 1]
+    assert idle.fwd.tolist() == [2, 1] and idle.lead.tolist() == [0.0, 150.0]
 
 
 def test_do_nothing_accrues_zero_rebalancing():
@@ -450,7 +458,7 @@ def test_destination_placement_draws_from_destination_mass():
     cfg = mini_config(placement="destination", n_av=40)
     world = World(cfg)
     allowed = set(np.flatnonzero(cfg.destination_mass > 0).tolist())
-    assert {v.node for v in world.vehicles} <= allowed
+    assert set(world.fleet.node.tolist()) <= allowed
 
 
 def test_pi_with_graph_hold_scores_runs():
@@ -459,9 +467,48 @@ def test_pi_with_graph_hold_scores_runs():
     assert metrics.n_requests > 0
 
 
-class EventLog:
+def test_pi_window_mean_idle_counts_every_advanced_tick(monkeypatch):
+    """The PI update's mean idle count equals a count taken after each tick's movement."""
+    class CountingWorld(World):
+        def __init__(self, cfg):
+            self.idle_counts = []
+            super().__init__(cfg)
+
+        def _advance(self, speed):
+            super()._advance(speed)
+            self.idle_counts.append(int(np.count_nonzero(self.fleet.state == STATES.index(IDLE))))
+
+    seen = []
+
+    def spy(state, mean_wait_s, mean_idle, n_av, n_idle_now):
+        seen.append(mean_idle)
+        return real(state, mean_wait_s, mean_idle, n_av, n_idle_now)
+
+    real = rebalance.pi_update
+    monkeypatch.setattr(rebalance, "pi_update", spy)
+    cfg = mini_config("cvr_pi", y_ref=12.0, y_hold=4.0, fleet_period_s=100.0)
+    world = CountingWorld(cfg)
+    world.run()
+    every = 100
+    want = [sum(world.idle_counts[k * every:(k + 1) * every]) / every
+            for k in range(len(world.idle_counts) // every)]
+    assert len(seen) == 8 and seen == want[:len(seen)]
+    assert len(set(seen)) > 1
+
+
+class LoggedWorld(World):
     """Records every pickup and drop-off, in the order they happen."""
 
+    def _do_pickup(self, i, t):
+        self.events.append(("pickup", i, t))
+        super()._do_pickup(i, t)
+
+    def _do_dropoff(self, i, t):
+        self.events.append(("dropoff", i, t))
+        super()._do_dropoff(i, t)
+
+
+class LoggedScalarMovement(ScalarMovement):
     def _do_pickup(self, veh, t):
         self.events.append(("pickup", veh.id, t))
         super()._do_pickup(veh, t)
@@ -469,14 +516,6 @@ class EventLog:
     def _do_dropoff(self, veh, t):
         self.events.append(("dropoff", veh.id, t))
         super()._do_dropoff(veh, t)
-
-
-class LoggedWorld(EventLog, World):
-    pass
-
-
-class LoggedScalarMovement(EventLog, ScalarMovement):
-    pass
 
 
 @st.composite
@@ -552,14 +591,27 @@ def place_fleet(graph, oracle, case_vehicles, make_request):
 
 
 def fleet_view(world):
-    """Everything the movement loop writes, floats by their bits."""
+    """Everything the world's movement loop writes, floats by their bits."""
+    f = world.fleet
+    vehicles = [
+        (None if tail >= 0 else node, None if tail < 0 else (tail, node), offset.hex(),
+         STATES[state], held, list(route), service.hex(), rebalance_m.hex(),
+         None if request is None else request.id)
+        for node, tail, offset, state, held, route, service, rebalance_m, request in zip(
+            f.node.tolist(), f.tail.tolist(), f.offset.tolist(), f.state.tolist(),
+            f.held.tolist(), f.routes, f.service_m.tolist(), f.rebalance_m.tolist(), f.requests)
+    ]
+    return vehicles, world.events, world._window_waits, world.private_remaining
+
+
+def scalar_view(reference):
+    """The same view of the per-vehicle reference loop."""
     vehicles = [
         (v.node, v.edge, v.offset.hex(), v.state, v.held, list(v.route),
          v.service_m.hex(), v.rebalance_m.hex(), None if v.request is None else v.request.id)
-        for v in world.vehicles
+        for v in reference.vehicles
     ]
-    return (vehicles, world.events, world._window_waits, world._window_idle_sum,
-            world._window_ticks, world.private_remaining)
+    return vehicles, reference.events, reference._window_waits, reference.private_remaining
 
 
 @settings(max_examples=200, deadline=None)
@@ -585,18 +637,18 @@ def test_masked_movement_equals_scalar_loop(case):
                                      persistent_private_trips=persistent)
     world.private_remaining = list(private)
     ref_requests = []
-    for veh, (node, edge, offset, state, held, route, request) in zip(world.vehicles, fleet):
-        ref = ScalarVehicle(veh.id, 0)
-        reference.vehicles.append(ref)
+    f = world.fleet
+    for i, (node, edge, offset, state, held, route, request) in enumerate(fleet):
         if edge is None:
-            veh.node = node
+            f.node[i] = node
         else:
-            veh.edge = edge
-        ref.node, ref.edge = node, edge
-        for target in (veh, ref):
-            target.offset, target.state, target.held = offset, state, held
-            target.route = deque(route)
-        veh.request = request
+            (f.tail[i], f.node[i]), f.length[i] = edge, graph.edge_length(*edge)
+        f.offset[i], f.state[i], f.held[i] = offset, STATES.index(state), held
+        f.routes[i], f.requests[i] = deque(route), request
+        ref = ScalarVehicle(i, 0)
+        reference.vehicles.append(ref)
+        ref.node, ref.edge, ref.offset, ref.state, ref.held = node, edge, offset, state, held
+        ref.route = deque(route)
         if request is not None:
             ref.request = dataclasses.replace(request)
             ref_requests.append(ref.request)
@@ -605,13 +657,13 @@ def test_masked_movement_equals_scalar_loop(case):
     def request_view(reqs):
         return [(r.id, r.status, r.pickup_time, r.dropoff_time) for r in reqs]
 
-    assert fleet_view(world) == fleet_view(reference)
+    assert fleet_view(world) == scalar_view(reference)
     for _ in range(ticks):
         world._advance(speed)
         reference._advance(speed)
         world.tick += 1
         reference.tick += 1
-        assert fleet_view(world) == fleet_view(reference)
+        assert fleet_view(world) == scalar_view(reference)
         assert request_view(requests) == request_view(ref_requests)
 
 
@@ -622,17 +674,20 @@ class RouteAuditWorld(World):
         self.audit = []
         super().__init__(cfg)
 
-    def _apply_match(self, req, veh, clock):
-        estimate = position_node_distance(self.graph, self.oracle, veh.position, req.origin)
-        super()._apply_match(req, veh, clock)
+    def _apply_match(self, req, i, clock):
+        f = self.fleet
+        estimate = position_node_distance(self.oracle, f.node[i], f.length[i] - f.offset[i],
+                                          req.origin)
+        super()._apply_match(req, i, clock)
+        node, tail = int(f.node[i]), int(f.tail[i])
         length = 0.0
-        nodes = list(veh.route)
-        if veh.node is not None:
-            nodes.insert(0, veh.node)
+        nodes = list(f.routes[i])
+        if tail < 0:
+            nodes.insert(0, node)
         else:  # the route starts at the forward endpoint of the current edge
-            length = self.graph.edge_length(*veh.edge) - veh.offset
+            length = self.graph.edge_length(tail, node) - float(f.offset[i])
         length += sum(self.graph.edge_length(a, b) for a, b in zip(nodes, nodes[1:]))
-        self.audit.append((veh.node is None, estimate, length))
+        self.audit.append((tail >= 0, estimate, length))
 
 
 @pytest.mark.parametrize("controller", ["cvr", "lp"])
