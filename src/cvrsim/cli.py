@@ -117,12 +117,17 @@ def cmd_sweep(args) -> int:
         values = [json.loads(v) for v in args.values.split(",")]
     except json.JSONDecodeError:
         raise ConfigValidationError("values", f"cannot parse {args.values!r} as JSON scalars")
+    for i, value in enumerate(values):
+        if value in values[:i]:  # 20 and 20.0 would share one row of results
+            raise ConfigValidationError("values", f"{value!r} is given twice in {args.values!r}")
     if args.reps < 1:
         raise ConfigValidationError("reps", "need at least one repetition")
     base_seed = args.seed
     if base_seed is None:
         base_seed = scenario_mod.build_config(doc, base_dir=base_dir).seed
-    scenario_mod.set_sweep_value(doc, args.param, values[0])  # fail fast on bad names
+    for value in values:  # fail before any run on a bad name or value
+        scenario_mod.build_config(scenario_mod.set_sweep_value(doc, args.param, value),
+                                  base_dir=base_dir, seed_override=base_seed)
 
     tasks = [(doc, base_dir, args.param, value, base_seed + rep)
              for value in values for rep in range(args.reps)]

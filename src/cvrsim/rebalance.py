@@ -15,11 +15,15 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import plane
-from .errors import EmptyCellError
-from .roadnet import DistanceOracle, RoadGraph, graph_cells, graph_centroid, nearest_nodes
+from .roadnet import DistanceOracle, RoadGraph, graph_cells, graph_centroids, nearest_nodes
 
 # No longer called here, but perfbench/run.py wraps them at these names.
-from .roadnet import graph_voronoi, position_node_distance, r_limited_graph_cell  # noqa: F401
+from .roadnet import (  # noqa: F401
+    graph_centroid,
+    graph_voronoi,
+    position_node_distance,
+    r_limited_graph_cell,
+)
 
 CONTROLLERS = ("do_nothing", "cvr", "cvr_graph", "cvr_alpha", "cvr_pi", "lp")
 
@@ -168,21 +172,17 @@ def cvr_graph_targets(
     """Graph coverage targets: centroid of the range-limited graph cell.
 
     Vehicle positions arrive snapped to nodes; vehicles sharing a node share
-    one generator and therefore one destination.
+    one generator and therefore one destination. A vehicle whose cell has no
+    member within range holds.
     """
     ids = [int(v) for v in ids]
     nodes = [int(n) for n in nodes]
     cells = graph_cells(oracle, set(nodes), r_graph_m)
-    mass = np.asarray(node_mass, dtype=np.float64)
-    target_of: dict[int, int | None] = {}
-    for k, g in enumerate(cells.generators.tolist()):
-        try:
-            target_of[g] = graph_centroid(cells.limited(k), mass, oracle)
-        except EmptyCellError:
-            target_of[g] = None
+    centroid = graph_centroids(oracle, cells.near, cells.near_bounds, node_mass)
+    target = centroid[np.searchsorted(cells.generators, nodes)].tolist()
     decision = {}
-    for vid, node in zip(ids, nodes):
-        decision[vid] = None if vid in held else target_of[node]
+    for vid, t in zip(ids, target):
+        decision[vid] = None if vid in held or t < 0 else t
     return RebalanceDecision(destination=decision)
 
 

@@ -3,7 +3,9 @@
 Validated undirected graphs, dense all-pairs shortest paths with next-hop
 routing, shortest-path (graph) Voronoi partitions, range-limited graph cells
 (all of them at once through :func:`graph_cells`), and mass-weighted graph
-centroids.
+centroids (those of all cells at once through :func:`graph_centroids`, whose
+costs are summed left to right over each cell's members, so they do not
+depend on the BLAS build).
 
 A vehicle's position is its forward node plus the lead, the distance still to
 drive to that node: 0.0 at a node, and the rest of the edge when mid-edge.
@@ -250,10 +252,11 @@ def _owners(oracle: DistanceOracle, generators) -> tuple[np.ndarray, np.ndarray,
     Distance ties go to the smaller generator id: argmin over the rows of the
     sorted generator list returns the first occurrence.
     """
-    gens = np.asarray(sorted(int(g) for g in generators), dtype=np.int64)
+    given = np.asarray(list(generators), dtype=np.int64)
+    gens = np.unique(given)
     if gens.size == 0:
         raise EmptyGeneratorSetError("no generators")
-    if len(set(gens.tolist())) != len(gens):
+    if gens.size != given.size:
         raise ValueError("generators must be distinct")
     rows = oracle.dist[gens]
     owner = np.argmin(rows, axis=0)
@@ -277,18 +280,29 @@ class GraphCells:
     generators : sorted distinct generator node ids
     owner_dist : (N,) graph distance from each node to its generator
     in_range : (N,) whether that distance is within the coverage radius
-    owned : per generator, the node ids of its full Voronoi cell, ascending
+    order, bounds : the k-th full cell is ``order[bounds[k]:bounds[k + 1]]``
+    near, near_bounds : the k-th range-limited cell is ``near[near_bounds[k]:near_bounds[k + 1]]``
+
+    Every cell lists its nodes in ascending order.
     """
 
     generators: np.ndarray
     owner_dist: np.ndarray
     in_range: np.ndarray
-    owned: list[np.ndarray]
+    order: np.ndarray
+    bounds: np.ndarray
+    near: np.ndarray
+    near_bounds: np.ndarray
+
+    @property
+    def owned(self) -> list[np.ndarray]:
+        """Per generator, the node ids of its full Voronoi cell."""
+        return [self.order[a:b] for a, b in zip(self.bounds[:-1], self.bounds[1:])]
 
     def limited(self, k: int) -> GraphCell:
         """Range-limited cell of the k-th generator, as r_limited_graph_cell returns it."""
-        owned = self.owned[k]
-        return GraphCell(generator=int(self.generators[k]), members=owned[self.in_range[owned]])
+        a, b = self.near_bounds[k], self.near_bounds[k + 1]
+        return GraphCell(generator=int(self.generators[k]), members=self.near[a:b])
 
 
 def graph_cells(oracle: DistanceOracle, generators, r_graph_m: float) -> GraphCells:
@@ -299,11 +313,13 @@ def graph_cells(oracle: DistanceOracle, generators, r_graph_m: float) -> GraphCe
     :func:`graph_voronoi`.
     """
     gens, owner, owner_dist = _owners(oracle, generators)
+    cut = np.arange(len(gens) + 1)
     order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(len(gens) + 1))
-    owned = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    return GraphCells(generators=gens, owner_dist=owner_dist,
-                      in_range=owner_dist <= r_graph_m, owned=owned)
+    in_range = owner_dist <= r_graph_m
+    near = order[in_range[order]]
+    return GraphCells(generators=gens, owner_dist=owner_dist, in_range=in_range,
+                      order=order, bounds=np.searchsorted(owner[order], cut),
+                      near=near, near_bounds=np.searchsorted(owner[near], cut))
 
 
 def r_limited_graph_cell(
@@ -319,8 +335,43 @@ def r_limited_graph_cell(
     return GraphCell(generator=generator, members=members)
 
 
+def graph_centroids(oracle: DistanceOracle, members, bounds, mass) -> np.ndarray:
+    """Mass-weighted graph centroid of every cell ``members[bounds[k]:bounds[k + 1]]``.
+
+    A cell's centroid is the member q minimizing sum_p dist[q, p]**2 * mass[p]
+    over its members p; ties go to the smallest node id, and an empty cell
+    gives -1. Each cost is summed left to right over the members in the order
+    given, so it does not depend on the BLAS build.
+
+    All cells share one pass: rank r of the (max cell size, members) index
+    matrix pairs each candidate with the r-th member of its cell, or with
+    itself past the cell's end, where d = 0 adds exactly +0.0.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    mass = np.asarray(mass, dtype=np.float64)
+    sizes = np.diff(bounds)
+    out = np.full(len(sizes), -1, dtype=np.int64)
+    if members.size == 0:
+        return out
+    cell = np.repeat(np.arange(len(sizes)), sizes)
+    rank = np.arange(sizes.max())[:, None]
+    partner = members[np.where(rank < sizes[cell], bounds[cell] + rank, np.arange(members.size))]
+    d = oracle.dist.take(members * oracle.dist.shape[1] + partner)
+    w = d * d * mass[partner]
+    cost = w[0].copy()
+    for row in w[1:]:
+        cost += row
+    full = sizes > 0
+    starts = bounds[:-1][full]
+    best = np.repeat(np.minimum.reduceat(cost, starts), sizes[full])
+    out[full] = np.minimum.reduceat(np.where(cost == best, members, np.iinfo(np.int64).max),
+                                    starts)
+    return out
+
+
 def graph_centroid(cell: GraphCell, mass: np.ndarray, oracle: DistanceOracle) -> int:
-    """Mass-weighted graph centroid of a cell.
+    """Mass-weighted graph centroid of one cell, as :func:`graph_centroids` finds it.
 
     Returns the member node minimizing the mass-weighted sum of squared
     shortest-path distances to all members; ties go to the smallest node id.
@@ -328,9 +379,7 @@ def graph_centroid(cell: GraphCell, mass: np.ndarray, oracle: DistanceOracle) ->
     members = np.asarray(cell.members)
     if len(members) == 0:
         raise EmptyCellError("cell has no member nodes")
-    d = oracle.dist[members[:, None], members]
-    cost = (d * d) @ np.asarray(mass)[members]
-    return int(members[int(np.argmin(cost))])
+    return int(graph_centroids(oracle, members, [0, len(members)], mass)[0])
 
 
 def nearest_nodes(graph: RoadGraph, points) -> np.ndarray:

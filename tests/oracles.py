@@ -174,22 +174,29 @@ def brute_min_assignment_cost(cost):
     return best
 
 
-def random_connected_graph(rng, n_nodes, extra_edges, max_len=20):
+def random_connected_graph(rng, n_nodes, extra_edges, max_len=20, real_lengths=False):
     """Random tree plus chords; integer edge lengths keep float sums exact.
 
-    Raises ValueError when the tree leaves fewer than ``extra_edges`` node
-    pairs free for chords.
+    With ``real_lengths`` the lengths are drawn uniformly from [1, max_len)
+    instead. Raises ValueError when the tree leaves fewer than
+    ``extra_edges`` node pairs free for chords.
     """
     free = n_nodes * (n_nodes - 1) // 2 - (n_nodes - 1)
     if extra_edges > free:
         raise ValueError(f"{n_nodes} nodes leave {free} chords free, not {extra_edges}")
+
+    def length():
+        if real_lengths:
+            return float(rng.uniform(1, max_len))
+        return float(rng.integers(1, max_len + 1))
+
     nodes = [(i, float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
              for i in range(n_nodes)]
     edges = []
     seen = set()
     for v in range(1, n_nodes):
         u = int(rng.integers(0, v))
-        edges.append((u, v, float(rng.integers(1, max_len + 1))))
+        edges.append((u, v, length()))
         seen.add((min(u, v), max(u, v)))
     added = 0
     while added < extra_edges:
@@ -199,7 +206,7 @@ def random_connected_graph(rng, n_nodes, extra_edges, max_len=20):
         if u == v or key in seen:
             continue
         seen.add(key)
-        edges.append((u, v, float(rng.integers(1, max_len + 1))))
+        edges.append((u, v, length()))
         added += 1
     return nodes, edges
 

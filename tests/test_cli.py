@@ -411,6 +411,41 @@ def test_sweep_rejects_malformed_amod_threads(scenario_path, tmp_path, capsys, m
     assert err["error"] == "ConfigValidation" and err["field"] == "AMOD_THREADS"
 
 
+def counted_runs(monkeypatch):
+    """Count the scenarios a sweep runs in-process (AMOD_THREADS=1), still running them."""
+    runs = []
+    real = cli.run_scenario
+
+    def counting(cfg):
+        runs.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_scenario", counting)
+    monkeypatch.setenv("AMOD_THREADS", "1")
+    return runs
+
+
+@pytest.mark.parametrize("values", ["4,4", "4,4.0", "3,4,3"])
+def test_sweep_rejects_repeated_values(scenario_path, tmp_path, capsys, monkeypatch, values):
+    runs = counted_runs(monkeypatch)
+    code = main(["sweep", "--scenario", scenario_path, "--param", "n_av",
+                 "--values", values, "--reps", "1", "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ConfigValidation" and err["field"] == "values"
+    assert runs == [] and not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_checks_every_value_before_any_run(scenario_path, tmp_path, capsys, monkeypatch):
+    runs = counted_runs(monkeypatch)
+    code = main(["sweep", "--scenario", scenario_path, "--param", "n_av",
+                 "--values", "3,4,5,-5", "--reps", "1", "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ConfigValidation" and err["field"] == "fleet.n_av"
+    assert runs == []
+
+
 def test_sweep_deterministic_across_invocations(scenario_path, tmp_path, capsys):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     args = ["sweep", "--scenario", scenario_path, "--param", "n_av",

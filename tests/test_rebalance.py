@@ -32,6 +32,8 @@ from cvrsim.roadnet import (
 )
 
 from oracles import (
+    brute_graph_centroid,
+    brute_graph_owner,
     brute_hold_score,
     brute_hold_scores_graph,
     brute_min_assignment_cost,
@@ -169,6 +171,26 @@ def test_graph_targets_shared_node_share_destination():
     mass = np.full(5, 0.2)
     decision = cvr_graph_targets([0, 1], [2, 2], mass, oracle, BIG_R)
     assert decision.destination[0] == decision.destination[1]
+
+
+def test_graph_targets_equal_brute_centroid_per_vehicle():
+    rng = np.random.default_rng(16)
+    for _ in range(8):
+        n = int(rng.integers(5, 50))
+        graph_nodes, edges = random_connected_graph(rng, n, extra_edges=n // 3, max_len=6)
+        oracle = all_pairs_shortest(build_graph(graph_nodes, edges))
+        mass = rng.random(n)
+        mass /= mass.sum()
+        nodes = rng.integers(0, n, size=int(rng.integers(1, 12))).tolist()  # repeats share a cell
+        owner = brute_graph_owner(oracle.dist, set(nodes))
+        held = {1}
+        # a negative radius leaves every cell empty: those vehicles hold
+        for radius in (-1.0, 0.0, 6.0, 1e9):
+            decision = cvr_graph_targets(range(len(nodes)), nodes, mass, oracle, radius, held)
+            for vid, node in enumerate(nodes):
+                members = np.flatnonzero((owner == node) & (oracle.dist[node] <= radius))
+                want = None if vid in held else brute_graph_centroid(members, mass, oracle.dist)
+                assert decision.destination[vid] == want
 
 
 # -- hold scores --------------------------------------------------------------------

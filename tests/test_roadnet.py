@@ -17,6 +17,7 @@ from cvrsim.roadnet import (
     build_graph,
     graph_cells,
     graph_centroid,
+    graph_centroids,
     graph_from_json,
     graph_to_json,
     graph_voronoi,
@@ -324,6 +325,78 @@ def test_centroid_matches_brute_force():
             cell = r_limited_graph_cell(assignment, oracle, gen, float(rng.uniform(5, 60)))
             assert graph_centroid(cell, mass, oracle) == brute_graph_centroid(
                 cell.members, mass, oracle.dist)
+
+
+def test_centroid_tie_on_grid_goes_to_smaller_node():
+    # nodes 0 and 8 both cost 1400/49; a (d*d) @ mass gemv summed them in an order
+    # that made node 8 cheaper by one rounding
+    oracle = all_pairs_shortest(grid_graph(7, 10.0))
+    cell = graph_cells(oracle, [0], 25.0).limited(0)
+    assert cell.members.tolist() == [0, 1, 2, 7, 8, 14]
+    mass = np.full(49, 1 / 49)
+    assert brute_graph_centroid(cell.members, mass, oracle.dist) == 0
+    assert graph_centroid(cell, mass, oracle) == 0
+
+
+def test_centroid_on_city_spacing_sums_left_to_right():
+    # the four middle nodes 5, 6, 9, 10 tie in exact arithmetic; the
+    # left-to-right sum makes node 5 cheapest, a gemv made node 9 cheapest
+    oracle = all_pairs_shortest(grid_graph(4, 9750 / 29))
+    cell = graph_cells(oracle, [0], 1e9).limited(0)
+    mass = np.full(16, 1 / 16)
+    assert brute_graph_centroid(cell.members, mass, oracle.dist) == 5
+    assert graph_centroid(cell, mass, oracle) == 5
+
+
+def test_graph_centroids_empty_cells_give_minus_one():
+    oracle = all_pairs_shortest(path_graph([1.0] * 4))
+    mass = np.full(5, 0.2)
+    got = graph_centroids(oracle, [0, 1, 2, 4], [0, 0, 3, 3, 4, 4], mass)
+    assert got.tolist() == [-1, 1, -1, 4, -1]
+    assert graph_centroids(oracle, [], [0, 0], mass).tolist() == [-1]
+
+
+def _centroid_case(seed, kind, n, n_gens, reach):
+    """A graph, node mass, generators and radius drawn for the centroid property test."""
+    rng = np.random.default_rng(seed)
+    if kind in ("real", "integer"):
+        nodes, edges = random_connected_graph(rng, n, extra_edges=n // 3, max_len=5,
+                                              real_lengths=kind == "real")
+        oracle = all_pairs_shortest(build_graph(nodes, edges))
+        mass = rng.random(n)
+        mass /= mass.sum()
+    else:
+        k = 2 + n % 7
+        oracle = all_pairs_shortest(grid_graph(k, float(rng.choice([1.0, 10.0, 9750 / 29]))))
+        n = k * k
+        mass = np.full(n, 1 / n) if kind == "grid_uniform" else np.ones(n)
+    radius = {"zero": 0.0, "mid": float(np.median(oracle.dist)), "all": 1e9}[reach]
+    gens = rng.choice(n, size=min(n_gens, n), replace=False).tolist()
+    return rng, oracle, mass, gens, radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["real", "integer", "grid_uniform", "grid_ones"]),
+       n=st.integers(2, 40), n_gens=st.integers(1, 9),
+       reach=st.sampled_from(["zero", "mid", "all"]))
+def test_graph_centroids_equal_brute_force_for_every_cell(seed, kind, n, n_gens, reach):
+    rng, oracle, mass, gens, radius = _centroid_case(seed, kind, n, n_gens, reach)
+    cells = graph_cells(oracle, gens, radius)
+    got = graph_centroids(oracle, cells.near, cells.near_bounds, mass)
+    for k in range(len(cells.generators)):
+        cell = cells.limited(k)
+        want = brute_graph_centroid(cell.members, mass, oracle.dist)
+        assert got[k] == want
+        assert graph_centroid(cell, mass, oracle) == want
+    # thinned cells: arbitrary member subsets, some of them empty
+    parts = [cells.limited(k).members for k in range(len(cells.generators))]
+    parts = [p[rng.random(len(p)) < 0.5] for p in parts]
+    bounds = np.concatenate([[0], np.cumsum([len(p) for p in parts])])
+    got = graph_centroids(oracle, np.concatenate(parts), bounds, mass)
+    for k, part in enumerate(parts):
+        want = brute_graph_centroid(part, mass, oracle.dist)
+        assert got[k] == (-1 if want is None else want)
 
 
 # -- graph_cells --------------------------------------------------------------------
