@@ -536,6 +536,35 @@ def test_inspect_desk_snapshot_is_pinned(tmp_path, capsys):
     assert digest == DESK_SNAPSHOT_3600_SHA256
 
 
+# sha256 of every `cvrsim run` artifact of the desk scenario (cvr) and of its
+# cvr_graph copy. A refactor keeps these bytes, or says why they changed.
+DESK_RUN_SHA256 = {
+    "cvr": {
+        "metrics.json": "8f56015f8ed05cc28824febef39eb7fe8d50640bd3bae889dbf15196b3d58c42",
+        "requests.csv": "329ec43e1589e0e0eb04d404973c64c6051167da3f8ffedd386f1b4beecb2efb",
+        "timeseries.csv": "96d61ecb24ef51d7c997ab200db5eca975e77f5d525021b386d0ac9d3d506b20",
+    },
+    "cvr_graph": {
+        "metrics.json": "a1e4be8acdd861bfe625a866663d282ecb2ac9eeffe2ad29fa82d2ed1f6c6dae",
+        "requests.csv": "700af007db1da44a4b59150202363684bad04c51e4d50240750a3626fdd07601",
+        "timeseries.csv": "fe90a4684ec4140a167125a85fe63c58839acfaee76a315d54289dd6a55c9f3d",
+    },
+}
+
+
+@pytest.mark.parametrize("controller", sorted(DESK_RUN_SHA256))
+def test_desk_run_artifacts_are_pinned(tmp_path, capsys, controller):
+    doc = json.loads(DESK_SCENARIO.read_text())
+    doc["controller"]["name"] = controller
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in DESK_RUN_SHA256[controller]}
+    assert digests == DESK_RUN_SHA256[controller]
+
+
 @pytest.mark.parametrize("time", ["nan", "-30", "inf"])
 def test_inspect_rejects_time_outside_the_run(scenario_path, tmp_path, capsys, time):
     out = tmp_path / "snap"

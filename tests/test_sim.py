@@ -690,7 +690,7 @@ class RouteAuditWorld(World):
         self.audit.append((tail >= 0, estimate, length))
 
 
-@pytest.mark.parametrize("controller", ["cvr", "lp"])
+@pytest.mark.parametrize("controller", ["cvr", "lp", "cvr_graph", "cvr_pi"])
 def test_pickup_estimate_matches_planned_route(controller):
     world = RouteAuditWorld(desk_scenario(controller, seed=1))
     world.run()
