@@ -11,7 +11,6 @@ relation. Runs are deterministic functions of the configuration seed.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +84,15 @@ class Fleet:
     drives the edge ``(tail[i], node[i])`` and is ``offset[i]`` meters past
     its tail, on an edge ``length[i]`` long (0.0 at a node). So ``node`` is
     always the forward node and ``length - offset`` the distance still to
-    drive to it. Routes and requests stay per vehicle, in plain lists.
+    drive to it. Requests stay per vehicle, in a plain list.
 
-    An unheld vehicle inside an edge always has a route, headed by the
-    edge's forward node: only a hold clears the route of a vehicle that is
-    not at a node. The masked step of :meth:`World._advance` relies on it.
+    A route is its destination: ``dest[i]`` is the node vehicle i drives to,
+    or -1 when it has none, and the way there is the oracle's next-hop walk
+    from the forward node, looked up one hop at a time. A vehicle at a node
+    never has that node as its destination, and an unheld vehicle inside an
+    edge always has one, so it drives on to the forward node first: only a
+    hold clears the destination of a vehicle that is not at a node. The
+    masked step of :meth:`World._advance` relies on it.
     """
 
     def __init__(self, graph: RoadGraph, starts):
@@ -103,7 +106,7 @@ class Fleet:
         self.held = np.zeros(n, dtype=bool)
         self.service_m = np.zeros(n)
         self.rebalance_m = np.zeros(n)
-        self.routes: list[deque[int]] = [deque() for _ in range(n)]
+        self.dest = np.full(n, -1, dtype=np.int64)
         self.requests: list[Request | None] = [None] * n
 
     def xy(self, ids) -> np.ndarray:
@@ -384,7 +387,6 @@ class World:
 
         self.tick = 0
         self.pending: list[Request] = []
-        self._next_request = 0
         self.n_injected = 0
         self.private_remaining: list[float] = []
         self.cum_cancelled = 0
@@ -442,10 +444,9 @@ class World:
         speed = self.current_speed()
 
         # (1) inject due requests
-        while (self._next_request < len(self.requests)
-               and self.requests[self._next_request].t0 <= clock + 1e-9):
-            self.pending.append(self.requests[self._next_request])
-            self._next_request += 1
+        while (self.n_injected < len(self.requests)
+               and self.requests[self.n_injected].t0 <= clock + 1e-9):
+            self.pending.append(self.requests[self.n_injected])
             self.n_injected += 1
 
         # (2) match / cancel
@@ -481,7 +482,7 @@ class World:
         return self.metrics()
 
     def metrics(self) -> SimMetrics:
-        injected = self.requests[:self._next_request]
+        injected = self.requests[:self.n_injected]
         return metrics_finalize(
             injected, self.cfg.beta,
             rebalance_km=sum(self.fleet.rebalance_m.tolist()) / 1000.0,
@@ -553,7 +554,7 @@ class World:
         for vid, dest in decision.destination.items():
             if dest is None:
                 f.held[vid] = True
-                f.routes[vid].clear()
+                f.dest[vid] = -1
             else:
                 f.held[vid] = False
                 self.prev_dest[vid] = int(dest)
@@ -575,13 +576,9 @@ class World:
     # -- movement ---------------------------------------------------------------
 
     def _route_to(self, i: int, dest: int) -> None:
-        """Plan from vehicle i's forward node; mid-edge vehicles never U-turn."""
+        """Send vehicle i to ``dest``; mid-edge vehicles reach their forward node first."""
         f = self.fleet
-        fwd = int(f.node[i])
-        if f.tail[i] < 0:
-            f.routes[i] = deque(self.oracle.path(fwd, dest)[1:])
-        else:
-            f.routes[i] = deque([fwd] if fwd == dest else self.oracle.path(fwd, dest))
+        f.dest[i] = -1 if (f.tail[i] < 0 and f.node[i] == dest) else dest
 
     def _do_pickup(self, i: int, t: float) -> None:
         f = self.fleet
@@ -591,7 +588,7 @@ class World:
         self._window_waits.append(t - req.t0)
         f.state[i] = _CARRYING
         self._route_to(i, req.destination)
-        if not f.routes[i]:
+        if f.dest[i] < 0:
             self._do_dropoff(i, t)
 
     def _do_dropoff(self, i: int, t: float) -> None:
@@ -614,9 +611,8 @@ class World:
         clock = self.clock
         f = self.fleet
         # zero-distance events: vehicles matched while standing at the origin
-        for i in ((f.state == _ASSIGNED) & (f.tail < 0)).nonzero()[0].tolist():
-            if not f.routes[i] and f.node[i] == f.requests[i].origin:
-                self._do_pickup(i, clock)
+        for i in ((f.state == _ASSIGNED) & (f.dest < 0)).nonzero()[0].tolist():
+            self._do_pickup(i, clock)
         if speed > 0:
             budget = speed * dt
             if budget > 1e-12:
@@ -643,21 +639,21 @@ class World:
         idle = f.state == _IDLE
         np.add(f.rebalance_m, budget, out=f.rebalance_m, where=glide & idle)
         np.add(f.service_m, budget, out=f.service_m, where=glide > idle)
-        for i in (unheld ^ glide).nonzero()[0].tolist():
-            if f.routes[i]:
-                self._drive(i, budget, t_end)
+        for i in ((unheld ^ glide) & (f.dest >= 0)).nonzero()[0].tolist():
+            self._drive(i, budget, t_end)
 
     def _drive(self, i: int, budget: float, t_end: float) -> None:
-        """Move vehicle i edge by edge until the budget or its route runs out."""
+        """Move vehicle i edge by edge until the budget runs out or it arrives."""
         f = self.fleet
-        route = f.routes[i]
+        dest = int(f.dest[i])
+        next_hop = self.oracle.next_hop
         node, tail = int(f.node[i]), int(f.tail[i])
         offset, length = float(f.offset[i]), float(f.length[i])
         odometer = f.rebalance_m if f.state[i] == _IDLE else f.service_m
         driven = float(odometer[i])
-        while budget > 1e-12 and route:
+        while budget > 1e-12 and dest >= 0:
             if tail < 0:
-                tail, node, offset = node, route[0], 0.0
+                tail, node, offset = node, int(next_hop[node, dest]), 0.0
                 length = self.graph.edge_length(tail, node)
             step = min(budget, length - offset)
             offset += step
@@ -665,10 +661,12 @@ class World:
             driven += step
             if offset >= length - 1e-9:
                 tail, offset, length = -1, 0.0, 0.0
-                route.popleft()
+                if node == dest:
+                    dest = -1
         f.node[i], f.tail[i], f.offset[i], f.length[i] = node, tail, offset, length
+        f.dest[i] = dest
         odometer[i] = driven
-        if not route:  # the route ended at this node
+        if dest < 0:  # the route ended at this node
             self._on_route_end(i, t_end)
 
     # -- observation --------------------------------------------------------------
@@ -715,4 +713,4 @@ def run_scenario(cfg: SimConfig) -> tuple[SimMetrics, list[tuple], list[Request]
     """
     world = World(cfg)
     metrics = world.run()
-    return metrics, world.series, world.requests[:world._next_request]
+    return metrics, world.series, world.requests[:world.n_injected]

@@ -279,7 +279,7 @@ def test_held_vehicle_does_not_move():
     world = World(mini_config())
     f = world.fleet
     f.node[0], f.held[0] = 12, True  # every vehicle starts at a node
-    f.routes[0].clear()
+    f.dest[0] = -1
     start = f.xy([0])[0]
     for _ in range(20):
         world.step()
@@ -378,7 +378,7 @@ def test_fcfs_match_log_ordering():
 def test_every_request_reaches_exactly_one_terminal_state():
     world = World(mini_config("cvr"))
     world.run()
-    injected = world.requests[:world._next_request]
+    injected = world.requests[:world.n_injected]
     for r in injected:
         assert r.status in (COMPLETED, CANCELLED, PICKED_UP, "matched", "pending")
         if r.status == COMPLETED:
@@ -590,16 +590,31 @@ def place_fleet(graph, oracle, case_vehicles, make_request):
     return out
 
 
+def route_of(world, i):
+    """Vehicle i's remaining route as a node list, walked from its destination.
+
+    A vehicle inside an edge still has the edge's forward node to reach; one
+    at a node has already left it behind.
+    """
+    f = world.fleet
+    dest = int(f.dest[i])
+    if dest < 0:
+        return []
+    path = world.oracle.path(int(f.node[i]), dest)
+    return path if f.tail[i] >= 0 else path[1:]
+
+
 def fleet_view(world):
     """Everything the world's movement loop writes, floats by their bits."""
     f = world.fleet
+    routes = [route_of(world, i) for i in range(len(f.node))]
     vehicles = [
         (None if tail >= 0 else node, None if tail < 0 else (tail, node), offset.hex(),
-         STATES[state], held, list(route), service.hex(), rebalance_m.hex(),
+         STATES[state], held, route, service.hex(), rebalance_m.hex(),
          None if request is None else request.id)
         for node, tail, offset, state, held, route, service, rebalance_m, request in zip(
             f.node.tolist(), f.tail.tolist(), f.offset.tolist(), f.state.tolist(),
-            f.held.tolist(), f.routes, f.service_m.tolist(), f.rebalance_m.tolist(), f.requests)
+            f.held.tolist(), routes, f.service_m.tolist(), f.rebalance_m.tolist(), f.requests)
     ]
     return vehicles, world.events, world._window_waits, world.private_remaining
 
@@ -644,7 +659,9 @@ def test_masked_movement_equals_scalar_loop(case):
         else:
             (f.tail[i], f.node[i]), f.length[i] = edge, graph.edge_length(*edge)
         f.offset[i], f.state[i], f.held[i] = offset, STATES.index(state), held
-        f.routes[i], f.requests[i] = deque(route), request
+        f.requests[i] = request
+        if route:  # the reference's route, as the world plans it
+            world._route_to(i, route[-1])
         ref = ScalarVehicle(i, 0)
         reference.vehicles.append(ref)
         ref.node, ref.edge, ref.offset, ref.state, ref.held = node, edge, offset, state, held
@@ -681,7 +698,7 @@ class RouteAuditWorld(World):
         super()._apply_match(req, i, clock)
         node, tail = int(f.node[i]), int(f.tail[i])
         length = 0.0
-        nodes = list(f.routes[i])
+        nodes = route_of(self, i)
         if tail < 0:
             nodes.insert(0, node)
         else:  # the route starts at the forward endpoint of the current edge
