@@ -686,7 +686,6 @@ class World:
         """Per-vehicle state plus the current idle-fleet Voronoi assignment."""
         f = self.fleet
         vehicles = []
-        dests = f.dest.tolist()
         for i, (x, y) in enumerate(f.xy(np.arange(len(f.node))).tolist()):
             at_node = f.tail[i] < 0
             vehicles.append({
@@ -694,7 +693,8 @@ class World:
                 "node": int(f.node[i]) if at_node else None,
                 "edge": None if at_node else (int(f.tail[i]), int(f.node[i])),
                 "offset_m": float(f.offset[i]), "state": STATES[f.state[i]],
-                "held": bool(f.held[i]), "destination": dests[i] if dests[i] >= 0 else None,
+                "held": bool(f.held[i]),
+                "destination": int(f.dest[i]) if f.dest[i] >= 0 else None,
             })
         snap = {"t_s": self.clock, "vehicles": vehicles}
         idle_ids = self._idle_ids()

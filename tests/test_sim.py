@@ -279,7 +279,7 @@ def test_held_vehicle_does_not_move():
     world = World(mini_config())
     f = world.fleet
     f.node[0], f.held[0] = 12, True  # every vehicle starts at a node
-    f.dest[0] = -1
+    f.dest[0] = -1  # a hold clears the destination
     start = f.xy([0])[0]
     for _ in range(20):
         world.step()
@@ -607,7 +607,7 @@ def place_fleet(graph, oracle, case_vehicles, make_request):
 
 
 def route_of(world, i):
-    """Vehicle i's remaining route as a node list, walked from its destination.
+    """Vehicle i's remaining route as a node list: the next-hop walk to its destination.
 
     A vehicle inside an edge still has the edge's forward node to reach; one
     at a node has already left it behind.
