@@ -15,7 +15,7 @@ from cvrsim.cli import main
 from cvrsim.demand import CANCELLED, COMPLETED, MATCHED, PENDING, PICKED_UP
 from cvrsim.errors import ConfigValidationError, UnknownParameterError
 from cvrsim.roadnet import graph_from_json, graph_to_json, grid_graph
-from cvrsim.scenario import build_config, desk_document, set_sweep_value
+from cvrsim.scenario import DESK_PI, build_config, desk_document, set_sweep_value
 from cvrsim.sim import DEFAULT_MFD
 
 
@@ -536,26 +536,49 @@ def test_inspect_desk_snapshot_is_pinned(tmp_path, capsys):
     assert digest == DESK_SNAPSHOT_3600_SHA256
 
 
-# sha256 of every `cvrsim run` artifact of the desk scenario (cvr) and of its
-# cvr_graph copy. A refactor keeps these bytes, or says why they changed.
+# sha256 of every `cvrsim run` artifact of the desk scenario under each
+# controller. A refactor keeps these bytes, or says why they changed.
 DESK_RUN_SHA256 = {
     "cvr": {
         "metrics.json": "8f56015f8ed05cc28824febef39eb7fe8d50640bd3bae889dbf15196b3d58c42",
         "requests.csv": "329ec43e1589e0e0eb04d404973c64c6051167da3f8ffedd386f1b4beecb2efb",
         "timeseries.csv": "96d61ecb24ef51d7c997ab200db5eca975e77f5d525021b386d0ac9d3d506b20",
     },
+    "cvr_alpha": {
+        "metrics.json": "4384f81f245c0c199af5b68a1cd007da84ee29348130451f874ccf63a7f077f1",
+        "requests.csv": "8a033bcbf4ee918e2aca0342c92a0e96610b925d44c013c280f5535d5a9dfc28",
+        "timeseries.csv": "0098dcadeecde0584010639f081bbd3460207fe90639f42e98d3add6968c5ee3",
+    },
     "cvr_graph": {
         "metrics.json": "a1e4be8acdd861bfe625a866663d282ecb2ac9eeffe2ad29fa82d2ed1f6c6dae",
         "requests.csv": "700af007db1da44a4b59150202363684bad04c51e4d50240750a3626fdd07601",
         "timeseries.csv": "fe90a4684ec4140a167125a85fe63c58839acfaee76a315d54289dd6a55c9f3d",
     },
+    "cvr_pi": {
+        "metrics.json": "406c44a525cca5df5f2e527076a9bedd0b10fe50297f94da542a5c75baa38d60",
+        "requests.csv": "1f5570fd750a39735a369650005d563ed1de629e3aa36f970009350884b6892e",
+        "timeseries.csv": "250f19374c8e6ba7c6f2d574ad2f487c92f44c6dc8035e48b5951fa2183cb349",
+    },
+    "do_nothing": {
+        "metrics.json": "8f922e02558eb22194694eba9228a7713e45e338ad8f157738618e918a83d74a",
+        "requests.csv": "42235271913bf054b7e0918c0cce50a11a1edb9678cd08834f34e5e9022683a1",
+        "timeseries.csv": "819c8207474b27c4dd998e9268f39a36ad670e933aa3870601fb0810fcfac351",
+    },
+    "lp": {
+        "metrics.json": "d7d84d5a086163ce08de9099dd68158bd7f35c4c7d265bd237c057f6a4dcd9ec",
+        "requests.csv": "f748fa6aded1292a0c36bb07e5502559077cb4be340289adce9b811ba2cd365b",
+        "timeseries.csv": "850c8707ba6b3df02defd4a0e1039bd931463487c00cf3705cab4e46d3122f02",
+    },
 }
+# Controller settings of the pinned runs beyond the desk scenario's own.
+DESK_RUN_EXTRA = {"cvr_alpha": {"alpha": 0.3}, "cvr_pi": DESK_PI}
 
 
 @pytest.mark.parametrize("controller", sorted(DESK_RUN_SHA256))
 def test_desk_run_artifacts_are_pinned(tmp_path, capsys, controller):
     doc = json.loads(DESK_SCENARIO.read_text())
     doc["controller"]["name"] = controller
+    doc["controller"].update(DESK_RUN_EXTRA.get(controller, {}))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
