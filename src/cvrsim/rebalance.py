@@ -1,9 +1,9 @@
 """Idle-vehicle rebalancing controllers.
 
 Every controller maps a snapshot of the idle fleet to one decision per idle
-vehicle: a destination node id, or None to hold in place. Controllers are
-stateless except for the PI fleet-size adapter, whose persistent quantities
-live in :class:`PIState`.
+vehicle, in idle-pool order: a destination node id, or -1 to hold in place.
+Controllers are stateless except for the PI fleet-size adapter, whose
+persistent quantities live in :class:`PIState`.
 """
 
 from __future__ import annotations
@@ -30,12 +30,17 @@ CONTROLLERS = ("do_nothing", "cvr", "cvr_graph", "cvr_alpha", "cvr_pi", "lp")
 
 @dataclass
 class RebalanceDecision:
-    """Per-idle-vehicle command: target node id, or None to hold."""
+    """One command per idle vehicle, in idle-pool order.
 
-    destination: dict[int, int | None]
+    ``destination[k]`` is the target node of the k-th pooled vehicle, or -1
+    to hold it where it stands.
+    """
 
-    def held_ids(self) -> list[int]:
-        return [vid for vid, dest in self.destination.items() if dest is None]
+    destination: np.ndarray
+
+    def held_ids(self) -> np.ndarray:
+        """Pool positions of the vehicles that hold."""
+        return np.flatnonzero(self.destination < 0)
 
 
 @dataclass(frozen=True)
@@ -104,96 +109,68 @@ def hold_scores_graph(nodes, node_mass, oracle: DistanceOracle, r_graph_m: float
     return scores[np.searchsorted(cells.generators, nodes)]
 
 
-def select_holds(ids, hold_count: int, scores) -> set[int]:
-    """The ``hold_count`` vehicles with the largest scores; ties to smaller id."""
-    order = sorted(zip(ids, scores), key=lambda pair: (-pair[1], pair[0]))
-    return {vid for vid, _ in order[:max(hold_count, 0)]}
+def select_holds(hold_count: int, scores) -> np.ndarray:
+    """Mask of the ``hold_count`` largest scores; ties to the earlier pool position."""
+    scores = np.asarray(scores, dtype=np.float64)
+    held = np.zeros(len(scores), dtype=bool)
+    held[np.argsort(-scores, kind="stable")[:max(hold_count, 0)]] = True
+    return held
 
 
 def cvr_targets(
-    ids,
     positions,
     field: plane.GridField,
     r_m: float,
     graph: RoadGraph,
-    held: set[int] = frozenset(),
-    previous: dict[int, int | None] | None = None,
+    held=None,
+    previous=None,
     summary: plane.CoverageSummary | None = None,
     min_retarget_gain_m: float = 0.0,
 ) -> RebalanceDecision:
     """Planar coverage targets: range-limited cell centroid, snapped to a node.
 
-    All idle vehicles (held ones included) generate the Voronoi partition;
-    held vehicles get a hold decision, the rest move to the node nearest
-    their weighted cell centroid. A cell without mass keeps the vehicle's
-    previous destination. With min_retarget_gain_m > 0, a destination switch
-    is suppressed unless the new node is at least that far from the old one.
+    All idle vehicles (held ones included) generate the Voronoi partition.
+    ``held`` masks the vehicles that hold; the rest move to the node nearest
+    their weighted cell centroid. ``previous`` gives each vehicle's current
+    target (-1: none), which a massless cell keeps. With
+    min_retarget_gain_m > 0, a switch away from a current target is
+    suppressed unless the new node is at least that far from it.
     """
-    ids = [int(v) for v in ids]
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    previous = previous or {}
+    n = len(positions)
     if summary is None:
         summary = plane.coverage_summary(field, positions, r_m)
-    movable = [i for i, vid in enumerate(ids)
-               if vid not in held and summary.limited_mass[i] > 0]
-    snapped = {}
-    if movable:
-        targets = nearest_nodes(graph, summary.limited_centroid[movable])
-        snapped = dict(zip(movable, targets))
-    decision: dict[int, int | None] = {}
-    for i, vid in enumerate(ids):
-        if vid in held:
-            decision[vid] = None
-            continue
-        if i not in snapped:
-            decision[vid] = previous.get(vid)  # massless cell: keep going
-            continue
-        target = int(snapped[i])
-        prev = previous.get(vid)
-        if (
-            min_retarget_gain_m > 0.0
-            and prev is not None
-            and target != prev
-            and np.hypot(*(graph.coords[target] - graph.coords[prev])) < min_retarget_gain_m
-        ):
-            target = prev
-        decision[vid] = target
-    return RebalanceDecision(destination=decision)
+    held = np.zeros(n, dtype=bool) if held is None else np.asarray(held, dtype=bool)
+    target = (np.full(n, -1, dtype=np.int64) if previous is None
+              else np.array(previous, dtype=np.int64))  # massless cell: keep going
+    movable = ~held & (summary.limited_mass > 0)
+    if movable.any():
+        snapped = nearest_nodes(graph, summary.limited_centroid[movable])
+        prev = target[movable]
+        if min_retarget_gain_m > 0.0:
+            gap = np.hypot(*(graph.coords[snapped] - graph.coords[prev]).T)
+            snapped = np.where((prev >= 0) & (gap < min_retarget_gain_m), prev, snapped)
+        target[movable] = snapped
+    target[held] = -1
+    return RebalanceDecision(destination=target)
 
 
-def cvr_graph_targets(
-    ids,
-    nodes,
-    node_mass,
-    oracle: DistanceOracle,
-    r_graph_m: float,
-    held: set[int] = frozenset(),
-) -> RebalanceDecision:
+def cvr_graph_targets(nodes, node_mass, oracle: DistanceOracle,
+                      r_graph_m: float) -> RebalanceDecision:
     """Graph coverage targets: centroid of the range-limited graph cell.
 
     Vehicle positions arrive snapped to nodes; vehicles sharing a node share
     one generator and therefore one destination. A vehicle whose cell has no
     member within range holds.
     """
-    ids = [int(v) for v in ids]
-    nodes = [int(n) for n in nodes]
-    cells = graph_cells(oracle, set(nodes), r_graph_m)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    cells = graph_cells(oracle, set(nodes.tolist()), r_graph_m)
     centroid = graph_centroids(oracle, cells.near, cells.near_bounds, node_mass)
-    target = centroid[np.searchsorted(cells.generators, nodes)].tolist()
-    decision = {}
-    for vid, t in zip(ids, target):
-        decision[vid] = None if vid in held or t < 0 else t
-    return RebalanceDecision(destination=decision)
+    return RebalanceDecision(destination=centroid[np.searchsorted(cells.generators, nodes)])
 
 
-def lp_rebalance(
-    ids,
-    fwd,
-    lead,
-    pending_origins,
-    oracle: DistanceOracle,
-    speed_mps: float,
-) -> RebalanceDecision:
+def lp_rebalance(fwd, lead, pending_origins, oracle: DistanceOracle,
+                 speed_mps: float) -> RebalanceDecision:
     """Reactive baseline: min-total-travel-time matching to pending origins.
 
     Vehicle k is ``lead[k]`` meters short of its forward node ``fwd[k]``.
@@ -203,18 +180,17 @@ def lp_rebalance(
     """
     if speed_mps <= 0:
         raise ValueError("speed must be positive")
-    ids = [int(v) for v in ids]
-    origins = [int(o) for o in pending_origins]
-    decision: dict[int, int | None] = {vid: None for vid in ids}
-    if ids and origins:
+    fwd = np.asarray(fwd, dtype=np.int64)
+    origins = np.asarray(pending_origins, dtype=np.int64)
+    target = np.full(len(fwd), -1, dtype=np.int64)
+    if len(fwd) and len(origins):
         lead = np.asarray(lead, dtype=np.float64)
         cost = (lead[:, None] + oracle.dist[np.ix_(fwd, origins)]) / speed_mps
         rows, cols = linear_sum_assignment(cost)
-        for i, j in zip(rows, cols):
-            decision[ids[i]] = origins[j]
-    return RebalanceDecision(destination=decision)
+        target[rows] = origins[cols]
+    return RebalanceDecision(destination=target)
 
 
-def do_nothing(ids) -> RebalanceDecision:
-    """Hold every idle vehicle where it stands."""
-    return RebalanceDecision(destination={int(v): None for v in ids})
+def do_nothing(n: int) -> RebalanceDecision:
+    """Hold each of the ``n`` idle vehicles where it stands."""
+    return RebalanceDecision(destination=np.full(n, -1, dtype=np.int64))

@@ -390,11 +390,11 @@ class World:
         self.n_injected = 0
         self.private_remaining: list[float] = []
         self.cum_cancelled = 0
-        self.prev_dest: dict[int, int | None] = {}
-        self.pi_state = rebalance.PIState(k_p=cfg.k_p, k_i=cfg.k_i,
-                                          y_ref=cfg.y_ref, y_hold=cfg.y_hold)
-        self.pi_hold_all = False
-        self.pi_hold_count = 0
+        self.prev_dest = np.full(cfg.n_av, -1, dtype=np.int64)
+        # The PI adapter's last update; none has run yet, so nobody holds.
+        self.pi = rebalance.PIUpdate(
+            state=rebalance.PIState(k_p=cfg.k_p, k_i=cfg.k_i, y_ref=cfg.y_ref, y_hold=cfg.y_hold),
+            hold_count=0, hold_all=False, y=math.nan)
         self._window_waits: list[float] = []
         self.series: list[tuple] = []
         self.match_log: list[tuple[float, int, int]] = []  # (clock, request, vehicle)
@@ -508,33 +508,31 @@ class World:
     # -- controller ------------------------------------------------------------
 
     def _controller_tick(self, speed: float) -> None:
-        idle_ids = self._idle_ids()
-        if not idle_ids.size:
+        ids = self._idle_ids()
+        if not ids.size:
             return
         cfg = self.cfg
         f = self.fleet
-        ids = idle_ids.tolist()
-        nodes = f.node[idle_ids].tolist()  # forward nodes
+        nodes = f.node[ids]  # forward nodes
         name = cfg.controller
         if name == "do_nothing" or (name == "lp" and speed <= 0):
-            decision = rebalance.do_nothing(ids)
+            decision = rebalance.do_nothing(len(ids))
         elif name == "lp":
             decision = rebalance.lp_rebalance(
-                ids, f.node[idle_ids], (f.length - f.offset)[idle_ids],
+                nodes, (f.length - f.offset)[ids],
                 [r.origin for r in self.pending], self.oracle, speed)
         elif name == "cvr_graph":
             decision = rebalance.cvr_graph_targets(
-                ids, nodes, cfg.origin_mass,
-                self.oracle, cfg.effective_r_graph())
+                nodes, cfg.origin_mass, self.oracle, cfg.effective_r_graph())
         else:
-            xy = f.xy(idle_ids)
+            xy = f.xy(ids)
             summary = plane.coverage_summary(self.field, xy, cfg.r_m)
-            held: set[int] = set()
+            held = None
             hold_n = 0
             if name == "cvr_alpha":
                 hold_n = int(math.floor(len(ids) * cfg.alpha))
             elif name == "cvr_pi":
-                hold_n = len(ids) if self.pi_hold_all else min(self.pi_hold_count, len(ids))
+                hold_n = len(ids) if self.pi.hold_all else min(self.pi.hold_count, len(ids))
             if hold_n > 0:
                 if cfg.graph_hold_score:
                     scores = rebalance.hold_scores_graph(
@@ -542,43 +540,40 @@ class World:
                         self.oracle, cfg.effective_r_graph())
                 else:
                     scores = rebalance.hold_scores(xy, self.field, cfg.r_m, summary)
-                held = rebalance.select_holds(ids, hold_n, scores)
+                held = rebalance.select_holds(hold_n, scores)
             decision = rebalance.cvr_targets(
-                ids, xy, self.field, cfg.r_m, self.graph,
-                held=held, previous=self.prev_dest, summary=summary,
+                xy, self.field, cfg.r_m, self.graph,
+                held=held, previous=self.prev_dest[ids], summary=summary,
                 min_retarget_gain_m=cfg.min_retarget_gain_m)
-        self._apply_decision(decision)
+        self._apply_decision(ids, decision.destination)
 
-    def _apply_decision(self, decision: rebalance.RebalanceDecision) -> None:
+    def _apply_decision(self, ids: np.ndarray, target: np.ndarray) -> None:
+        """Send idle vehicle ``ids[k]`` to node ``target[k]``, or hold it where -1."""
         f = self.fleet
-        for vid, dest in decision.destination.items():
-            if dest is None:
-                f.held[vid] = True
-                f.dest[vid] = -1
-            else:
-                f.held[vid] = False
-                self.prev_dest[vid] = int(dest)
-                self._route_to(vid, int(dest))
+        f.held[ids] = target < 0
+        go = target >= 0
+        self.prev_dest[ids[go]] = target[go]
+        self._route_to(ids, target)
 
     def _fleet_size_tick(self) -> None:
         window = self.series[self._window_start:]  # one row per tick since the last update
         mean_wait = (sum(self._window_waits) / len(self._window_waits)
                      if self._window_waits else 0.0)
         mean_idle = sum(row[1] + row[2] for row in window) / max(len(window), 1)
-        update = rebalance.pi_update(self.pi_state, mean_wait, mean_idle,
-                                     self.cfg.n_av, len(self._idle_ids()))
-        self.pi_state = update.state
-        self.pi_hold_all = update.hold_all
-        self.pi_hold_count = update.hold_count
+        self.pi = rebalance.pi_update(self.pi.state, mean_wait, mean_idle,
+                                      self.cfg.n_av, len(self._idle_ids()))
         self._window_waits = []
         self._window_start = len(self.series)
 
     # -- movement ---------------------------------------------------------------
 
-    def _route_to(self, i: int, dest: int) -> None:
-        """Send vehicle i to ``dest``; mid-edge vehicles reach their forward node first."""
+    def _route_to(self, i, dest) -> None:
+        """Send vehicle(s) i to ``dest``; mid-edge vehicles reach their forward node first.
+
+        A vehicle standing at its target, or sent to -1, has no destination.
+        """
         f = self.fleet
-        f.dest[i] = -1 if (f.tail[i] < 0 and f.node[i] == dest) else dest
+        f.dest[i] = np.where((f.tail[i] < 0) & (f.node[i] == dest), -1, dest)
 
     def _do_pickup(self, i: int, t: float) -> None:
         f = self.fleet

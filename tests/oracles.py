@@ -174,6 +174,39 @@ def brute_min_assignment_cost(cost):
     return best
 
 
+def loop_select_holds(ids, hold_count, scores):
+    """Ids of the ``hold_count`` largest scores by a keyed sort; ties to the smaller id."""
+    order = sorted(zip(ids, scores), key=lambda pair: (-pair[1], pair[0]))
+    return {vid for vid, _ in order[:max(hold_count, 0)]}
+
+
+def loop_cvr_targets(ids, summary, graph, held=frozenset(), previous=None,
+                     min_retarget_gain_m=0.0):
+    """Planar coverage targets vehicle by vehicle, keyed by id (None: hold).
+
+    A held vehicle holds; a vehicle whose limited cell has no mass keeps
+    ``previous.get(id)``; any other goes to the node nearest its limited
+    centroid, unless that node lies within ``min_retarget_gain_m`` of its
+    previous target, which it then keeps.
+    """
+    previous = previous or {}
+    decision = {}
+    for i, vid in enumerate(ids):
+        prev = previous.get(vid)
+        if vid in held:
+            decision[vid] = None
+        elif not summary.limited_mass[i] > 0:
+            decision[vid] = prev
+        else:
+            target = int(brute_nearest([summary.limited_centroid[i]], graph.coords)[0])
+            if (min_retarget_gain_m > 0.0 and prev is not None and target != prev
+                    and np.hypot(*(graph.coords[target] - graph.coords[prev]))
+                    < min_retarget_gain_m):
+                target = prev
+            decision[vid] = target
+    return decision
+
+
 def random_connected_graph(rng, n_nodes, extra_edges, max_len=20, real_lengths=False):
     """Random tree plus chords; integer edge lengths keep float sums exact.
 

@@ -209,11 +209,10 @@ def test_criterion_4_lp_matches_permutation_brute_force():
         idle_nodes = rng.integers(0, 40, size=n_idle).tolist()
         origins = rng.integers(0, 40, size=n_pending).tolist()
         speed = float(rng.uniform(2, 15))
-        decision = lp_rebalance(list(range(n_idle)), idle_nodes, np.zeros(n_idle), origins,
-                                oracle, speed)
+        decision = lp_rebalance(idle_nodes, np.zeros(n_idle), origins, oracle, speed)
         achieved = sum(
-            oracle.dist[idle_nodes[vid], dest] / speed
-            for vid, dest in decision.destination.items() if dest is not None)
+            oracle.dist[idle_nodes[k], dest] / speed
+            for k, dest in enumerate(decision.destination.tolist()) if dest >= 0)
         cost = np.array([[oracle.dist[v, o] / speed for o in origins] for v in idle_nodes])
         optimal = brute_min_assignment_cost(cost)
         assert achieved == pytest.approx(optimal, abs=1e-9)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvrsim import rebalance
 from cvrsim.plane import (
     PlanarCell,
+    coverage_summary,
     plane_voronoi,
     polar_moment,
     r_limited_cell,
@@ -38,6 +41,8 @@ from oracles import (
     brute_hold_scores_graph,
     brute_min_assignment_cost,
     brute_position_distance,
+    loop_cvr_targets,
+    loop_select_holds,
     position_lead,
     random_connected_graph,
 )
@@ -67,8 +72,8 @@ def unimodal_field(center, box=(0, 0, 90, 90), res=3.0, sd2=200.0):
 def test_single_vehicle_targets_field_center(grid):
     g, _ = grid
     field = unimodal_field([60.0, 30.0])
-    decision = cvr_targets([7], np.array([[5.0, 80.0]]), field, BIG_R, g)
-    target = decision.destination[7]
+    decision = cvr_targets(np.array([[5.0, 80.0]]), field, BIG_R, g)
+    target = decision.destination[0]
     # the demand peak sits at (60, 30); the centroid snaps to a node near it
     assert np.linalg.norm(g.coords[target] - [60.0, 30.0]) <= 15.0
 
@@ -76,9 +81,9 @@ def test_single_vehicle_targets_field_center(grid):
 def test_vehicle_already_at_snapped_centroid_is_fixed_point(grid):
     g, _ = grid
     field = unimodal_field([60.0, 30.0])
-    first = cvr_targets([0], np.array([[5.0, 80.0]]), field, BIG_R, g)
+    first = cvr_targets(np.array([[5.0, 80.0]]), field, BIG_R, g)
     node = first.destination[0]
-    again = cvr_targets([0], g.coords[node][None, :], field, BIG_R, g)
+    again = cvr_targets(g.coords[node][None, :], field, BIG_R, g)
     assert again.destination[0] == node
 
 
@@ -86,9 +91,9 @@ def test_two_vehicles_both_target_massy_half(grid):
     g, _ = grid
     # all demand lives in the left half of the box
     field = unimodal_field([20.0, 45.0], sd2=100.0)
-    decision = cvr_targets([1, 2], np.array([[80.0, 20.0], [80.0, 70.0]]), field, BIG_R, g)
-    for vid in (1, 2):
-        assert g.coords[decision.destination[vid]][0] < 45.0
+    decision = cvr_targets(np.array([[80.0, 20.0], [80.0, 70.0]]), field, BIG_R, g)
+    for k in (0, 1):
+        assert g.coords[decision.destination[k]][0] < 45.0
 
 
 def test_zero_mass_cell_keeps_previous_destination(grid):
@@ -96,20 +101,19 @@ def test_zero_mass_cell_keeps_previous_destination(grid):
     # point-like demand at the far corner: the right vehicle's cell is massless
     field = unimodal_field([5.0, 5.0], sd2=0.5)
     positions = np.array([[0.0, 0.0], [90.0, 90.0]])
-    decision = cvr_targets([0, 1], positions, field, 10.0, g,
-                           previous={1: 55})
+    decision = cvr_targets(positions, field, 10.0, g, previous=[-1, 55])
     assert decision.destination[1] == 55
-    no_prev = cvr_targets([0, 1], positions, field, 10.0, g)
-    assert no_prev.destination[1] is None
+    no_prev = cvr_targets(positions, field, 10.0, g)
+    assert no_prev.destination[1] == -1
 
 
 def test_held_vehicles_do_not_move_but_shape_cells(grid):
     g, _ = grid
     field = unimodal_field([45.0, 45.0])
     positions = np.array([[30.0, 45.0], [60.0, 45.0]])
-    decision = cvr_targets([0, 1], positions, field, BIG_R, g, held={0})
-    assert decision.destination[0] is None
-    assert decision.destination[1] is not None
+    decision = cvr_targets(positions, field, BIG_R, g, held=[True, False])
+    assert decision.destination[0] == -1
+    assert decision.destination[1] >= 0
     # the held vehicle still generates a cell, so vehicle 1 keeps to its side
     assert g.coords[decision.destination[1]][0] >= 45.0
 
@@ -117,9 +121,54 @@ def test_held_vehicles_do_not_move_but_shape_cells(grid):
 def test_decision_covers_exactly_the_idle_ids(grid):
     g, _ = grid
     field = unimodal_field([45.0, 45.0])
-    decision = cvr_targets([3, 9], np.array([[10.0, 10.0], [80.0, 80.0]]),
-                           field, BIG_R, g)
-    assert sorted(decision.destination) == [3, 9]
+    decision = cvr_targets(np.array([[10.0, 10.0], [80.0, 80.0]]), field, BIG_R, g)
+    # one entry per pooled vehicle, in pool order
+    assert decision.destination.shape == (2,)
+    assert decision.destination.dtype == np.int64
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), k=st.integers(2, 7),
+       sparse=st.booleans(), gain=st.sampled_from([0.0, 5.0, 15.0, 40.0]))
+def test_cvr_targets_equal_vehicle_loop(seed, n, k, sparse, gain):
+    rng = np.random.default_rng(seed)
+    g = grid_graph(k, 10.0)
+    span = 10.0 * (k - 1)
+    box = (0.0, 0.0, span + 5.0, span + 5.0)
+    if sparse:  # node deposits leave exact zeros, so many limited cells are massless
+        mass = rng.random(g.n_nodes) * (rng.random(g.n_nodes) < 0.3)
+        mass[rng.integers(g.n_nodes)] += 0.1
+        field = rasterize_node_mass(box, 2.5, g, mass / mass.sum())
+    else:
+        center = rng.uniform(0, span, size=2).tolist()
+        field = rasterize_mixture(box, 2.5, [(1.0, center, [[30.0, 0], [0, 30.0]])])
+    positions = rng.uniform(0, span, size=(n, 2))
+    r_m = float(rng.choice([1.0, 6.0, 20.0, BIG_R]))
+    held = rng.random(n) < 0.3
+    previous = np.where(rng.random(n) < 0.4, -1, rng.integers(0, g.n_nodes, size=n))
+    summary = coverage_summary(field, positions, r_m)
+    got = cvr_targets(positions, field, r_m, g, held=held, previous=previous,
+                      summary=summary, min_retarget_gain_m=gain)
+    ids = list(range(n))
+    want = loop_cvr_targets(ids, summary, g, held=set(np.flatnonzero(held).tolist()),
+                            previous={i: int(p) for i, p in enumerate(previous) if p >= 0},
+                            min_retarget_gain_m=gain)
+    assert got.destination.dtype == np.int64
+    assert got.destination.tolist() == [-1 if want[i] is None else want[i] for i in ids]
+    alone = cvr_targets(positions, field, r_m, g, held=held, previous=previous,
+                        min_retarget_gain_m=gain)
+    assert np.array_equal(alone.destination, got.destination)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12), levels=st.integers(1, 5))
+def test_select_holds_equal_keyed_sort(seed, n, levels):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels, size=n) / levels  # few levels: many ties
+    hold_count = int(rng.integers(-1, n + 2))
+    mask = select_holds(hold_count, scores)
+    ids = list(range(n))
+    assert set(np.flatnonzero(mask).tolist()) == loop_select_holds(ids, hold_count, scores)
 
 
 # -- cvr_graph_targets ------------------------------------------------------------
@@ -128,7 +177,7 @@ def test_graph_targets_path_uniform_mass():
     g = path_graph([1.0, 1.0])
     oracle = all_pairs_shortest(g)
     mass = np.full(3, 1 / 3)
-    decision = cvr_graph_targets([0], [0], mass, oracle, BIG_R)
+    decision = cvr_graph_targets([0], mass, oracle, BIG_R)
     assert decision.destination[0] == 1  # middle node minimizes the cost
 
 
@@ -136,7 +185,7 @@ def test_graph_targets_fixed_point():
     g = path_graph([1.0, 1.0])
     oracle = all_pairs_shortest(g)
     mass = np.full(3, 1 / 3)
-    decision = cvr_graph_targets([0], [1], mass, oracle, BIG_R)
+    decision = cvr_graph_targets([1], mass, oracle, BIG_R)
     assert decision.destination[0] == 1
 
 
@@ -144,7 +193,7 @@ def test_graph_targets_mirror_symmetric():
     g = path_graph([1.0] * 5)  # nodes 0..5
     oracle = all_pairs_shortest(g)
     mass = np.full(6, 1 / 6)
-    decision = cvr_graph_targets([0, 1], [0, 5], mass, oracle, BIG_R)
+    decision = cvr_graph_targets([0, 5], mass, oracle, BIG_R)
     a, b = decision.destination[0], decision.destination[1]
     assert a + b == 5  # mirror images around the path midpoint
 
@@ -157,7 +206,7 @@ def test_graph_targets_stay_inside_own_cell():
     mass /= mass.sum()
     vehicles = sorted(rng.choice(64, size=5, replace=False).tolist())
     r_graph = 25.0
-    decision = cvr_graph_targets(list(range(5)), vehicles, mass, oracle, r_graph)
+    decision = cvr_graph_targets(vehicles, mass, oracle, r_graph)
     assignment = graph_voronoi(oracle, vehicles)
     for vid, node in enumerate(vehicles):
         dest = decision.destination[vid]
@@ -169,7 +218,7 @@ def test_graph_targets_shared_node_share_destination():
     g = path_graph([1.0] * 4)
     oracle = all_pairs_shortest(g)
     mass = np.full(5, 0.2)
-    decision = cvr_graph_targets([0, 1], [2, 2], mass, oracle, BIG_R)
+    decision = cvr_graph_targets([2, 2], mass, oracle, BIG_R)
     assert decision.destination[0] == decision.destination[1]
 
 
@@ -183,14 +232,13 @@ def test_graph_targets_equal_brute_centroid_per_vehicle():
         mass /= mass.sum()
         nodes = rng.integers(0, n, size=int(rng.integers(1, 12))).tolist()  # repeats share a cell
         owner = brute_graph_owner(oracle.dist, set(nodes))
-        held = {1}
         # a negative radius leaves every cell empty: those vehicles hold
         for radius in (-1.0, 0.0, 6.0, 1e9):
-            decision = cvr_graph_targets(range(len(nodes)), nodes, mass, oracle, radius, held)
-            for vid, node in enumerate(nodes):
+            decision = cvr_graph_targets(nodes, mass, oracle, radius)
+            for k, node in enumerate(nodes):
                 members = np.flatnonzero((owner == node) & (oracle.dist[node] <= radius))
-                want = None if vid in held else brute_graph_centroid(members, mass, oracle.dist)
-                assert decision.destination[vid] == want
+                want = brute_graph_centroid(members, mass, oracle.dist)
+                assert decision.destination[k] == (-1 if want is None else want)
 
 
 # -- hold scores --------------------------------------------------------------------
@@ -270,22 +318,23 @@ def test_retarget_hysteresis_suppresses_small_flips(grid):
     g, _ = grid
     field = unimodal_field([60.0, 30.0])
     positions = np.array([[5.0, 80.0]])
-    free = cvr_targets([0], positions, field, BIG_R, g)
+    free = cvr_targets(positions, field, BIG_R, g)
     new_target = free.destination[0]
     neighbor = new_target - 1  # 10 m away on this grid
-    pinned = cvr_targets([0], positions, field, BIG_R, g,
-                         previous={0: neighbor}, min_retarget_gain_m=50.0)
+    pinned = cvr_targets(positions, field, BIG_R, g,
+                         previous=[neighbor], min_retarget_gain_m=50.0)
     assert pinned.destination[0] == neighbor
-    released = cvr_targets([0], positions, field, BIG_R, g,
-                           previous={0: neighbor}, min_retarget_gain_m=5.0)
+    released = cvr_targets(positions, field, BIG_R, g,
+                           previous=[neighbor], min_retarget_gain_m=5.0)
     assert released.destination[0] == new_target
 
 
 # -- select_holds -----------------------------------------------------------------------
 
 def alpha_holds(ids, alpha, scores):
-    """The holds of cvr_alpha: World holds floor(n_idle * alpha) vehicles."""
-    return select_holds(ids, int(math.floor(len(ids) * alpha)), scores)
+    """The held ids of cvr_alpha over a pool in ``ids`` order: floor(n_idle * alpha) hold."""
+    mask = select_holds(int(math.floor(len(ids) * alpha)), scores)
+    return set(np.asarray(ids)[mask].tolist())
 
 
 def test_alpha_zero_holds_nobody():
@@ -303,8 +352,8 @@ def test_alpha_half_takes_floor_and_breaks_ties_by_id():
 
 
 def test_select_holds_count_clamps():
-    assert select_holds([1, 2], 5, [0.1, 0.2]) == {1, 2}
-    assert select_holds([1, 2], 0, [0.1, 0.2]) == set()
+    assert select_holds(5, [0.1, 0.2]).tolist() == [True, True]
+    assert select_holds(0, [0.1, 0.2]).tolist() == [False, False]
 
 
 # -- pi_update -----------------------------------------------------------------------------
@@ -360,14 +409,14 @@ def test_pi_u_not_monotone_when_under_reference():
 
 def test_lp_one_vehicle_two_requests(grid):
     _, oracle = grid
-    decision = lp_rebalance([4], [0], [0.0], [99, 1], oracle, 10.0)
-    assert decision.destination[4] == 1  # node 1 is 10 m away, node 99 is 180 m
+    decision = lp_rebalance([0], [0.0], [99, 1], oracle, 10.0)
+    assert decision.destination[0] == 1  # node 1 is 10 m away, node 99 is 180 m
 
 
 def test_lp_no_pending_all_hold(grid):
     _, oracle = grid
-    decision = lp_rebalance([1, 2], [0, 5], [0.0, 0.0], [], oracle, 10.0)
-    assert decision.destination == {1: None, 2: None}
+    decision = lp_rebalance([0, 5], [0.0, 0.0], [], oracle, 10.0)
+    assert decision.destination.tolist() == [-1, -1]
 
 
 def test_lp_cost_matrix_equals_per_pair_distances(monkeypatch):
@@ -389,7 +438,7 @@ def test_lp_cost_matrix_equals_per_pair_distances(monkeypatch):
             positions += [u, (u, v, w * rng.random()), (v, u, w / 3.0)]
         origins = rng.integers(0, 40, size=9).tolist()
         fwd, lead = zip(*(position_lead(g, p) for p in positions))
-        lp_rebalance(list(range(len(positions))), fwd, lead, origins, oracle, speed)
+        lp_rebalance(fwd, lead, origins, oracle, speed)
         want = np.array([[brute_position_distance(g, oracle.dist, p, o) / speed
                           for o in origins] for p in positions])
         assert np.array_equal(seen[-1], want)
@@ -404,14 +453,14 @@ def test_lp_matches_brute_force(grid):
         idle_nodes = rng.integers(0, 100, size=n_idle).tolist()
         origins = rng.integers(0, 100, size=n_pending).tolist()
         ids = list(range(n_idle))
-        decision = lp_rebalance(ids, idle_nodes, np.zeros(n_idle), origins, oracle, 5.0)
+        decision = lp_rebalance(idle_nodes, np.zeros(n_idle), origins, oracle, 5.0)
         cost = np.array([[oracle.dist[v, o] / 5.0 for o in origins] for v in idle_nodes])
         achieved = 0.0
         n_assigned = 0
         used = []
         for vid in ids:
             dest = decision.destination[vid]
-            if dest is None:
+            if dest < 0:
                 continue
             n_assigned += 1
             used.append(dest)
@@ -422,18 +471,18 @@ def test_lp_matches_brute_force(grid):
 
 def test_lp_assigned_origins_are_pending_origins(grid):
     _, oracle = grid
-    decision = lp_rebalance([0, 1, 2], [10, 20, 30], np.zeros(3), [55, 66], oracle, 5.0)
-    targets = [d for d in decision.destination.values() if d is not None]
+    decision = lp_rebalance([10, 20, 30], np.zeros(3), [55, 66], oracle, 5.0)
+    targets = [d for d in decision.destination.tolist() if d >= 0]
     assert len(targets) == 2 and set(targets) <= {55, 66}
 
 
 # -- do_nothing -----------------------------------------------------------------------------------
 
 def test_do_nothing_holds_everyone():
-    decision = do_nothing([4, 5, 6])
-    assert decision.destination == {4: None, 5: None, 6: None}
-    assert decision.held_ids() == [4, 5, 6]
+    decision = do_nothing(3)
+    assert decision.destination.tolist() == [-1, -1, -1]
+    assert decision.held_ids().tolist() == [0, 1, 2]
 
 
 def test_do_nothing_empty():
-    assert do_nothing([]).destination == {}
+    assert do_nothing(0).destination.tolist() == []
