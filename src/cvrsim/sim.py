@@ -390,7 +390,6 @@ class World:
         self.n_injected = 0
         self.private_remaining: list[float] = []
         self.cum_cancelled = 0
-        self.prev_dest = np.full(cfg.n_av, -1, dtype=np.int64)
         # The PI adapter's last update; none has run yet, so nobody holds.
         self.pi = rebalance.PIUpdate(
             state=rebalance.PIState(k_p=cfg.k_p, k_i=cfg.k_i, y_ref=cfg.y_ref, y_hold=cfg.y_hold),
@@ -541,18 +540,19 @@ class World:
                 else:
                     scores = rebalance.hold_scores(xy, self.field, cfg.r_m, summary)
                 held = rebalance.select_holds(hold_n, scores)
+            # Where each vehicle heads now: its destination, else the node it
+            # stands at, else nowhere (-1: held inside an edge).
+            dest = f.dest[ids]
+            previous = np.where(dest >= 0, dest, np.where(f.tail[ids] < 0, nodes, -1))
             decision = rebalance.cvr_targets(
                 xy, self.field, cfg.r_m, self.graph,
-                held=held, previous=self.prev_dest[ids], summary=summary,
+                held=held, previous=previous, summary=summary,
                 min_retarget_gain_m=cfg.min_retarget_gain_m)
         self._apply_decision(ids, decision.destination)
 
     def _apply_decision(self, ids: np.ndarray, target: np.ndarray) -> None:
         """Send idle vehicle ``ids[k]`` to node ``target[k]``, or hold it where -1."""
-        f = self.fleet
-        f.held[ids] = target < 0
-        go = target >= 0
-        self.prev_dest[ids[go]] = target[go]
+        self.fleet.held[ids] = target < 0
         self._route_to(ids, target)
 
     def _fleet_size_tick(self) -> None:

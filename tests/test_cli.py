@@ -525,7 +525,7 @@ def test_inspect_mid_run_counts_fleet(scenario_path, tmp_path, capsys):
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "desk_scenario.json"
 # sha256 of snapshot_vehicles.csv at t = 3600 s on the desk scenario. The
 # destination column is the node each vehicle drives to, empty when it has none.
-DESK_SNAPSHOT_3600_SHA256 = "5a17a58649c254f4f7fe061b51794f24e198abe12c2b452694eb20a66316fb05"
+DESK_SNAPSHOT_3600_SHA256 = "49e2acd5c43d5bd802a9944680af486adbd8002ae40ff6bc2ce293f157b19874"
 
 
 def test_inspect_desk_snapshot_is_pinned(tmp_path, capsys):
@@ -540,14 +540,14 @@ def test_inspect_desk_snapshot_is_pinned(tmp_path, capsys):
 # controller. A refactor keeps these bytes, or says why they changed.
 DESK_RUN_SHA256 = {
     "cvr": {
-        "metrics.json": "8f56015f8ed05cc28824febef39eb7fe8d50640bd3bae889dbf15196b3d58c42",
-        "requests.csv": "329ec43e1589e0e0eb04d404973c64c6051167da3f8ffedd386f1b4beecb2efb",
-        "timeseries.csv": "96d61ecb24ef51d7c997ab200db5eca975e77f5d525021b386d0ac9d3d506b20",
+        "metrics.json": "5de9ae8a458a6e4df1d37e7b2a8898f5fd0ed3ad1215e89b2fa0db4c3647560e",
+        "requests.csv": "902780a2749e530c1c44b22ebdb2b39ba28f1c0e292f8a3d64a9b8df88e17e7d",
+        "timeseries.csv": "fb543274077e5504ef78a78226320d0fbca44004949511197804d9837b57c1ce",
     },
     "cvr_alpha": {
-        "metrics.json": "4384f81f245c0c199af5b68a1cd007da84ee29348130451f874ccf63a7f077f1",
-        "requests.csv": "8a033bcbf4ee918e2aca0342c92a0e96610b925d44c013c280f5535d5a9dfc28",
-        "timeseries.csv": "0098dcadeecde0584010639f081bbd3460207fe90639f42e98d3add6968c5ee3",
+        "metrics.json": "22ac12cd08e2d04529f201727a247b3a6eb24b5743613f9ebce182745ec87137",
+        "requests.csv": "22059f298ee6454a6ebba5fd00f19b463e675cc3466c98b347239b5dc03001e1",
+        "timeseries.csv": "87b32327547caabab5ed76d17f985a98ada5b8465054d766c7e3f2f633bfbdcb",
     },
     "cvr_graph": {
         "metrics.json": "a1e4be8acdd861bfe625a866663d282ecb2ac9eeffe2ad29fa82d2ed1f6c6dae",
@@ -555,9 +555,9 @@ DESK_RUN_SHA256 = {
         "timeseries.csv": "fe90a4684ec4140a167125a85fe63c58839acfaee76a315d54289dd6a55c9f3d",
     },
     "cvr_pi": {
-        "metrics.json": "406c44a525cca5df5f2e527076a9bedd0b10fe50297f94da542a5c75baa38d60",
-        "requests.csv": "1f5570fd750a39735a369650005d563ed1de629e3aa36f970009350884b6892e",
-        "timeseries.csv": "250f19374c8e6ba7c6f2d574ad2f487c92f44c6dc8035e48b5951fa2183cb349",
+        "metrics.json": "9911c07bf37d38bf6ec077a5ed98946b12d321676b3f65f07cb515b7580a3557",
+        "requests.csv": "4bdb7ef20df17dbcdbb7c9ea08ae1c3f12a07c66c55105989f16c9520e1fccc4",
+        "timeseries.csv": "863b424a4cbedb4079395ee25f41d40f9a5cc2f274a0edef7f9ab530afd700f7",
     },
     "do_nothing": {
         "metrics.json": "8f922e02558eb22194694eba9228a7713e45e338ad8f157738618e918a83d74a",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cvrsim.demand import CANCELLED, COMPLETED, MATCHED, PICKED_UP, Request
 from cvrsim.errors import ConfigValidationError
-from cvrsim import rebalance
+from cvrsim import plane, rebalance
 from cvrsim.roadnet import all_pairs_shortest, build_graph, grid_graph, position_node_distance
 from cvrsim.scenario import desk_scenario
 from cvrsim.sim import (
@@ -730,3 +730,36 @@ def test_pickup_estimate_matches_planned_route(controller):
     assert any(mid_edge for mid_edge, _, _ in world.audit)
     for _, estimate, length in world.audit:
         assert length == pytest.approx(estimate, rel=1e-9)
+
+
+class MasslessAuditWorld(World):
+    """Records, at every control tick, where each parked vehicle in a massless cell heads.
+
+    A vehicle is parked when it is idle, stands at a node and has no
+    destination. After the tick, such a vehicle whose range-limited cell
+    carries no mass should still have none: it has no target to keep.
+    """
+
+    def __init__(self, cfg):
+        self.audit = []
+        super().__init__(cfg)
+
+    def _controller_tick(self, speed):
+        f = self.fleet
+        ids = self._idle_ids()
+        parked = ids[(f.tail[ids] < 0) & (f.dest[ids] < 0)]
+        massless = parked[:0]
+        if ids.size:
+            summary = plane.coverage_summary(self.field, f.xy(ids), self.cfg.r_m)
+            massless = ids[summary.limited_mass <= 0.0]
+        super()._controller_tick(speed)
+        for i in np.intersect1d(parked, massless).tolist():
+            self.audit.append((self.clock, i, int(f.dest[i])))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_parked_vehicle_in_massless_cell_keeps_no_destination(seed):
+    world = MasslessAuditWorld(desk_scenario("cvr", seed=seed))
+    world.run()
+    assert world.audit
+    assert [entry for entry in world.audit if entry[2] >= 0] == []
