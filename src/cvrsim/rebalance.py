@@ -146,8 +146,8 @@ def cvr_targets(
     movable = ~held & (summary.limited_mass > 0)
     if movable.any():
         snapped = nearest_nodes(graph, summary.limited_centroid[movable])
-        prev = target[movable]
         if min_retarget_gain_m > 0.0:
+            prev = target[movable]
             gap = np.hypot(*(graph.coords[snapped] - graph.coords[prev]).T)
             snapped = np.where((prev >= 0) & (gap < min_retarget_gain_m), prev, snapped)
         target[movable] = snapped

@@ -747,14 +747,13 @@ class MasslessAuditWorld(World):
     def _controller_tick(self, speed):
         f = self.fleet
         ids = self._idle_ids()
-        parked = ids[(f.tail[ids] < 0) & (f.dest[ids] < 0)]
-        massless = parked[:0]
+        watched = []
         if ids.size:
             summary = plane.coverage_summary(self.field, f.xy(ids), self.cfg.r_m)
-            massless = ids[summary.limited_mass <= 0.0]
+            parked = (f.tail[ids] < 0) & (f.dest[ids] < 0)
+            watched = ids[parked & (summary.limited_mass <= 0.0)].tolist()
         super()._controller_tick(speed)
-        for i in np.intersect1d(parked, massless).tolist():
-            self.audit.append((self.clock, i, int(f.dest[i])))
+        self.audit += [(self.clock, i, int(f.dest[i])) for i in watched]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
