@@ -536,8 +536,9 @@ def test_inspect_desk_snapshot_is_pinned(tmp_path, capsys):
     assert digest == DESK_SNAPSHOT_3600_SHA256
 
 
-# sha256 of every `cvrsim run` artifact of the desk scenario under each
-# controller. A refactor keeps these bytes, or says why they changed.
+# sha256 of every `cvrsim run` artifact of the desk scenario, keyed by run
+# label: each controller once, plus `cvr_pi_graph_hold`. A refactor keeps
+# these bytes, or says why they changed.
 DESK_RUN_SHA256 = {
     "cvr": {
         "metrics.json": "5de9ae8a458a6e4df1d37e7b2a8898f5fd0ed3ad1215e89b2fa0db4c3647560e",
@@ -559,6 +560,11 @@ DESK_RUN_SHA256 = {
         "requests.csv": "4bdb7ef20df17dbcdbb7c9ea08ae1c3f12a07c66c55105989f16c9520e1fccc4",
         "timeseries.csv": "863b424a4cbedb4079395ee25f41d40f9a5cc2f274a0edef7f9ab530afd700f7",
     },
+    "cvr_pi_graph_hold": {
+        "metrics.json": "345cb6bda6aec454787ebbde73ef723eaf8c3f29bffa539813c4d8c9da01b068",
+        "requests.csv": "bf4738004da7b62dc818e1befd8b5d3962d5dc4385a02dcfe14bf1fbd2a3deff",
+        "timeseries.csv": "1ecb464d2dc507a29a9d49679da768e01c263e661a946e50c7e9d1cb0b209808",
+    },
     "do_nothing": {
         "metrics.json": "8f922e02558eb22194694eba9228a7713e45e338ad8f157738618e918a83d74a",
         "requests.csv": "42235271913bf054b7e0918c0cce50a11a1edb9678cd08834f34e5e9022683a1",
@@ -570,22 +576,26 @@ DESK_RUN_SHA256 = {
         "timeseries.csv": "850c8707ba6b3df02defd4a0e1039bd931463487c00cf3705cab4e46d3122f02",
     },
 }
-# Controller settings of the pinned runs beyond the desk scenario's own.
-DESK_RUN_EXTRA = {"cvr_alpha": {"alpha": 0.3}, "cvr_pi": DESK_PI}
+# Controller settings of each pinned run beyond the desk scenario's own; the
+# controller name is the run label unless the settings name another.
+DESK_RUN_EXTRA = {
+    "cvr_alpha": {"alpha": 0.3},
+    "cvr_pi": DESK_PI,
+    "cvr_pi_graph_hold": {"name": "cvr_pi", **DESK_PI, "graph_hold_score": True},
+}
 
 
-@pytest.mark.parametrize("controller", sorted(DESK_RUN_SHA256))
-def test_desk_run_artifacts_are_pinned(tmp_path, capsys, controller):
+@pytest.mark.parametrize("label", sorted(DESK_RUN_SHA256))
+def test_desk_run_artifacts_are_pinned(tmp_path, capsys, label):
     doc = json.loads(DESK_SCENARIO.read_text())
-    doc["controller"]["name"] = controller
-    doc["controller"].update(DESK_RUN_EXTRA.get(controller, {}))
+    doc["controller"].update({"name": label, **DESK_RUN_EXTRA.get(label, {})})
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in DESK_RUN_SHA256[controller]}
-    assert digests == DESK_RUN_SHA256[controller]
+               for name in DESK_RUN_SHA256[label]}
+    assert digests == DESK_RUN_SHA256[label]
 
 
 @pytest.mark.parametrize("time", ["nan", "-30", "inf"])
