@@ -84,29 +84,30 @@ def pi_update(state: PIState, mean_wait_s: float, mean_idle: float,
     return PIUpdate(state=new_state, hold_count=int(math.floor(u_not)), hold_all=False, y=y)
 
 
-def hold_scores(positions, field: plane.GridField, r_m: float,
-                summary: plane.CoverageSummary | None = None) -> np.ndarray:
-    positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    if summary is None:
-        summary = plane.coverage_summary(field, positions, r_m)
+def _hold_ratio(j_limited, j_full) -> np.ndarray:
+    """Hold score J(W)/J(V) per cell: the share of its polar moment within range, 0 if massless."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        scores = np.where(summary.j_full > 0.0, summary.j_limited / summary.j_full, 0.0)
-    return scores
+        return np.where(j_full > 0.0, j_limited / j_full, 0.0)
+
+
+def hold_scores(summary: plane.CoverageSummary) -> np.ndarray:
+    """Planar hold score of every generator of the coverage pass ``summary``."""
+    return _hold_ratio(summary.j_limited, summary.j_full)
 
 
 def hold_scores_graph(nodes, node_mass, oracle: DistanceOracle, r_graph_m: float) -> np.ndarray:
-    """Graph analogue of the hold score on shortest-path cells."""
-    nodes = [int(n) for n in nodes]
-    cells = graph_cells(oracle, set(nodes), r_graph_m)
-    mass = np.asarray(node_mass, dtype=np.float64)
-    scores = np.zeros(len(cells.generators))
-    for k, owned in enumerate(cells.owned):
-        d2 = cells.owner_dist[owned] ** 2
-        j_full = float(d2 @ mass[owned])
-        if j_full > 0.0:
-            near = cells.in_range[owned]
-            scores[k] = float(d2[near] @ mass[owned[near]]) / j_full
-    return scores[np.searchsorted(cells.generators, nodes)]
+    """Graph analogue of the hold score on shortest-path cells, one per entry of ``nodes``.
+
+    Both polar moments of every cell come from one ``graph_cells`` pass, each
+    summed left to right over the cell's nodes in ascending id by ``bincount``,
+    so they do not depend on the BLAS build. Vehicles sharing a node share a cell.
+    """
+    gens, cell = np.unique(np.asarray(nodes, dtype=np.int64), return_inverse=True)
+    cells = graph_cells(oracle, gens, r_graph_m)
+    moment = cells.owner_dist ** 2 * np.asarray(node_mass, dtype=np.float64)
+    j_full = np.bincount(cells.owner, moment, minlength=len(gens))
+    j_limited = np.bincount(cells.owner[cells.near], moment[cells.near], minlength=len(gens))
+    return _hold_ratio(j_limited, j_full)[cell]
 
 
 def select_holds(hold_count: int, scores) -> np.ndarray:
@@ -118,28 +119,23 @@ def select_holds(hold_count: int, scores) -> np.ndarray:
 
 
 def cvr_targets(
-    positions,
-    field: plane.GridField,
-    r_m: float,
+    summary: plane.CoverageSummary,
     graph: RoadGraph,
     held=None,
     previous=None,
-    summary: plane.CoverageSummary | None = None,
     min_retarget_gain_m: float = 0.0,
 ) -> RebalanceDecision:
     """Planar coverage targets: range-limited cell centroid, snapped to a node.
 
-    All idle vehicles (held ones included) generate the Voronoi partition.
-    ``held`` masks the vehicles that hold; the rest move to the node nearest
-    their weighted cell centroid. ``previous`` gives each vehicle's current
-    target (-1: none), which a massless cell keeps. With
-    min_retarget_gain_m > 0, a switch away from a current target is
-    suppressed unless the new node is at least that far from it.
+    ``summary`` is the coverage pass over all idle vehicles (held ones
+    included), one generator per vehicle in pool order. ``held`` masks the
+    vehicles that hold; the rest move to the node nearest their weighted
+    cell centroid. ``previous`` gives each vehicle's current target (-1:
+    none), which a massless cell keeps. With min_retarget_gain_m > 0, a
+    switch away from a current target is suppressed unless the new node is
+    at least that far from it.
     """
-    positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    n = len(positions)
-    if summary is None:
-        summary = plane.coverage_summary(field, positions, r_m)
+    n = len(summary.limited_mass)
     held = np.zeros(n, dtype=bool) if held is None else np.asarray(held, dtype=bool)
     target = (np.full(n, -1, dtype=np.int64) if previous is None
               else np.array(previous, dtype=np.int64))  # massless cell: keep going
@@ -163,10 +159,10 @@ def cvr_graph_targets(nodes, node_mass, oracle: DistanceOracle,
     one generator and therefore one destination. A vehicle whose cell has no
     member within range holds.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    cells = graph_cells(oracle, set(nodes.tolist()), r_graph_m)
+    gens, cell = np.unique(np.asarray(nodes, dtype=np.int64), return_inverse=True)
+    cells = graph_cells(oracle, gens, r_graph_m)
     centroid = graph_centroids(oracle, cells.near, cells.near_bounds, node_mass)
-    return RebalanceDecision(destination=centroid[np.searchsorted(cells.generators, nodes)])
+    return RebalanceDecision(destination=centroid[cell])
 
 
 def lp_rebalance(fwd, lead, pending_origins, oracle: DistanceOracle,

@@ -57,20 +57,13 @@ class RoadGraph:
     def edge_length(self, u: int, v: int) -> float:
         return self._length_lookup[(u, v)]
 
-    def neighbors(self, u: int) -> list[tuple[int, float]]:
-        return self._adjacency[u]
-
     def __post_init__(self):
         lookup: dict[tuple[int, int], float] = {}
-        adjacency: list[list[tuple[int, float]]] = [[] for _ in range(self.n_nodes)]
         for u, v, w in zip(self.edge_u, self.edge_v, self.edge_len):
             u, v, w = int(u), int(v), float(w)
             lookup[(u, v)] = w
             lookup[(v, u)] = w
-            adjacency[u].append((v, w))
-            adjacency[v].append((u, w))
         object.__setattr__(self, "_length_lookup", lookup)
-        object.__setattr__(self, "_adjacency", adjacency)
         for arr in (self.coords, self.edge_u, self.edge_v, self.edge_len):
             arr.flags.writeable = False
 
@@ -278,26 +271,20 @@ class GraphCells:
     """Every generator's graph Voronoi cell, from one pass over ``dist[generators]``.
 
     generators : sorted distinct generator node ids
+    owner : (N,) each node's index into ``generators``; the k-th full cell is
+        the nodes with ``owner == k``
     owner_dist : (N,) graph distance from each node to its generator
     in_range : (N,) whether that distance is within the coverage radius
-    order, bounds : the k-th full cell is ``order[bounds[k]:bounds[k + 1]]``
-    near, near_bounds : the k-th range-limited cell is ``near[near_bounds[k]:near_bounds[k + 1]]``
-
-    Every cell lists its nodes in ascending order.
+    near, near_bounds : the k-th range-limited cell is ``near[near_bounds[k]:near_bounds[k + 1]]``,
+        its nodes in ascending order
     """
 
     generators: np.ndarray
+    owner: np.ndarray
     owner_dist: np.ndarray
     in_range: np.ndarray
-    order: np.ndarray
-    bounds: np.ndarray
     near: np.ndarray
     near_bounds: np.ndarray
-
-    @property
-    def owned(self) -> list[np.ndarray]:
-        """Per generator, the node ids of its full Voronoi cell."""
-        return [self.order[a:b] for a, b in zip(self.bounds[:-1], self.bounds[1:])]
 
     def limited(self, k: int) -> GraphCell:
         """Range-limited cell of the k-th generator, as r_limited_graph_cell returns it."""
@@ -308,18 +295,18 @@ class GraphCells:
 def graph_cells(oracle: DistanceOracle, generators, r_graph_m: float) -> GraphCells:
     """All graph Voronoi cells and their range-limited parts in one pass.
 
-    One stable sort by owner splits the nodes into cells, so every member
-    array comes out ascending; ties go to the smaller generator id as in
-    :func:`graph_voronoi`.
+    Each node's owner is its nearest generator, ties to the smaller generator
+    id as in :func:`graph_voronoi`. One stable sort of the in-range nodes by
+    owner splits them into the range-limited cells, so every member array
+    comes out ascending.
     """
     gens, owner, owner_dist = _owners(oracle, generators)
-    cut = np.arange(len(gens) + 1)
-    order = np.argsort(owner, kind="stable")
     in_range = owner_dist <= r_graph_m
-    near = order[in_range[order]]
-    return GraphCells(generators=gens, owner_dist=owner_dist, in_range=in_range,
-                      order=order, bounds=np.searchsorted(owner[order], cut),
-                      near=near, near_bounds=np.searchsorted(owner[near], cut))
+    near = np.flatnonzero(in_range)
+    near = near[np.argsort(owner[near], kind="stable")]
+    return GraphCells(generators=gens, owner=owner, owner_dist=owner_dist, in_range=in_range,
+                      near=near,
+                      near_bounds=np.searchsorted(owner[near], np.arange(len(gens) + 1)))
 
 
 def r_limited_graph_cell(

@@ -396,7 +396,6 @@ class World:
             hold_count=0, hold_all=False, y=math.nan)
         self._window_waits: list[float] = []
         self.series: list[tuple] = []
-        self.match_log: list[tuple[float, int, int]] = []  # (clock, request, vehicle)
         self._record_series()
         self._window_start = len(self.series)  # first series row of the PI window
 
@@ -497,7 +496,6 @@ class World:
         req.vehicle_id = i
         f.state[i], f.requests[i], f.held[i] = _ASSIGNED, req, False
         self._route_to(i, req.origin)
-        self.match_log.append((clock, req.id, i))
 
     def _apply_cancellation(self, req: Request, clock: float) -> None:
         req.status = CANCELLED
@@ -524,8 +522,7 @@ class World:
             decision = rebalance.cvr_graph_targets(
                 nodes, cfg.origin_mass, self.oracle, cfg.effective_r_graph())
         else:
-            xy = f.xy(ids)
-            summary = plane.coverage_summary(self.field, xy, cfg.r_m)
+            summary = plane.coverage_summary(self.field, f.xy(ids), cfg.r_m)
             held = None
             hold_n = 0
             if name == "cvr_alpha":
@@ -538,15 +535,14 @@ class World:
                         nodes, cfg.origin_mass,
                         self.oracle, cfg.effective_r_graph())
                 else:
-                    scores = rebalance.hold_scores(xy, self.field, cfg.r_m, summary)
+                    scores = rebalance.hold_scores(summary)
                 held = rebalance.select_holds(hold_n, scores)
             # Where each vehicle heads now: its destination, else the node it
             # stands at, else nowhere (-1: held inside an edge).
             dest = f.dest[ids]
             previous = np.where(dest >= 0, dest, np.where(f.tail[ids] < 0, nodes, -1))
             decision = rebalance.cvr_targets(
-                xy, self.field, cfg.r_m, self.graph,
-                held=held, previous=previous, summary=summary,
+                summary, self.graph, held=held, previous=previous,
                 min_retarget_gain_m=cfg.min_retarget_gain_m)
         self._apply_decision(ids, decision.destination)
 

@@ -17,8 +17,18 @@ from cvrsim.demand import COMPLETED, PICKED_UP
 from cvrsim.sim import ASSIGNED, CARRYING, IDLE
 
 
+def adjacency_lists(graph):
+    """Per node, its (neighbour, edge length) pairs, read from the graph's edge arrays."""
+    adjacency = [[] for _ in range(graph.n_nodes)]
+    for u, v, w in zip(graph.edge_u.tolist(), graph.edge_v.tolist(), graph.edge_len.tolist()):
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
+    return adjacency
+
+
 def dijkstra(graph, source):
     """Single-source shortest distances via a binary heap."""
+    adjacency = adjacency_lists(graph)
     dist = np.full(graph.n_nodes, np.inf)
     dist[source] = 0.0
     heap = [(0.0, source)]
@@ -28,7 +38,7 @@ def dijkstra(graph, source):
         if done[u]:
             continue
         done[u] = True
-        for v, w in graph.neighbors(u):
+        for v, w in adjacency[u]:
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
@@ -62,15 +72,22 @@ def brute_graph_owner(dist, generators):
 
 
 def brute_hold_scores_graph(nodes, mass, dist, r_graph_m):
-    """Graph hold scores generator by generator, each cell found by a full scan."""
+    """Graph hold scores generator by generator, each cell found by a full scan.
+
+    Both polar moments are summed left to right over the cell's nodes in
+    ascending id, in Python floats.
+    """
     owner = brute_graph_owner(dist, set(nodes))
     scores = {}
     for g in set(int(n) for n in nodes):
-        owned = np.flatnonzero(owner == g)
-        d2 = dist[g, owned] ** 2
-        j_full = float(d2 @ mass[owned])
-        near = dist[g, owned] <= r_graph_m
-        scores[g] = float(d2[near] @ mass[owned[near]]) / j_full if j_full > 0.0 else 0.0
+        j_full = j_limited = 0.0
+        for p in np.flatnonzero(owner == g).tolist():
+            d = float(dist[g, p])
+            term = d * d * float(mass[p])
+            j_full += term
+            if d <= r_graph_m:
+                j_limited += term
+        scores[g] = j_limited / j_full if j_full > 0.0 else 0.0
     return np.array([scores[int(n)] for n in nodes])
 
 

@@ -72,7 +72,7 @@ def unimodal_field(center, box=(0, 0, 90, 90), res=3.0, sd2=200.0):
 def test_single_vehicle_targets_field_center(grid):
     g, _ = grid
     field = unimodal_field([60.0, 30.0])
-    decision = cvr_targets(np.array([[5.0, 80.0]]), field, BIG_R, g)
+    decision = cvr_targets(coverage_summary(field, np.array([[5.0, 80.0]]), BIG_R), g)
     target = decision.destination[0]
     # the demand peak sits at (60, 30); the centroid snaps to a node near it
     assert np.linalg.norm(g.coords[target] - [60.0, 30.0]) <= 15.0
@@ -81,9 +81,9 @@ def test_single_vehicle_targets_field_center(grid):
 def test_vehicle_already_at_snapped_centroid_is_fixed_point(grid):
     g, _ = grid
     field = unimodal_field([60.0, 30.0])
-    first = cvr_targets(np.array([[5.0, 80.0]]), field, BIG_R, g)
+    first = cvr_targets(coverage_summary(field, np.array([[5.0, 80.0]]), BIG_R), g)
     node = first.destination[0]
-    again = cvr_targets(g.coords[node][None, :], field, BIG_R, g)
+    again = cvr_targets(coverage_summary(field, g.coords[node][None, :], BIG_R), g)
     assert again.destination[0] == node
 
 
@@ -91,7 +91,8 @@ def test_two_vehicles_both_target_massy_half(grid):
     g, _ = grid
     # all demand lives in the left half of the box
     field = unimodal_field([20.0, 45.0], sd2=100.0)
-    decision = cvr_targets(np.array([[80.0, 20.0], [80.0, 70.0]]), field, BIG_R, g)
+    positions = np.array([[80.0, 20.0], [80.0, 70.0]])
+    decision = cvr_targets(coverage_summary(field, positions, BIG_R), g)
     for k in (0, 1):
         assert g.coords[decision.destination[k]][0] < 45.0
 
@@ -101,9 +102,10 @@ def test_zero_mass_cell_keeps_previous_destination(grid):
     # point-like demand at the far corner: the right vehicle's cell is massless
     field = unimodal_field([5.0, 5.0], sd2=0.5)
     positions = np.array([[0.0, 0.0], [90.0, 90.0]])
-    decision = cvr_targets(positions, field, 10.0, g, previous=[-1, 55])
+    summary = coverage_summary(field, positions, 10.0)
+    decision = cvr_targets(summary, g, previous=[-1, 55])
     assert decision.destination[1] == 55
-    no_prev = cvr_targets(positions, field, 10.0, g)
+    no_prev = cvr_targets(summary, g)
     assert no_prev.destination[1] == -1
 
 
@@ -111,7 +113,7 @@ def test_held_vehicles_do_not_move_but_shape_cells(grid):
     g, _ = grid
     field = unimodal_field([45.0, 45.0])
     positions = np.array([[30.0, 45.0], [60.0, 45.0]])
-    decision = cvr_targets(positions, field, BIG_R, g, held=[True, False])
+    decision = cvr_targets(coverage_summary(field, positions, BIG_R), g, held=[True, False])
     assert decision.destination[0] == -1
     assert decision.destination[1] >= 0
     # the held vehicle still generates a cell, so vehicle 1 keeps to its side
@@ -121,7 +123,8 @@ def test_held_vehicles_do_not_move_but_shape_cells(grid):
 def test_decision_covers_exactly_the_idle_ids(grid):
     g, _ = grid
     field = unimodal_field([45.0, 45.0])
-    decision = cvr_targets(np.array([[10.0, 10.0], [80.0, 80.0]]), field, BIG_R, g)
+    positions = np.array([[10.0, 10.0], [80.0, 80.0]])
+    decision = cvr_targets(coverage_summary(field, positions, BIG_R), g)
     # one entry per pooled vehicle, in pool order
     assert decision.destination.shape == (2,)
     assert decision.destination.dtype == np.int64
@@ -147,17 +150,13 @@ def test_cvr_targets_equal_vehicle_loop(seed, n, k, sparse, gain):
     held = rng.random(n) < 0.3
     previous = np.where(rng.random(n) < 0.4, -1, rng.integers(0, g.n_nodes, size=n))
     summary = coverage_summary(field, positions, r_m)
-    got = cvr_targets(positions, field, r_m, g, held=held, previous=previous,
-                      summary=summary, min_retarget_gain_m=gain)
+    got = cvr_targets(summary, g, held=held, previous=previous, min_retarget_gain_m=gain)
     ids = list(range(n))
     want = loop_cvr_targets(ids, summary, g, held=set(np.flatnonzero(held).tolist()),
                             previous={i: int(p) for i, p in enumerate(previous) if p >= 0},
                             min_retarget_gain_m=gain)
     assert got.destination.dtype == np.int64
     assert got.destination.tolist() == [-1 if want[i] is None else want[i] for i in ids]
-    alone = cvr_targets(positions, field, r_m, g, held=held, previous=previous,
-                        min_retarget_gain_m=gain)
-    assert np.array_equal(alone.destination, got.destination)
 
 
 @settings(max_examples=120, deadline=None)
@@ -249,7 +248,7 @@ def test_hold_score_one_when_radius_covers_cell(grid):
     positions = np.array([[30.0, 30.0], [60.0, 60.0]])
     assignment = plane_voronoi(field, positions)
     assert brute_hold_score(0, positions, field, BIG_R, assignment) == pytest.approx(1.0)
-    assert hold_scores(positions, field, BIG_R)[0] == pytest.approx(1.0)
+    assert hold_scores(coverage_summary(field, positions, BIG_R))[0] == pytest.approx(1.0)
 
 
 def test_hold_score_zero_when_limited_cell_empty_of_mass():
@@ -261,7 +260,7 @@ def test_hold_score_zero_when_limited_cell_empty_of_mass():
     # vehicle 0 owns mass at (40, 10) but nothing within 10 m of itself
     assert brute_hold_score(0, positions, field, 10.0, assignment) == 0.0
     assert brute_hold_score(1, positions, field, 10.0, assignment) > 0.0
-    scores = hold_scores(positions, field, 10.0)
+    scores = hold_scores(coverage_summary(field, positions, 10.0))
     assert scores[0] == 0.0 and scores[1] > 0.0
 
 
@@ -279,7 +278,7 @@ def test_hold_score_matches_manual_ratio(grid):
         expected = (polar_moment(limited, field, positions[i])
                     / polar_moment(full, field, positions[i]))
         assert brute_hold_score(i, positions, field, r, assignment) == pytest.approx(expected)
-    bulk = hold_scores(positions, field, r)
+    bulk = hold_scores(coverage_summary(field, positions, r))
     manual = [brute_hold_score(i, positions, field, r, assignment) for i in range(3)]
     assert np.allclose(bulk, manual, rtol=1e-9)
 
@@ -296,36 +295,40 @@ def test_graph_hold_scores_bounded_and_saturating(grid):
     assert np.allclose(hold_scores_graph(nodes, mass, oracle, 1e6), 1.0)
 
 
-def test_graph_hold_scores_equal_per_generator_loop(grid):
-    _, grid_oracle = grid
-    rng = np.random.default_rng(15)
-    cases = [(grid_oracle, 100)]
-    for _ in range(8):
-        n = int(rng.integers(5, 60))
-        graph_nodes, edges = random_connected_graph(rng, n, extra_edges=n // 3, max_len=6)
-        cases.append((all_pairs_shortest(build_graph(graph_nodes, edges)), n))
-    for oracle, n in cases:
-        mass = rng.random(n) * (rng.random(n) < 0.6)  # zero-mass cells score 0
-        mass /= max(mass.sum(), 1e-12)
-        nodes = rng.integers(0, n, size=int(rng.integers(1, 12))).tolist()  # repeats share a cell
-        for radius in (0.0, 6.0, 25.0, 1e9):
-            got = hold_scores_graph(nodes, mass, oracle, radius)
-            want = brute_hold_scores_graph(nodes, mass, oracle.dist, radius)
-            assert np.array_equal(got, want)
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["real", "integer", "grid"]),
+       n=st.integers(2, 40), n_vehicles=st.integers(1, 12),
+       reach=st.sampled_from(["zero", "mid", "all"]))
+def test_graph_hold_scores_equal_per_generator_loop(seed, kind, n, n_vehicles, reach):
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        k = 2 + n % 7
+        g = grid_graph(k, float(rng.choice([1.0, 10.0, 9750 / 29])))
+        n = k * k
+    else:
+        graph_nodes, edges = random_connected_graph(rng, n, extra_edges=n // 3, max_len=5,
+                                                    real_lengths=kind == "real")
+        g = build_graph(graph_nodes, edges)
+    oracle = all_pairs_shortest(g)
+    mass = rng.random(n) * (rng.random(n) < 0.6)  # zero-mass cells score 0
+    mass /= max(mass.sum(), 1e-12)
+    nodes = rng.integers(0, n, size=n_vehicles).tolist()  # repeats share a cell
+    radius = {"zero": 0.0, "mid": float(np.median(oracle.dist)), "all": 1e9}[reach]
+    got = hold_scores_graph(nodes, mass, oracle, radius)
+    want = brute_hold_scores_graph(nodes, mass, oracle.dist, radius)
+    assert np.array_equal(got, want)
 
 
 def test_retarget_hysteresis_suppresses_small_flips(grid):
     g, _ = grid
     field = unimodal_field([60.0, 30.0])
-    positions = np.array([[5.0, 80.0]])
-    free = cvr_targets(positions, field, BIG_R, g)
+    summary = coverage_summary(field, np.array([[5.0, 80.0]]), BIG_R)
+    free = cvr_targets(summary, g)
     new_target = free.destination[0]
     neighbor = new_target - 1  # 10 m away on this grid
-    pinned = cvr_targets(positions, field, BIG_R, g,
-                         previous=[neighbor], min_retarget_gain_m=50.0)
+    pinned = cvr_targets(summary, g, previous=[neighbor], min_retarget_gain_m=50.0)
     assert pinned.destination[0] == neighbor
-    released = cvr_targets(positions, field, BIG_R, g,
-                           previous=[neighbor], min_retarget_gain_m=5.0)
+    released = cvr_targets(summary, g, previous=[neighbor], min_retarget_gain_m=5.0)
     assert released.destination[0] == new_target
 
 

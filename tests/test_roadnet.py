@@ -29,6 +29,7 @@ from cvrsim.roadnet import (
 )
 
 from oracles import (
+    adjacency_lists,
     brute_graph_centroid,
     brute_graph_owner,
     brute_nearest,
@@ -151,11 +152,12 @@ def test_next_hop_walk_reproduces_distance():
 def brute_next_hops(g, dist):
     """Smallest-id neighbour v of i with w(i, v) + dist[j, v] == dist[j, i], by loops."""
     n = g.n_nodes
+    adjacency = adjacency_lists(g)
     out = np.empty((n, n), dtype=int)
     for i in range(n):
         for j in range(n):
             out[i, j] = i if i == j else min(
-                v for v, w in g.neighbors(i) if w + dist[j, v] == dist[j, i])
+                v for v, w in adjacency[i] if w + dist[j, v] == dist[j, i])
     return out
 
 
@@ -406,10 +408,10 @@ def check_graph_cells(oracle, gens, radius, mass):
     cells = graph_cells(oracle, gens, radius)
     owner = brute_graph_owner(oracle.dist, gens)
     assert cells.generators.tolist() == sorted(gens)
+    assert np.array_equal(cells.generators[cells.owner], owner)
     assert np.array_equal(cells.owner_dist, oracle.dist[owner, np.arange(len(owner))])
     assert np.array_equal(cells.in_range, cells.owner_dist <= radius)
     for k, gen in enumerate(sorted(gens)):
-        assert np.array_equal(cells.owned[k], np.flatnonzero(owner == gen))
         want = r_limited_graph_cell(owner, oracle, gen, radius)
         got = cells.limited(k)
         assert got.generator == gen

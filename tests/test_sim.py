@@ -364,8 +364,20 @@ def test_cancellations_feed_and_then_leave_the_traffic_registry():
     assert last_busy <= last_cancel_tick + math.ceil(longest / v) + 2
 
 
+class MatchLogWorld(World):
+    """Records every match as (clock, request id, vehicle id), in the order they happen."""
+
+    def __init__(self, cfg):
+        self.match_log = []
+        super().__init__(cfg)
+
+    def _apply_match(self, req, i, clock):
+        self.match_log.append((clock, req.id, i))
+        super()._apply_match(req, i, clock)
+
+
 def test_fcfs_match_log_ordering():
-    world = World(mini_config("cvr"))
+    world = MatchLogWorld(mini_config("cvr"))
     world.run()
     t0_of = {r.id: r.t0 for r in world.requests}
     by_clock = {}
