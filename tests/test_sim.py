@@ -379,6 +379,7 @@ class MatchLogWorld(World):
 def test_fcfs_match_log_ordering():
     world = MatchLogWorld(mini_config("cvr"))
     world.run()
+    assert world.match_log
     t0_of = {r.id: r.t0 for r in world.requests}
     by_clock = {}
     for clock, rid, _ in world.match_log:
