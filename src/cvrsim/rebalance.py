@@ -106,7 +106,8 @@ def hold_scores_graph(nodes, node_mass, oracle: DistanceOracle, r_graph_m: float
     cells = graph_cells(oracle, gens, r_graph_m)
     moment = cells.owner_dist ** 2 * np.asarray(node_mass, dtype=np.float64)
     j_full = np.bincount(cells.owner, moment, minlength=len(gens))
-    j_limited = np.bincount(cells.owner[cells.near], moment[cells.near], minlength=len(gens))
+    inside = cells.in_range
+    j_limited = np.bincount(cells.owner[inside], moment[inside], minlength=len(gens))
     return _hold_ratio(j_limited, j_full)[cell]
 
 
