@@ -14,7 +14,7 @@ import numpy as np
 
 from . import scenario as scenario_mod
 from .errors import ConfigValidationError, UnknownParameterError
-from .roadnet import graph_to_json, grid_graph
+from .roadnet import graph_to_json
 from .sim import TIMESERIES_COLUMNS, World, run_scenario
 
 _PERCENTILES = (25, 50, 75, 90)
@@ -156,11 +156,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen_grid(args) -> int:
-    if args.k < 2:
-        raise ConfigValidationError("k", f"grid needs k >= 2, got {args.k}")
-    if not (math.isfinite(args.spacing) and args.spacing > 0):
-        raise ConfigValidationError("spacing", f"must be positive and finite, got {args.spacing}")
-    graph = grid_graph(args.k, args.spacing)
+    graph = scenario_mod.checked_grid_graph(args.k, args.spacing, "k", "spacing")
     with open(args.out, "w") as fh:
         json.dump(graph_to_json(graph), fh)
         fh.write("\n")

@@ -5,9 +5,10 @@ A scenario file is a JSON object with sections ``graph``, ``demand``,
 keys anywhere are rejected so typos fail loudly, and every value must have
 its JSON type: a string is not a number and a number is not a flag.
 :func:`build_config` turns a parsed document into a runnable
-:class:`~cvrsim.sim.SimConfig`; every scalar of the fleet, controller and
-sim sections is declared once, in :data:`_KEYS`, and takes its default from
-:class:`~cvrsim.sim.SimConfig`.
+:class:`~cvrsim.sim.SimConfig`. Every key of the fleet, controller and sim
+sections is declared once, in :data:`cvrsim.sim.SCENARIO_KEYS`: its path, its
+JSON type (which picks its parser here) and its range. It takes its default
+from :class:`~cvrsim.sim.SimConfig`.
 
 :func:`desk_scenario` builds the small 20x20-grid benchmark used by the
 test suite and the demos: a north-east origin hot spot, a destination
@@ -30,7 +31,7 @@ from . import demand
 from .errors import ConfigValidationError
 from .plane import mixture_density
 from .roadnet import RoadGraph, graph_from_json, grid_graph
-from .sim import DEFAULT_MFD, MFDParams, SimConfig
+from .sim import DEFAULT_MFD, SCENARIO_KEYS, MFDParams, SimConfig
 
 _SECTIONS = {"graph", "demand", "fleet", "controller", "sim", "output_dir"}
 _GRAPH_KEYS = {"path", "grid"}
@@ -39,16 +40,6 @@ _DEMAND_KEYS = {"origin", "destination", "gamma", "profile"}
 _SOURCE_KEYS = {"mixture", "node_counts", "node_mass"}
 _COMPONENT_KEYS = {"weight", "mean", "cov"}
 _MFD_KEYS = {f.name for f in dataclasses.fields(MFDParams)}
-
-SWEEPABLE = {
-    "gamma": ("demand", "gamma"),
-    "n_av": ("fleet", "n_av"),
-    "control_period_s": ("sim", "control_period_s"),
-    "alpha": ("controller", "alpha"),
-    "y_ref": ("controller", "y_ref"),
-    "k_p": ("controller", "k_p"),
-    "k_i": ("controller", "k_i"),
-}
 
 
 def _reject_unknown(section, allowed: set, where: str) -> None:
@@ -113,37 +104,17 @@ def _mfd(value, field: str) -> MFDParams:
     return dataclasses.replace(DEFAULT_MFD, **value)
 
 
-# Every key of the fleet, controller and sim sections: the SimConfig field it
-# sets and the parser its value must pass. An absent key takes the field's
-# default, and a key whose field has no default is required.
-_KEYS = {
-    ("fleet", "n_av"): ("n_av", _integer),
-    ("fleet", "placement"): ("placement", _text),
-    ("controller", "name"): ("controller", _text),
-    ("controller", "r_m"): ("r_m", _number),
-    ("controller", "r_graph_m"): ("r_graph_m", _number),
-    ("controller", "alpha"): ("alpha", _number),
-    ("controller", "k_p"): ("k_p", _number),
-    ("controller", "k_i"): ("k_i", _number),
-    ("controller", "y_ref"): ("y_ref", _number),
-    ("controller", "y_hold"): ("y_hold", _number),
-    ("controller", "graph_hold_score"): ("graph_hold_score", _flag),
-    ("controller", "min_retarget_gain_m"): ("min_retarget_gain_m", _number),
-    ("sim", "tick_s"): ("tick_s", _number),
-    ("sim", "control_period_s"): ("control_period_s", _number),
-    ("sim", "fleet_period_s"): ("fleet_period_s", _number),
-    ("sim", "horizon_s"): ("horizon_s", _number),
-    ("sim", "beta"): ("beta", _number),
-    ("sim", "match_tolerance_s"): ("match_tolerance_s", _number),
-    ("sim", "pickup_tolerance_s"): ("pickup_tolerance_s", _number),
-    ("sim", "baseline_accumulation"): ("baseline_accumulation", _integer),
-    ("sim", "mfd"): ("mfd", _mfd),
-    ("sim", "persistent_private_trips"): ("persistent_private_trips", _flag),
-    ("sim", "resolution_m"): ("resolution_m", _number),
-    ("sim", "seed"): ("seed", _integer),
-}
-_SECTION_KEYS = {name: {key for section, key in _KEYS if section == name} for name, _ in _KEYS}
+# Each key of SCENARIO_KEYS is read at the (section, key) of its dotted path
+# by the parser of its JSON type. An absent key takes its field's default, and
+# a key whose field has no default is required.
+_PARSERS = {int: _integer, float: _number, bool: _flag, str: _text, MFDParams: _mfd}
+_PATHS = {field: tuple(entry[0].split(".")) for field, entry in SCENARIO_KEYS.items()}
+_SECTION_KEYS = {name: {key for section, key in _PATHS.values() if section == name}
+                 for name, _ in _PATHS.values()}
 _REQUIRED = {f.name for f in dataclasses.fields(SimConfig) if f.default is dataclasses.MISSING}
+
+SWEEPABLE = {"gamma": ("demand", "gamma")} | {
+    field: _PATHS[field] for field in ("n_av", "control_period_s", "alpha", "y_ref", "k_p", "k_i")}
 
 
 def load_scenario(path: str) -> dict:
@@ -216,6 +187,18 @@ def _node_mass_from_source(source: dict, graph: RoadGraph, where: str) -> np.nda
     return _demand_source(source, graph, where)[0]
 
 
+def checked_grid_graph(k: int, spacing_m: float, k_field: str, spacing_field: str) -> RoadGraph:
+    """The k-by-k grid, once k >= 2 and the spacing is positive and finite.
+
+    ``graph.grid`` and ``cvrsim gen-grid`` share this check, each naming its own fields.
+    """
+    if k < 2:
+        raise ConfigValidationError(k_field, f"grid needs k >= 2, got {k}")
+    if not (math.isfinite(spacing_m) and spacing_m > 0):
+        raise ConfigValidationError(spacing_field, f"must be positive and finite, got {spacing_m}")
+    return grid_graph(k, spacing_m)
+
+
 def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = None) -> SimConfig:
     """Validate a scenario document and resolve it into a SimConfig."""
     _reject_unknown(doc, _SECTIONS, "scenario")
@@ -238,14 +221,10 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
     else:
         grid = graph_sec["grid"]
         _reject_unknown(grid, _GRID_KEYS, "graph.grid")
-        k = _integer(_require(grid, "k", "graph.grid"), "graph.grid.k")
-        if k < 2:
-            raise ConfigValidationError("graph.grid.k", f"grid needs k >= 2, got {k}")
-        spacing_m = _number(_require(grid, "spacing_m", "graph.grid"), "graph.grid.spacing_m")
-        if not (math.isfinite(spacing_m) and spacing_m > 0):
-            raise ConfigValidationError(
-                "graph.grid.spacing_m", f"must be positive and finite, got {spacing_m}")
-        graph = grid_graph(k, spacing_m)
+        graph = checked_grid_graph(
+            _integer(_require(grid, "k", "graph.grid"), "graph.grid.k"),
+            _number(_require(grid, "spacing_m", "graph.grid"), "graph.grid.spacing_m"),
+            "graph.grid.k", "graph.grid.spacing_m")
 
     demand_sec = _require(doc, "demand", "scenario")
     _reject_unknown(demand_sec, _DEMAND_KEYS, "demand")
@@ -273,13 +252,14 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
         sections[name] = doc.get(name, {})
         _reject_unknown(sections[name], keys, name)
     values = {}
-    for (section, key), (field, parse) in _KEYS.items():
+    for field, (path, kind, _, _) in SCENARIO_KEYS.items():
+        section, key = _PATHS[field]
         if key in sections[section]:
-            values[field] = parse(sections[section][key], f"{section}.{key}")
+            values[field] = _PARSERS[kind](sections[section][key], path)
         elif field in _REQUIRED:
-            raise ConfigValidationError(f"{section}.{key}", "missing required entry")
+            raise ConfigValidationError(path, "missing required entry")
     if seed_override is not None:
-        values["seed"] = _integer(seed_override, "sim.seed")
+        values["seed"] = _integer(seed_override, SCENARIO_KEYS["seed"][0])
     cfg = SimConfig(graph=graph, origin_mass=origin_mass, destination_mass=dest_mass,
                     profile=profile, mixture=mixture, **values)
     cfg.validate()

@@ -123,6 +123,45 @@ class Fleet:
         return out
 
 
+# Every key of a scenario's fleet, controller and sim sections, by the
+# SimConfig field it sets: (dotted path, JSON type, range or None, the reason a
+# value out of range is rejected). The scenario parser picks each key's parser
+# from its type; SimConfig.validate checks each range.
+SCENARIO_KEYS = {
+    "n_av": ("fleet.n_av", int, lambda v: v >= 0, "fleet size must be nonnegative"),
+    "placement": ("fleet.placement", str, lambda v: v in ("uniform", "destination"),
+                  "unknown placement {!r}"),
+    "controller": ("controller.name", str, lambda v: v in rebalance.CONTROLLERS,
+                   "unknown controller {!r}"),
+    "r_m": ("controller.r_m", float, lambda v: v > 0, "coverage radius must be positive"),
+    "r_graph_m": ("controller.r_graph_m", float, lambda v: v > 0,
+                  "graph coverage radius must be positive"),
+    "alpha": ("controller.alpha", float, lambda v: 0.0 <= v <= 1.0, "alpha must lie in [0, 1]"),
+    "k_p": ("controller.k_p", float, None, None),
+    "k_i": ("controller.k_i", float, None, None),
+    "y_ref": ("controller.y_ref", float, None, None),
+    "y_hold": ("controller.y_hold", float, None, None),
+    "graph_hold_score": ("controller.graph_hold_score", bool, None, None),
+    "min_retarget_gain_m": ("controller.min_retarget_gain_m", float, None, None),
+    "tick_s": ("sim.tick_s", float, lambda v: v > 0, "tick must be positive"),
+    "control_period_s": ("sim.control_period_s", float, None, None),
+    "fleet_period_s": ("sim.fleet_period_s", float, None, None),
+    "horizon_s": ("sim.horizon_s", float, lambda v: v >= 0, "horizon must be nonnegative"),
+    "beta": ("sim.beta", float, lambda v: v >= 0, "beta must be nonnegative"),
+    "match_tolerance_s": ("sim.match_tolerance_s", float, lambda v: v >= 0,
+                          "match tolerance must be nonnegative"),
+    "pickup_tolerance_s": ("sim.pickup_tolerance_s", float, lambda v: v >= 0,
+                           "pickup tolerance must be nonnegative"),
+    "baseline_accumulation": ("sim.baseline_accumulation", int, lambda v: v >= 0,
+                              "baseline accumulation must be nonnegative"),
+    "mfd": ("sim.mfd", MFDParams, None, None),
+    "persistent_private_trips": ("sim.persistent_private_trips", bool, None, None),
+    "resolution_m": ("sim.resolution_m", float, lambda v: v > 0,
+                     "raster resolution must be positive"),
+    "seed": ("sim.seed", int, lambda v: v >= 0, "seed must be nonnegative"),
+}
+
+
 @dataclass
 class SimConfig:
     """Everything a run needs; see scenario.py for the JSON form."""
@@ -168,32 +207,22 @@ class SimConfig:
         return self.r_graph_m if self.r_graph_m is not None else math.sqrt(2.0) * self.r_m
 
     def validate(self) -> None:
+        """Reject the first bad value with a ConfigValidationError naming its key.
+
+        Each key of :data:`SCENARIO_KEYS` is checked alone, in table order: a
+        float must be finite, then the value must lie in its range. The checks
+        that span several fields follow.
+        """
         def fail(field, msg):
             raise ConfigValidationError(field, msg)
 
-        if self.controller not in rebalance.CONTROLLERS:
-            fail("controller.name", f"unknown controller {self.controller!r}")
-        for name, value in (
-                ("controller.r_m", self.r_m), ("controller.r_graph_m", self.effective_r_graph()),
-                ("controller.alpha", self.alpha), ("controller.k_p", self.k_p),
-                ("controller.k_i", self.k_i), ("controller.y_ref", self.y_ref),
-                ("controller.y_hold", self.y_hold),
-                ("controller.min_retarget_gain_m", self.min_retarget_gain_m),
-                ("sim.tick_s", self.tick_s), ("sim.control_period_s", self.control_period_s),
-                ("sim.fleet_period_s", self.fleet_period_s), ("sim.horizon_s", self.horizon_s),
-                ("sim.beta", self.beta), ("sim.match_tolerance_s", self.match_tolerance_s),
-                ("sim.pickup_tolerance_s", self.pickup_tolerance_s),
-                ("sim.resolution_m", self.resolution_m)):
-            if not math.isfinite(value):
-                fail(name, f"must be finite, got {value}")
-        if self.n_av < 0:
-            fail("fleet.n_av", "fleet size must be nonnegative")
-        if self.seed < 0:
-            fail("sim.seed", "seed must be nonnegative")
-        if self.placement not in ("uniform", "destination"):
-            fail("fleet.placement", f"unknown placement {self.placement!r}")
-        if self.tick_s <= 0:
-            fail("sim.tick_s", "tick must be positive")
+        values = dict(vars(self), r_graph_m=self.effective_r_graph())
+        for field, (path, kind, in_range, reason) in SCENARIO_KEYS.items():
+            value = values[field]
+            if kind is float and not math.isfinite(value):
+                fail(path, f"must be finite, got {value}")
+            if in_range is not None and not in_range(value):
+                fail(path, reason.format(value))
         if not self.tick_s <= self.control_period_s <= self.fleet_period_s:
             fail("sim.control_period_s", "need tick <= control period <= fleet period")
         for name, period in (("sim.control_period_s", self.control_period_s),
@@ -201,24 +230,6 @@ class SimConfig:
             ratio = period / self.tick_s
             if abs(ratio - round(ratio)) > 1e-9:
                 fail(name, "must be an integer multiple of the tick")
-        if self.horizon_s < 0:
-            fail("sim.horizon_s", "horizon must be nonnegative")
-        if self.r_m <= 0:
-            fail("controller.r_m", "coverage radius must be positive")
-        if self.effective_r_graph() <= 0:
-            fail("controller.r_graph_m", "graph coverage radius must be positive")
-        if self.resolution_m <= 0:
-            fail("sim.resolution_m", "raster resolution must be positive")
-        if self.match_tolerance_s < 0:
-            fail("sim.match_tolerance_s", "match tolerance must be nonnegative")
-        if self.pickup_tolerance_s < 0:
-            fail("sim.pickup_tolerance_s", "pickup tolerance must be nonnegative")
-        if not 0.0 <= self.alpha <= 1.0:
-            fail("controller.alpha", "alpha must lie in [0, 1]")
-        if self.beta < 0:
-            fail("sim.beta", "beta must be nonnegative")
-        if self.baseline_accumulation < 0:
-            fail("sim.baseline_accumulation", "baseline accumulation must be nonnegative")
         mfd = self.mfd
         for key, value in mfd.__dict__.items():
             if key == "linear_slope" and value is None:
