@@ -15,15 +15,17 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import plane
-from .roadnet import DistanceOracle, RoadGraph, graph_cells, graph_centroids, nearest_nodes
+from .roadnet import (
+    DistanceOracle,
+    RoadGraph,
+    graph_cells,
+    graph_centroids,
+    nearest_nodes,
+    position_node_distance,
+)
 
 # No longer called here, but perfbench/run.py wraps them at these names.
-from .roadnet import (  # noqa: F401
-    graph_centroid,
-    graph_voronoi,
-    position_node_distance,
-    r_limited_graph_cell,
-)
+from .roadnet import graph_centroid, graph_voronoi, r_limited_graph_cell  # noqa: F401
 
 CONTROLLERS = ("do_nothing", "cvr", "cvr_graph", "cvr_alpha", "cvr_pi", "lp")
 
@@ -182,7 +184,7 @@ def lp_rebalance(fwd, lead, pending_origins, oracle: DistanceOracle,
     target = np.full(len(fwd), -1, dtype=np.int64)
     if len(fwd) and len(origins):
         lead = np.asarray(lead, dtype=np.float64)
-        cost = (lead[:, None] + oracle.dist[np.ix_(fwd, origins)]) / speed_mps
+        cost = position_node_distance(oracle, fwd[:, None], lead[:, None], origins) / speed_mps
         rows, cols = linear_sum_assignment(cost)
         target[rows] = origins[cols]
     return RebalanceDecision(destination=target)

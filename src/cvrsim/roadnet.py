@@ -385,6 +385,10 @@ def nearest_node(graph: RoadGraph, point) -> int:
     return int(nearest_nodes(graph, point)[0])
 
 
-def position_node_distance(oracle: DistanceOracle, fwd: int, lead: float, node: int) -> float:
-    """Shortest-path distance to a node from ``lead`` meters short of node ``fwd``."""
-    return float(lead + oracle.dist[fwd, node])
+def position_node_distance(oracle: DistanceOracle, fwd, lead, node):
+    """Shortest-path distance to ``node`` from ``lead`` meters short of node ``fwd``.
+
+    The arguments broadcast: arrays of forward nodes and leads give one
+    distance per vehicle.
+    """
+    return lead + oracle.dist[fwd, node]

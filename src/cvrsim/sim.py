@@ -284,15 +284,15 @@ class SimMetrics:
         return {k: jsonable(v) for k, v in self.__dict__.items()}
 
 
-def estimate_pickup(oracle: DistanceOracle, fwd: int, lead: float, origin: int,
-                    now: float, speed_mps: float) -> float:
-    """Estimated pickup clock time of a vehicle ``lead`` meters short of node ``fwd``.
+def estimate_pickup(distance_m: float, now: float, speed_mps: float) -> float:
+    """Estimated pickup clock time of a vehicle ``distance_m`` meters from the origin.
 
-    Infinite when the network is at standstill.
+    The distance is :func:`~cvrsim.roadnet.position_node_distance`'s. Infinite
+    when the network is at standstill.
     """
     if speed_mps <= 0:
         return math.inf
-    return now + position_node_distance(oracle, fwd, lead, origin) / speed_mps
+    return now + distance_m / speed_mps
 
 
 @dataclass(frozen=True)
@@ -332,13 +332,10 @@ def match_tick(pending, pool: IdlePool, clock: float, oracle: DistanceOracle, sp
             continue
         if len(matches) == len(pool):
             continue
-        d = lead + oracle.dist[fwd, req.origin]
+        d = position_node_distance(oracle, fwd, lead, req.origin)
         d[taken] = math.inf
         best = int(np.argmin(d))  # first occurrence: the earliest vehicle in pool order
-        # estimate_pickup stays the one definition of the estimate; it
-        # recomputes the distance of the chosen vehicle only.
-        estimate = estimate_pickup(oracle, fwd[best], lead[best], req.origin, clock, speed_mps)
-        if estimate - req.t0 <= req.t_ptol + 1e-9:
+        if estimate_pickup(d[best], clock, speed_mps) - req.t0 <= req.t_ptol + 1e-9:
             matches.append((req, int(pool.ids[best])))
             taken[best] = True
     return matches, cancellations

@@ -498,6 +498,15 @@ def test_position_distance_mid_edge_drives_forward():
     assert position_node_distance(oracle, 1, 50.0, 0) == 150.0
 
 
+def test_position_distance_broadcasts_to_the_scalar_values():
+    oracle = all_pairs_shortest(grid_graph(4, 100.0))
+    fwd, lead, nodes = np.array([0, 5, 5, 15]), np.array([0.0, 30.0, 70.0, 12.5]), [3, 9]
+    block = position_node_distance(oracle, fwd[:, None], lead[:, None], np.array(nodes))
+    assert block.tolist() == [[position_node_distance(oracle, f, a, n) for n in nodes]
+                              for f, a in zip(fwd.tolist(), lead.tolist())]
+    assert position_node_distance(oracle, fwd, lead, 9).tolist() == block[:, 1].tolist()
+
+
 def test_position_distance_equals_scalar_sum_on_random_graphs():
     rng = np.random.default_rng(21)
     for _ in range(10):

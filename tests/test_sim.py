@@ -104,23 +104,25 @@ def test_negative_accumulation_rejected():
 # -- estimate_pickup ------------------------------------------------------------------
 
 def test_estimate_at_origin_is_now(mini_oracle):
-    assert estimate_pickup(mini_oracle, 7, 0.0, 7, now=123.0, speed_mps=5.0) == 123.0
+    distance = position_node_distance(mini_oracle, 7, 0.0, 7)
+    assert estimate_pickup(distance, now=123.0, speed_mps=5.0) == 123.0
 
 
 def test_estimate_simple_division(mini_oracle):
     # nodes 0 and 3 are 600 m apart along the bottom row
-    assert estimate_pickup(mini_oracle, 0, 0.0, 3, now=50.0, speed_mps=6.0) == \
-        pytest.approx(150.0)
+    distance = position_node_distance(mini_oracle, 0, 0.0, 3)
+    assert estimate_pickup(distance, now=50.0, speed_mps=6.0) == pytest.approx(150.0)
 
 
 def test_estimate_mid_edge(mini_oracle):
     # 150 m past node 0 on edge (0, 1): 50 m remain to node 1, then 200 m to node 2
-    est = estimate_pickup(mini_oracle, 1, 50.0, 2, now=0.0, speed_mps=10.0)
-    assert est == pytest.approx(25.0)
+    distance = position_node_distance(mini_oracle, 1, 50.0, 2)
+    assert estimate_pickup(distance, now=0.0, speed_mps=10.0) == pytest.approx(25.0)
 
 
 def test_estimate_zero_speed_is_infinite(mini_oracle):
-    assert estimate_pickup(mini_oracle, 0, 0.0, 3, now=0.0, speed_mps=0.0) == math.inf
+    distance = position_node_distance(mini_oracle, 0, 0.0, 3)
+    assert estimate_pickup(distance, now=0.0, speed_mps=0.0) == math.inf
 
 
 # -- match_tick ------------------------------------------------------------------------
