@@ -264,13 +264,12 @@ def coverage_summary(field: GridField, generators, r_m: float) -> CoverageSummar
     assignment, own_d2 = _nearest_generator(field, gens)
     mass = field.mass
     j_full = np.bincount(assignment, weights=mass * own_d2, minlength=n)
-    inside = own_d2 <= r_m * r_m
-    owner_in = assignment[inside]
-    w_in = mass[inside]
-    mass_w = np.bincount(owner_in, weights=w_in, minlength=n)
-    sum_x = np.bincount(owner_in, weights=w_in * field.centers[inside, 0], minlength=n)
-    sum_y = np.bincount(owner_in, weights=w_in * field.centers[inside, 1], minlength=n)
-    j_lim = np.bincount(owner_in, weights=w_in * own_d2[inside], minlength=n)
+    # Out of range a pixel weighs 0.0, which adds exactly +0.0 to its owner's sums.
+    w_in = np.where(own_d2 <= r_m * r_m, mass, 0.0)
+    mass_w = np.bincount(assignment, weights=w_in, minlength=n)
+    sum_x = np.bincount(assignment, weights=w_in * field.centers[:, 0], minlength=n)
+    sum_y = np.bincount(assignment, weights=w_in * field.centers[:, 1], minlength=n)
+    j_lim = np.bincount(assignment, weights=w_in * own_d2, minlength=n)
     with np.errstate(invalid="ignore", divide="ignore"):
         centroid = np.column_stack([sum_x, sum_y]) / mass_w[:, None]
     centroid[mass_w <= 0] = np.nan

@@ -108,8 +108,9 @@ def hold_scores_graph(nodes, node_mass, oracle: DistanceOracle, r_graph_m: float
     cells = graph_cells(oracle, gens, r_graph_m)
     moment = cells.owner_dist ** 2 * np.asarray(node_mass, dtype=np.float64)
     j_full = np.bincount(cells.owner, moment, minlength=len(gens))
-    inside = cells.in_range
-    j_limited = np.bincount(cells.owner[inside], moment[inside], minlength=len(gens))
+    # Out of range a node adds exactly +0.0 to its owner's limited moment.
+    j_limited = np.bincount(cells.owner, np.where(cells.in_range, moment, 0.0),
+                            minlength=len(gens))
     return _hold_ratio(j_limited, j_full)[cell]
 
 
