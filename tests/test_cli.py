@@ -16,7 +16,9 @@ from cvrsim.demand import CANCELLED, COMPLETED, MATCHED, PENDING, PICKED_UP
 from cvrsim.errors import ConfigValidationError, UnknownParameterError
 from cvrsim.roadnet import graph_from_json, graph_to_json, grid_graph
 from cvrsim.scenario import DESK_PI, build_config, desk_document, set_sweep_value
-from cvrsim.sim import DEFAULT_MFD
+from cvrsim.sim import DEFAULT_MFD, SCENARIO_KEYS
+
+from test_scenario_keys import FIELDS as PINNED_FIELDS
 
 
 def mini_scenario_doc(**sim_overrides):
@@ -596,6 +598,29 @@ def test_desk_run_artifacts_are_pinned(tmp_path, capsys, label):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in DESK_RUN_SHA256[label]}
     assert digests == DESK_RUN_SHA256[label]
+
+
+def test_desk_scenario_file_is_the_desk_document():
+    # the pins above run the file; perfbench and the acceptance suite run desk_document
+    assert json.loads(DESK_SCENARIO.read_text()) == {**desk_document("cvr"), "output_dir": "out"}
+
+
+# -- scenario keys: the table, its pinned rejections and the README ------------------
+
+def readme_key_table_keys() -> set:
+    """Every key named in the first column of README's scenario key table."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| key | type | default |\n", 1)[1].split("\n\n", 1)[0]
+    first_cells = [row.split("|")[1] for row in table.splitlines()]
+    return {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
+
+
+def test_readme_key_table_names_every_scenario_key():
+    assert {path for path, *_ in SCENARIO_KEYS.values()} <= readme_key_table_keys()
+
+
+def test_pinned_rejections_cover_every_scenario_key():
+    assert {path: field for field, (path, *_) in SCENARIO_KEYS.items()} == PINNED_FIELDS
 
 
 @pytest.mark.parametrize("time", ["nan", "-30", "inf"])
