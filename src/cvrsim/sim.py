@@ -216,6 +216,7 @@ class SimConfig:
         def fail(field, msg):
             raise ConfigValidationError(field, msg)
 
+        # an unset r_graph_m is checked as the radius a run uses
         values = dict(vars(self), r_graph_m=self.effective_r_graph())
         for field, (path, kind, in_range, reason) in SCENARIO_KEYS.items():
             value = values[field]
