@@ -6,6 +6,8 @@ the idle fleet, the rebalancing controller runs on its own period, the
 fleet-size adapter runs on a slower period, and everything moves along
 shortest paths at the network-wide speed given by the accumulation-speed
 relation. Runs are deterministic functions of the configuration seed.
+Every pickup and drop-off happens in :meth:`World._arrive`, where a route ends:
+on arrival, or at the match of a vehicle that already stands at the origin.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import demand, plane, rebalance
-from .demand import CANCELLED, COMPLETED, MATCHED, PICKED_UP, Request
+from .demand import CANCELLED, COMPLETED, MATCHED, PENDING, PICKED_UP, Request
 from .errors import ConfigValidationError
 from .roadnet import (
     DistanceOracle,
@@ -92,7 +94,8 @@ class Fleet:
     never has that node as its destination, and an unheld vehicle inside an
     edge always has one, so it drives on to the forward node first: only a
     hold clears the destination of a vehicle that is not at a node. The
-    masked step of :meth:`World._advance` relies on it.
+    masked step of :meth:`World._move` relies on it. Only idle vehicles are
+    held, and one matched at its origin is picked up during matching.
     """
 
     def __init__(self, graph: RoadGraph, starts):
@@ -463,10 +466,8 @@ class World:
             for req, i in matches:
                 self._apply_match(req, i, clock)
             for req in cancellations:
-                self._apply_cancellation(req, clock)
-            taken = {r.id for r, _ in matches} | {r.id for r in cancellations}
-            if taken:
-                self.pending = [r for r in self.pending if r.id not in taken]
+                self._apply_cancellation(req)
+            self.pending = [r for r in self.pending if r.status == PENDING]
 
         # (3) rebalancing controller
         if self.tick % self._ctrl_every == 0:
@@ -505,8 +506,10 @@ class World:
         req.vehicle_id = i
         f.state[i], f.requests[i], f.held[i] = _ASSIGNED, req, False
         self._route_to(i, req.origin)
+        if f.dest[i] < 0:  # it already stands at the origin
+            self._arrive(i, clock)
 
-    def _apply_cancellation(self, req: Request, clock: float) -> None:
+    def _apply_cancellation(self, req: Request) -> None:
         req.status = CANCELLED
         self.cum_cancelled += 1
         self.private_remaining.append(float(self.oracle.dist[req.origin, req.destination]))
@@ -514,19 +517,18 @@ class World:
     # -- controller ------------------------------------------------------------
 
     def _controller_tick(self, speed: float) -> None:
-        ids = self._idle_ids()
-        if not ids.size:
+        pool = self._idle_pool()
+        if not len(pool):
             return
         cfg = self.cfg
         f = self.fleet
-        nodes = f.node[ids]  # forward nodes
+        ids, nodes = pool.ids, pool.fwd
         name = cfg.controller
         if name == "do_nothing" or (name == "lp" and speed <= 0):
             decision = rebalance.do_nothing(len(ids))
         elif name == "lp":
             decision = rebalance.lp_rebalance(
-                nodes, (f.length - f.offset)[ids],
-                [r.origin for r in self.pending], self.oracle, speed)
+                nodes, pool.lead, [r.origin for r in self.pending], self.oracle, speed)
         elif name == "cvr_graph":
             decision = rebalance.cvr_graph_targets(
                 nodes, cfg.origin_mass, self.oracle, cfg.effective_r_graph())
@@ -580,43 +582,32 @@ class World:
         f = self.fleet
         f.dest[i] = np.where((f.tail[i] < 0) & (f.node[i] == dest), -1, dest)
 
-    def _do_pickup(self, i: int, t: float) -> None:
+    def _arrive(self, i: int, t: float) -> None:
+        """Vehicle i's route ended at its node at time ``t``: the one place events happen.
+
+        An assigned vehicle picks up, and drops off at once when the trip
+        ends at the node it stands on; a carrying vehicle drops off; an idle
+        vehicle just stops.
+        """
         f = self.fleet
         req = f.requests[i]
-        req.status = PICKED_UP
-        req.pickup_time = t
-        self._window_waits.append(t - req.t0)
-        f.state[i] = _CARRYING
-        self._route_to(i, req.destination)
-        if f.dest[i] < 0:
-            self._do_dropoff(i, t)
-
-    def _do_dropoff(self, i: int, t: float) -> None:
-        f = self.fleet
-        req = f.requests[i]
-        req.status = COMPLETED
-        req.dropoff_time = t
-        f.state[i], f.requests[i] = _IDLE, None
-
-    def _on_route_end(self, i: int, t: float) -> None:
-        """State transition at a route's final node; an idle vehicle just stops there."""
-        state = self.fleet.state[i]
-        if state == _ASSIGNED:
-            self._do_pickup(i, t)
-        elif state == _CARRYING:
-            self._do_dropoff(i, t)
+        if f.state[i] == _ASSIGNED:
+            req.status, req.pickup_time = PICKED_UP, t
+            self._window_waits.append(t - req.t0)
+            f.state[i] = _CARRYING
+            self._route_to(i, req.destination)
+            if f.dest[i] >= 0:
+                return
+        if f.state[i] == _CARRYING:
+            req.status, req.dropoff_time = COMPLETED, t
+            f.state[i], f.requests[i] = _IDLE, None
 
     def _advance(self, speed: float) -> None:
-        dt = self.cfg.tick_s
-        clock = self.clock
-        f = self.fleet
-        # zero-distance events: vehicles matched while standing at the origin
-        for i in ((f.state == _ASSIGNED) & (f.dest < 0)).nonzero()[0].tolist():
-            self._do_pickup(i, clock)
         if speed > 0:
+            dt = self.cfg.tick_s
             budget = speed * dt
             if budget > 1e-12:
-                self._move(budget, clock + dt)
+                self._move(budget, self.clock + dt)
             # private traffic from cancellations moves at the same network speed
             if self.private_remaining and not self.cfg.persistent_private_trips:
                 self.private_remaining = [r - budget for r in self.private_remaining
@@ -667,14 +658,14 @@ class World:
         f.dest[i] = dest
         odometer[i] = driven
         if dest < 0:  # the route ended at this node
-            self._on_route_end(i, t_end)
+            self._arrive(i, t_end)
 
     # -- observation --------------------------------------------------------------
 
     def _record_series(self) -> None:
         f = self.fleet
         idle, assigned, carrying = np.bincount(f.state, minlength=len(STATES)).tolist()
-        idle_held = int(np.count_nonzero(f.held & (f.state == _IDLE)))
+        idle_held = int(np.count_nonzero(f.held))  # only idle vehicles are held
         self.series.append((
             self.clock, idle - idle_held, idle_held, assigned, carrying,
             self.accumulation,

@@ -297,7 +297,7 @@ def test_arrival_triggers_dropoff_and_idle():
     f = world.fleet
     req = Request(id=999, origin=12, destination=13, t0=0.0)
     f.node[0], f.state[0], f.requests[0] = 12, STATES.index(ASSIGNED), req
-    world._do_pickup(0, t=0.0)
+    world._arrive(0, t=0.0)
     assert STATES[f.state[0]] == CARRYING and req.status == PICKED_UP
     speed = world.current_speed()
     ticks = 0
@@ -308,6 +308,67 @@ def test_arrival_triggers_dropoff_and_idle():
     assert req.status == COMPLETED
     assert (f.node[0], f.tail[0]) == (13, -1)
     assert f.service_m[0] == pytest.approx(200.0)
+
+
+class ControlSpyWorld(World):
+    """Records, as each control tick starts, the clock and vehicle 0's state."""
+
+    def __init__(self, cfg):
+        self.seen = []
+        super().__init__(cfg)
+
+    def _controller_tick(self, speed):
+        self.seen.append((self.clock, STATES[self.fleet.state[0]]))
+        super()._controller_tick(speed)
+
+
+def test_vehicle_at_origin_picks_up_during_matching():
+    world = ControlSpyWorld(mini_config(n_av=1, profile=[(900.0, 0.0)], control_period_s=1.0))
+    f = world.fleet
+    origin = int(f.node[0])
+    req = Request(id=0, origin=origin, destination=(origin + 1) % 25, t0=3.0)
+    world.requests = [req]
+    for _ in range(4):
+        world.step()
+    assert world.seen == [(0.0, IDLE), (1.0, IDLE), (2.0, IDLE), (3.0, CARRYING)]
+    assert req.status == PICKED_UP and req.pickup_time == req.match_time == 3.0
+    assert world._window_waits == [0.0]
+
+
+class MatchOutcomeWorld(World):
+    """Records each request's status and its vehicle's state right after its match."""
+
+    def __init__(self, cfg):
+        self.outcomes = []
+        super().__init__(cfg)
+
+    def _apply_match(self, req, i, clock):
+        super()._apply_match(req, i, clock)
+        self.outcomes.append((req.status, STATES[self.fleet.state[i]], int(self.fleet.dest[i])))
+
+
+def test_trip_to_its_own_origin_completes_during_matching():
+    mass = np.zeros(25)
+    mass[12] = 1.0  # point masses: every trip starts and ends at node 12
+    world = MatchOutcomeWorld(mini_config(n_av=1, origin_mass=mass, destination_mass=mass))
+    world.fleet.node[0] = 12
+    world.run()
+    requests = world.requests[:world.n_injected]
+    assert requests and all((r.origin, r.destination) == (12, 12) for r in requests)
+    assert world.outcomes == [(COMPLETED, IDLE, -1)] * len(requests)
+    assert all(r.match_time == r.pickup_time == r.dropoff_time for r in requests)
+    assert all(row[3] == row[4] == 0 for row in world.series)
+
+
+def test_only_idle_vehicles_are_held():
+    world = World(desk_scenario("cvr_pi", seed=1))
+    f = world.fleet
+    held_ticks = 0
+    while world.clock < world.cfg.horizon_s - 1e-9:
+        world.step()
+        assert not (f.held & (f.state != STATES.index(IDLE))).any()
+        held_ticks += bool(f.held.any())
+    assert held_ticks > 0
 
 
 def test_odometer_split_by_state():
@@ -530,13 +591,14 @@ def test_pi_window_mean_idle_counts_every_advanced_tick(monkeypatch):
 class LoggedWorld(World):
     """Records every pickup and drop-off, in the order they happen."""
 
-    def _do_pickup(self, i, t):
-        self.events.append(("pickup", i, t))
-        super()._do_pickup(i, t)
-
-    def _do_dropoff(self, i, t):
-        self.events.append(("dropoff", i, t))
-        super()._do_dropoff(i, t)
+    def _arrive(self, i, t):
+        f = self.fleet
+        assigned, busy = f.state[i] == STATES.index(ASSIGNED), f.requests[i] is not None
+        super()._arrive(i, t)
+        if assigned:
+            self.events.append(("pickup", i, t))
+        if busy and f.requests[i] is None:
+            self.events.append(("dropoff", i, t))
 
 
 class LoggedScalarMovement(ScalarMovement):
@@ -556,8 +618,9 @@ def fleet_cases(draw):
     Vehicles stand at nodes or part way along edges, some at an offset that
     reaches the node exactly or falls just short of the arrival tolerance;
     they are held, idle with or without a rebalancing route, carrying, or
-    assigned: some stand at their origin (a zero-length route), and some
-    have the origin as destination, so the drop-off follows the pickup.
+    assigned, and some of those have the origin as destination, so the
+    drop-off follows the pickup. No assigned vehicle stands at its origin:
+    matching picks such a vehicle up at once.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 9))
@@ -591,7 +654,8 @@ def fleet_cases(draw):
             place = (u, v, draw(st.sampled_from(offsets)))
         # An unheld vehicle inside an edge always has a route.
         routed = state != IDLE or not (held or isinstance(place, int)) or draw(st.booleans())
-        target = draw(st.integers(0, n - 1))
+        target = draw(st.integers(0, n - 1).filter(
+            lambda node: not (state == ASSIGNED and node == place)))
         destination = draw(st.sampled_from([target, draw(st.integers(0, n - 1))]))
         vehicles.append((state, held, place, routed, target, destination))
     private = draw(st.lists(st.sampled_from([0.5, 5.0, 60.0]), max_size=3))
@@ -728,6 +792,10 @@ class RouteAuditWorld(World):
                                           req.origin)
         super()._apply_match(req, i, clock)
         node, tail = int(f.node[i]), int(f.tail[i])
+        if req.pickup_time is not None:  # it stood at the origin: no route, picked up at once
+            assert (tail, node) == (-1, req.origin)
+            self.audit.append((False, estimate, 0.0))
+            return
         length = 0.0
         nodes = route_of(self, i)
         if tail < 0:
