@@ -13,6 +13,7 @@ on arrival, or at the match of a vehicle that already stands at the origin.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +130,7 @@ class Fleet:
 # Every key of a scenario's fleet, controller and sim sections, by the
 # SimConfig field it sets: (dotted path, JSON type, range or None, the reason a
 # value out of range is rejected). The scenario parser picks each key's parser
-# from its type; SimConfig.validate checks each range.
+# from its type; SimConfig.validate checks each type, then each range.
 SCENARIO_KEYS = {
     "n_av": ("fleet.n_av", int, lambda v: v >= 0, "fleet size must be nonnegative"),
     "placement": ("fleet.placement", str, lambda v: v in ("uniform", "destination"),
@@ -163,6 +164,13 @@ SCENARIO_KEYS = {
                      "raster resolution must be positive"),
     "seed": ("sim.seed", int, lambda v: v >= 0, "seed must be nonnegative"),
 }
+
+
+def _has_type(value, kind) -> bool:
+    if kind in (int, float):
+        abstract = numbers.Integral if kind is int else numbers.Real
+        return isinstance(value, abstract) and not isinstance(value, bool)
+    return type(value) is kind
 
 
 @dataclass
@@ -212,17 +220,19 @@ class SimConfig:
     def validate(self) -> None:
         """Reject the first bad value with a ConfigValidationError naming its key.
 
-        Each key of :data:`SCENARIO_KEYS` is checked alone, in table order: a
-        float must be finite, then the value must lie in its range. The checks
-        that span several fields follow.
+        Each key of :data:`SCENARIO_KEYS` is checked alone, in table order: its
+        type (a number of that kind but not a bool for int and float, else the
+        exact type), a float must be finite, then its range. The checks that
+        span several fields follow.
         """
         def fail(field, msg):
             raise ConfigValidationError(field, msg)
 
-        # an unset r_graph_m is checked as the radius a run uses
-        values = dict(vars(self), r_graph_m=self.effective_r_graph())
         for field, (path, kind, in_range, reason) in SCENARIO_KEYS.items():
-            value = values[field]
+            # an unset r_graph_m is checked as the radius a run uses, once r_m is
+            value = self.effective_r_graph() if field == "r_graph_m" else getattr(self, field)
+            if not _has_type(value, kind):
+                fail(path, f"must be of type {kind.__name__}, got {value!r}")
             if kind is float and not math.isfinite(value):
                 fail(path, f"must be finite, got {value}")
             if in_range is not None and not in_range(value):

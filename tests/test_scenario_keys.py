@@ -3,13 +3,15 @@
 A range case is checked twice, through :func:`build_config` on the desk
 document and as a programmatic :class:`SimConfig` passed to ``validate``, and
 both routes must report the same (field, reason). A type case is a value of
-the wrong JSON type, which only the scenario parser sees. Every fleet,
-controller and sim key has at least one case.
+the wrong JSON type, which the scenario parser rejects. A programmatic type
+case is a wrong Python type set on a :class:`SimConfig`, which ``validate``
+rejects. Every fleet, controller and sim key has at least one case.
 """
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from cvrsim.errors import ConfigValidationError
@@ -151,6 +153,35 @@ TYPE_CASES = [
 ]
 
 
+# (SimConfig field, value of a wrong type, field named, reason given)
+PROGRAMMATIC_TYPE_CASES = [
+    ("n_av", 0.5, "fleet.n_av", "must be of type int, got 0.5"),
+    ("n_av", True, "fleet.n_av", "must be of type int, got True"),
+    ("placement", 1, "fleet.placement", "must be of type str, got 1"),
+    ("r_m", "1", "controller.r_m", "must be of type float, got '1'"),
+    ("r_graph_m", "1", "controller.r_graph_m", "must be of type float, got '1'"),
+    ("alpha", None, "controller.alpha", "must be of type float, got None"),
+    ("k_p", False, "controller.k_p", "must be of type float, got False"),
+    ("graph_hold_score", "no", "controller.graph_hold_score", "must be of type bool, got 'no'"),
+    ("graph_hold_score", 1, "controller.graph_hold_score", "must be of type bool, got 1"),
+    ("tick_s", [1.0], "sim.tick_s", "must be of type float, got [1.0]"),
+    ("baseline_accumulation", 3200.0, "sim.baseline_accumulation",
+     "must be of type int, got 3200.0"),
+    ("mfd", {"free_flow_mps": 36.0}, "sim.mfd",
+     "must be of type MFDParams, got {'free_flow_mps': 36.0}"),
+    ("persistent_private_trips", 0, "sim.persistent_private_trips",
+     "must be of type bool, got 0"),
+    ("seed", 1.0, "sim.seed", "must be of type int, got 1.0"),
+]
+
+# Programmatic values of the right kind that JSON cannot write: numpy scalars,
+# and ints where floats are expected.
+PROGRAMMATIC_ACCEPTED = [
+    ("n_av", np.int64(30)), ("seed", np.int32(3)), ("r_m", 1000), ("r_graph_m", np.float64(900.0)),
+    ("alpha", np.float32(0.25)), ("horizon_s", 10800), ("baseline_accumulation", np.uint16(3200)),
+]
+
+
 def case_id(case):
     path, value = case[:2]
     return f"{path}={value!r}"
@@ -213,3 +244,16 @@ def test_seed_override_is_checked_as_sim_seed():
         ("sim.seed", "seed must be nonnegative")
     assert rejection(lambda: build_config(doc, seed_override=2.5)) == \
         ("sim.seed", "must be a whole number, got 2.5")
+
+
+@pytest.mark.parametrize("field, value, named, reason", PROGRAMMATIC_TYPE_CASES,
+                         ids=map(case_id, PROGRAMMATIC_TYPE_CASES))
+def test_programmatic_wrong_type_names_its_key(desk_config, field, value, named, reason):
+    cfg = dataclasses.replace(desk_config, **{field: value})
+    assert rejection(cfg.validate) == (named, reason)
+
+
+@pytest.mark.parametrize("field, value", PROGRAMMATIC_ACCEPTED,
+                         ids=map(case_id, PROGRAMMATIC_ACCEPTED))
+def test_programmatic_numbers_of_any_numeric_type_validate(desk_config, field, value):
+    dataclasses.replace(desk_config, **{field: value}).validate()
