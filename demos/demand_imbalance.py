@@ -9,12 +9,12 @@ quantifies each level.
 """
 
 from cvrsim.demand import complement_mass, generate_requests, hellinger, synthesize_destination
-from cvrsim.scenario import DESK_DEST_MIXTURE, DESK_ORIGIN_MIXTURE, _node_mass_from_source
+from cvrsim.scenario import DESK_DEST_MIXTURE, DESK_ORIGIN_MIXTURE, _demand_source
 from cvrsim.roadnet import grid_graph
 
 graph = grid_graph(20, 250.0)
-p_origin = _node_mass_from_source({"mixture": DESK_ORIGIN_MIXTURE}, graph, "origin")
-p_dest = _node_mass_from_source({"mixture": DESK_DEST_MIXTURE}, graph, "destination")
+p_origin = _demand_source({"mixture": DESK_ORIGIN_MIXTURE}, graph, "origin")[0]
+p_dest = _demand_source({"mixture": DESK_DEST_MIXTURE}, graph, "destination")[0]
 p_complement = complement_mass(p_origin)
 
 print("gamma   Hellinger(p_dest_gamma, p_origin)")

@@ -120,7 +120,6 @@ def generate_requests(
     seed,
     t_mtol: float = DEFAULT_MATCH_TOLERANCE_S,
     t_ptol: float = DEFAULT_PICKUP_TOLERANCE_S,
-    allow_self_trips: bool = False,
 ) -> list[Request]:
     """Sample a time-ordered Poisson request stream.
 
@@ -128,7 +127,7 @@ def generate_requests(
     constant and inter-arrival gaps carry over period boundaries exactly
     (unit-rate exponential clock consumed at the active rate). Origins and
     destinations are sampled independently from their masses; a destination
-    equal to its origin is redrawn unless allow_self_trips is set.
+    equal to its origin is redrawn up to 100 times, so a point mass keeps it.
     """
     p_origin = check_node_mass(p_origin, "p_origin")
     p_destination = check_node_mass(p_destination, "p_destination")
@@ -159,13 +158,12 @@ def generate_requests(
     count = len(times)
     origins = rng.choice(n_nodes, size=count, p=p_origin)
     destinations = rng.choice(n_nodes, size=count, p=p_destination)
-    if not allow_self_trips:
-        # redraw self trips; a point-mass destination may leave some equal
-        for _ in range(100):
-            clash = origins == destinations
-            if not clash.any():
-                break
-            destinations[clash] = rng.choice(n_nodes, size=int(clash.sum()), p=p_destination)
+    # redraw self trips; a point-mass destination may leave some equal
+    for _ in range(100):
+        clash = origins == destinations
+        if not clash.any():
+            break
+        destinations[clash] = rng.choice(n_nodes, size=int(clash.sum()), p=p_destination)
     return [
         Request(id=i, origin=int(o), destination=int(d), t0=t0,
                 t_mtol=t_mtol, t_ptol=t_ptol)

@@ -107,7 +107,7 @@ def _grid_geometry(box, resolution: float):
     return xmin, ymin, nx, ny, centers
 
 
-def _field_from_raw(box, resolution, raw: np.ndarray, xmin, ymin, nx, ny, centers) -> GridField:
+def _field_from_raw(resolution, raw: np.ndarray, xmin, ymin, nx, ny, centers) -> GridField:
     total = raw.sum()
     if not total > 0:
         raise EmptyGridError("rasterized density is identically zero")
@@ -154,7 +154,7 @@ def rasterize_mixture(box, resolution: float, components) -> GridField:
     if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("component weights must be nonnegative and sum to 1")
     raw = mixture_density(centers, components)
-    return _field_from_raw(box, resolution, raw, xmin, ymin, nx, ny, centers)
+    return _field_from_raw(resolution, raw, xmin, ymin, nx, ny, centers)
 
 
 def rasterize_node_mass(box, resolution: float, graph: RoadGraph, node_mass) -> GridField:
@@ -164,14 +164,15 @@ def rasterize_node_mass(box, resolution: float, graph: RoadGraph, node_mass) -> 
     coords = graph.coords
     fx = (coords[:, 0] - xmin) / resolution
     fy = (coords[:, 1] - ymin) / resolution
-    if (fx < -1e-9).any() or (fy < -1e-9).any() or (fx > nx + 1e-9).any() or (fy > ny + 1e-9).any():
-        bad = int(np.flatnonzero((fx < -1e-9) | (fy < -1e-9) | (fx > nx + 1e-9) | (fy > ny + 1e-9))[0])
+    outside = (fx < -1e-9) | (fy < -1e-9) | (fx > nx + 1e-9) | (fy > ny + 1e-9)
+    if outside.any():
+        bad = int(np.flatnonzero(outside)[0])
         raise NodeOutsideBoxError(f"node {bad} at {coords[bad].tolist()} lies outside {box!r}")
     ix = np.clip(fx.astype(np.int64), 0, nx - 1)
     iy = np.clip(fy.astype(np.int64), 0, ny - 1)
     raw = np.zeros(nx * ny)
     np.add.at(raw, iy * nx + ix, node_mass)
-    return _field_from_raw(box, resolution, raw, xmin, ymin, nx, ny, centers)
+    return _field_from_raw(resolution, raw, xmin, ymin, nx, ny, centers)
 
 
 def _box_distances(lo, hi, g):

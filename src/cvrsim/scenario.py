@@ -182,11 +182,6 @@ def _demand_source(source, graph: RoadGraph, where: str) -> tuple[np.ndarray, li
         raise ConfigValidationError(where, str(exc)) from None
 
 
-def _node_mass_from_source(source: dict, graph: RoadGraph, where: str) -> np.ndarray:
-    """The node mass of one demand source."""
-    return _demand_source(source, graph, where)[0]
-
-
 def checked_grid_graph(k: int, spacing_m: float, k_field: str, spacing_field: str) -> RoadGraph:
     """The k-by-k grid, once k >= 2 and the spacing is positive and finite.
 

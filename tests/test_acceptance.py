@@ -31,7 +31,7 @@ from cvrsim.roadnet import (
     graph_voronoi,
     r_limited_graph_cell,
 )
-from cvrsim.scenario import _node_mass_from_source, build_config, desk_document
+from cvrsim.scenario import _demand_source, build_config, desk_document
 from cvrsim.sim import mfd_speed, run_scenario
 
 from oracles import (
@@ -243,7 +243,7 @@ def test_criterion_6_imbalance_endpoints_and_trend():
     doc = desk_document("cvr")
     cfg = build_config(doc)
     p_origin = cfg.origin_mass
-    p_dest = _node_mass_from_source(doc["demand"]["destination"], cfg.graph, "dest")
+    p_dest = _demand_source(doc["demand"]["destination"], cfg.graph, "dest")[0]
     p_comp = complement_mass(p_origin)
     assert np.array_equal(synthesize_destination(p_dest, p_comp, 1.0), p_dest)
     assert np.array_equal(synthesize_destination(p_dest, p_comp, 0.0), p_comp)

@@ -141,7 +141,7 @@ def test_symmetry_and_triangle_inequality():
 # -- generate_requests -------------------------------------------------------------------
 
 def test_zero_rate_generates_nothing():
-    assert generate_requests([(3600, 0.0)], [1.0], [1.0], seed=1, allow_self_trips=True) == []
+    assert generate_requests([(3600, 0.0)], [1.0], [1.0], seed=1) == []
 
 
 def test_low_high_low_profile_count_near_expectation():
