@@ -371,6 +371,40 @@ def test_only_idle_vehicles_are_held():
     assert held_ticks > 0
 
 
+class HoldReplayWorld(World):
+    """Replays holds from routing writes, and counts them at every series row.
+
+    A vehicle sent to -1 holds until its next routing write, whatever that is.
+    """
+
+    def __init__(self, cfg):
+        self.replayed_held = set()
+        self.replayed_counts = []
+        super().__init__(cfg)
+
+    def _route_to(self, i, dest):
+        super()._route_to(i, dest)
+        ids = np.atleast_1d(i)
+        for vid, target in zip(ids.tolist(), np.broadcast_to(dest, ids.shape).tolist()):
+            if target == -1:
+                self.replayed_held.add(vid)
+            else:
+                self.replayed_held.discard(vid)
+
+    def _record_series(self):
+        super()._record_series()
+        self.replayed_counts.append(len(self.replayed_held))
+
+
+@pytest.mark.parametrize("controller, extra", [
+    ("cvr_pi", {}), ("cvr_alpha", {"alpha": 0.3}), ("lp", {}), ("do_nothing", {})])
+def test_idle_held_column_counts_replayed_holds(controller, extra):
+    world = HoldReplayWorld(desk_scenario(controller, seed=1, controller_extra=extra))
+    world.run()
+    assert [row[2] for row in world.series] == world.replayed_counts
+    assert max(world.replayed_counts) > 0
+
+
 def test_odometer_split_by_state():
     cfg = mini_config(controller="cvr")
     world = World(cfg)
