@@ -78,6 +78,8 @@ def mfd_speed(m: float, params: MFDParams = DEFAULT_MFD) -> float:
 
 STATES = (IDLE, ASSIGNED, CARRYING)  # Fleet.state holds an index into this tuple
 _IDLE, _ASSIGNED, _CARRYING = range(len(STATES))
+HOLD = -1     # Fleet.dest of a held vehicle: a RebalanceDecision's hold value
+NO_DEST = -2  # Fleet.dest of a vehicle that neither drives nor holds
 
 
 class Fleet:
@@ -89,14 +91,11 @@ class Fleet:
     always the forward node and ``length - offset`` the distance still to
     drive to it. Requests stay per vehicle, in a plain list.
 
-    A route is its destination: ``dest[i]`` is the node vehicle i drives to,
-    or -1 when it has none, and the way there is the oracle's next-hop walk
-    from the forward node, looked up one hop at a time. A vehicle at a node
-    never has that node as its destination, and an unheld vehicle inside an
-    edge always has one, so it drives on to the forward node first: only a
-    hold clears the destination of a vehicle that is not at a node. The
-    masked step of :meth:`World._move` relies on it. Only idle vehicles are
-    held, and one matched at its origin is picked up during matching.
+    A route is its destination: ``dest[i]`` is the node vehicle i drives to
+    (>= 0), :data:`HOLD` while the controller holds it where it stands, or
+    :data:`NO_DEST`. The way to a node is the oracle's next-hop walk from
+    the forward node, looked up one hop at a time. A vehicle moves if and
+    only if it has a destination, ``dest[i] >= 0``.
     """
 
     def __init__(self, graph: RoadGraph, starts):
@@ -107,10 +106,9 @@ class Fleet:
         self.offset = np.zeros(n)
         self.length = np.zeros(n)
         self.state = np.zeros(n, dtype=np.int8)
-        self.held = np.zeros(n, dtype=bool)
         self.service_m = np.zeros(n)
         self.rebalance_m = np.zeros(n)
-        self.dest = np.full(n, -1, dtype=np.int64)
+        self.dest = np.full(n, NO_DEST, dtype=np.int64)
         self.requests: list[Request | None] = [None] * n
 
     def xy(self, ids) -> np.ndarray:
@@ -514,7 +512,7 @@ class World:
         req.status = MATCHED
         req.match_time = clock
         req.vehicle_id = i
-        f.state[i], f.requests[i], f.held[i] = _ASSIGNED, req, False
+        f.state[i], f.requests[i] = _ASSIGNED, req
         self._route_to(i, req.origin)
         if f.dest[i] < 0:  # it already stands at the origin
             self._arrive(i, clock)
@@ -559,18 +557,13 @@ class World:
                     scores = rebalance.hold_scores(summary)
                 held = rebalance.select_holds(hold_n, scores)
             # Where each vehicle heads now: its destination, else the node it
-            # stands at, else nowhere (-1: held inside an edge).
+            # stands at, else nowhere (HOLD: held inside an edge).
             dest = f.dest[ids]
-            previous = np.where(dest >= 0, dest, np.where(f.tail[ids] < 0, nodes, -1))
+            previous = np.where((dest < 0) & (f.tail[ids] < 0), nodes, dest)
             decision = rebalance.cvr_targets(
                 summary, self.graph, held=held, previous=previous,
                 min_retarget_gain_m=cfg.min_retarget_gain_m)
-        self._apply_decision(ids, decision.destination)
-
-    def _apply_decision(self, ids: np.ndarray, target: np.ndarray) -> None:
-        """Send idle vehicle ``ids[k]`` to node ``target[k]``, or hold it where -1."""
-        self.fleet.held[ids] = target < 0
-        self._route_to(ids, target)
+        self._route_to(ids, decision.destination)
 
     def _fleet_size_tick(self) -> None:
         window = self.series[self._window_start:]  # one row per tick since the last update
@@ -585,12 +578,13 @@ class World:
     # -- movement ---------------------------------------------------------------
 
     def _route_to(self, i, dest) -> None:
-        """Send vehicle(s) i to ``dest``; mid-edge vehicles reach their forward node first.
+        """Send vehicle(s) i to node ``dest``, or hold them where it is HOLD.
 
-        A vehicle standing at its target, or sent to -1, has no destination.
+        Mid-edge vehicles reach their forward node first; a vehicle already
+        standing at its target node gets NO_DEST. Every write replaces the last.
         """
         f = self.fleet
-        f.dest[i] = np.where((f.tail[i] < 0) & (f.node[i] == dest), -1, dest)
+        f.dest[i] = np.where((f.tail[i] < 0) & (f.node[i] == dest), NO_DEST, dest)
 
     def _arrive(self, i: int, t: float) -> None:
         """Vehicle i's route ended at its node at time ``t``: the one place events happen.
@@ -624,23 +618,25 @@ class World:
                                           if r - budget > 1e-9]
 
     def _move(self, budget: float, t_end: float) -> None:
-        """Drive every routed, unheld vehicle ``budget`` meters along its route.
+        """Drive every vehicle ``budget`` meters along its route.
 
-        A vehicle that stays inside its edge only adds ``budget`` to its
-        offset and to one odometer; all of those move in one masked step.
-        The rest reach a node this tick, or start it at one, and go through
+        A vehicle moves iff it has a destination (``dest >= 0``); a held one,
+        or one with NO_DEST, stands still. A moving vehicle that stays inside
+        its edge only adds ``budget`` to its offset and to one odometer; all
+        of those move in one masked step. The other moving vehicles reach a
+        node this tick, or start it at one, and go through
         :meth:`_drive` in ascending id order, so events keep their order.
         """
         f = self.fleet
-        unheld = ~f.held
+        moving = f.dest >= 0
         offset = f.offset + budget
         # At a node length is 0.0, so only a vehicle inside its edge glides.
-        glide = (offset < f.length - 1e-9) & (budget < f.length - f.offset) & unheld
+        glide = (offset < f.length - 1e-9) & (budget < f.length - f.offset) & moving
         np.copyto(f.offset, offset, where=glide)
         idle = f.state == _IDLE
         np.add(f.rebalance_m, budget, out=f.rebalance_m, where=glide & idle)
         np.add(f.service_m, budget, out=f.service_m, where=glide > idle)
-        for i in ((unheld ^ glide) & (f.dest >= 0)).nonzero()[0].tolist():
+        for i in (moving ^ glide).nonzero()[0].tolist():
             self._drive(i, budget, t_end)
 
     def _drive(self, i: int, budget: float, t_end: float) -> None:
@@ -663,7 +659,7 @@ class World:
             if offset >= length - 1e-9:
                 tail, offset, length = -1, 0.0, 0.0
                 if node == dest:
-                    dest = -1
+                    dest = NO_DEST
         f.node[i], f.tail[i], f.offset[i], f.length[i] = node, tail, offset, length
         f.dest[i] = dest
         odometer[i] = driven
@@ -675,7 +671,7 @@ class World:
     def _record_series(self) -> None:
         f = self.fleet
         idle, assigned, carrying = np.bincount(f.state, minlength=len(STATES)).tolist()
-        idle_held = int(np.count_nonzero(f.held))  # only idle vehicles are held
+        idle_held = int(np.count_nonzero(f.dest == HOLD))  # only idle vehicles hold
         self.series.append((
             self.clock, idle - idle_held, idle_held, assigned, carrying,
             self.accumulation,
@@ -694,7 +690,7 @@ class World:
                 "node": int(f.node[i]) if at_node else None,
                 "edge": None if at_node else (int(f.tail[i]), int(f.node[i])),
                 "offset_m": float(f.offset[i]), "state": STATES[f.state[i]],
-                "held": bool(f.held[i]),
+                "held": bool(f.dest[i] == HOLD),
                 "destination": int(f.dest[i]) if f.dest[i] >= 0 else None,
             })
         snap = {"t_s": self.clock, "vehicles": vehicles}

@@ -15,6 +15,7 @@ from cvrsim.scenario import desk_scenario
 from cvrsim.sim import (
     ASSIGNED,
     CARRYING,
+    HOLD,
     IDLE,
     STATES,
     IdlePool,
@@ -280,8 +281,7 @@ def test_metrics_no_orders_keeps_system_time_defined():
 def test_held_vehicle_does_not_move():
     world = World(mini_config())
     f = world.fleet
-    f.node[0], f.held[0] = 12, True  # every vehicle starts at a node
-    f.dest[0] = -1  # a hold clears the destination
+    f.node[0], f.dest[0] = 12, HOLD  # every vehicle starts at a node
     start = f.xy([0])[0]
     for _ in range(20):
         world.step()
@@ -336,7 +336,7 @@ def test_vehicle_at_origin_picks_up_during_matching():
 
 
 class MatchOutcomeWorld(World):
-    """Records each request's status and its vehicle's state right after its match."""
+    """Records each request's status and its vehicle's snapshot right after its match."""
 
     def __init__(self, cfg):
         self.outcomes = []
@@ -344,7 +344,9 @@ class MatchOutcomeWorld(World):
 
     def _apply_match(self, req, i, clock):
         super()._apply_match(req, i, clock)
-        self.outcomes.append((req.status, STATES[self.fleet.state[i]], int(self.fleet.dest[i])))
+        vehicle = self.snapshot()["vehicles"][i]
+        self.outcomes.append((req.status, vehicle["state"], vehicle["destination"],
+                              vehicle["held"]))
 
 
 def test_trip_to_its_own_origin_completes_during_matching():
@@ -355,7 +357,7 @@ def test_trip_to_its_own_origin_completes_during_matching():
     world.run()
     requests = world.requests[:world.n_injected]
     assert requests and all((r.origin, r.destination) == (12, 12) for r in requests)
-    assert world.outcomes == [(COMPLETED, IDLE, -1)] * len(requests)
+    assert world.outcomes == [(COMPLETED, IDLE, None, False)] * len(requests)
     assert all(r.match_time == r.pickup_time == r.dropoff_time for r in requests)
     assert all(row[3] == row[4] == 0 for row in world.series)
 
@@ -366,8 +368,9 @@ def test_only_idle_vehicles_are_held():
     held_ticks = 0
     while world.clock < world.cfg.horizon_s - 1e-9:
         world.step()
-        assert not (f.held & (f.state != STATES.index(IDLE))).any()
-        held_ticks += bool(f.held.any())
+        held = f.dest == HOLD
+        assert not (held & (f.state != STATES.index(IDLE))).any()
+        held_ticks += bool(held.any())
     assert held_ticks > 0
 
 
@@ -686,8 +689,9 @@ def fleet_cases(draw):
                                    length - budget - 2e-9, length - 1e-9, length - 5e-10)
                        if 0.0 <= x < length]
             place = (u, v, draw(st.sampled_from(offsets)))
-        # An unheld vehicle inside an edge always has a route.
-        routed = state != IDLE or not (held or isinstance(place, int)) or draw(st.booleans())
+        # A held vehicle has no route, and an unheld one inside an edge always has one.
+        routed = not held and (state != IDLE or not isinstance(place, int)
+                               or draw(st.booleans()))
         target = draw(st.integers(0, n - 1).filter(
             lambda node: not (state == ASSIGNED and node == place)))
         destination = draw(st.sampled_from([target, draw(st.integers(0, n - 1))]))
@@ -743,7 +747,7 @@ def fleet_view(world):
          None if request is None else request.id)
         for node, tail, offset, state, held, route, service, rebalance_m, request in zip(
             f.node.tolist(), f.tail.tolist(), f.offset.tolist(), f.state.tolist(),
-            f.held.tolist(), routes, f.service_m.tolist(), f.rebalance_m.tolist(), f.requests)
+            (f.dest == HOLD).tolist(), routes, f.service_m.tolist(), f.rebalance_m.tolist(), f.requests)
     ]
     return vehicles, world.events, world._window_waits, world.private_remaining
 
@@ -787,10 +791,10 @@ def test_masked_movement_equals_scalar_loop(case):
             f.node[i] = node
         else:
             (f.tail[i], f.node[i]), f.length[i] = edge, graph.edge_length(*edge)
-        f.offset[i], f.state[i], f.held[i] = offset, STATES.index(state), held
+        f.offset[i], f.state[i] = offset, STATES.index(state)
         f.requests[i] = request
-        if route:  # the reference's route, as the world plans it
-            world._route_to(i, route[-1])
+        if route or held:  # the reference's route, as the world plans it, or a hold
+            world._route_to(i, route[-1] if route else HOLD)
         ref = ScalarVehicle(i, 0)
         reference.vehicles.append(ref)
         ref.node, ref.edge, ref.offset, ref.state, ref.held = node, edge, offset, state, held
