@@ -128,6 +128,8 @@ def cmd_sweep(args) -> int:
     for value in values:  # fail before any run on a bad name or value
         scenario_mod.build_config(scenario_mod.set_sweep_value(doc, args.param, value),
                                   base_dir=base_dir, seed_override=base_seed)
+    out_dir = args.out or doc.get("output_dir", ".")
+    os.makedirs(out_dir, exist_ok=True)  # an unusable --out fails before any run too
 
     tasks = [(doc, base_dir, args.param, value, base_seed + rep)
              for value in values for rep in range(args.reps)]
@@ -142,8 +144,6 @@ def cmd_sweep(args) -> int:
         results_by_value[task[3]].append(result)
     rows = _aggregate(values, results_by_value)
 
-    out_dir = args.out or doc.get("output_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "sweep.csv")
     columns = ["param"] + list(rows[0].keys())
     with open(out_path, "w", newline="") as fh:
@@ -172,11 +172,11 @@ def cmd_inspect(args) -> int:
         raise ConfigValidationError("time", f"must be a finite time >= 0, got {args.time}")
     if args.time > cfg.horizon_s:
         raise ConfigValidationError("time", f"{args.time} beyond horizon {cfg.horizon_s}")
+    out_dir = args.out or doc.get("output_dir", ".")
+    os.makedirs(out_dir, exist_ok=True)
     world = World(cfg)
     world.run(until=args.time)
     snap = world.snapshot()
-    out_dir = args.out or doc.get("output_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
 
     with open(os.path.join(out_dir, "snapshot_vehicles.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -252,8 +252,9 @@ def main(argv=None) -> int:
     except UnknownParameterError as exc:
         print(json.dumps({"error": "UnknownParameter", "message": str(exc)}))
         return 2
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFound", "message": str(exc)}))
+    except OSError as exc:  # a path that cannot be read or written, e.g. FileNotFound
+        print(json.dumps({"error": type(exc).__name__.removesuffix("Error"),
+                          "message": str(exc)}))
         return 2
 
 

@@ -211,7 +211,7 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
             raise ConfigValidationError("graph.path", f"no such file: {name}")
         try:
             graph = graph_from_json(path)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigValidationError("graph.path", f"invalid graph: {exc}") from None
     else:
         grid = graph_sec["grid"]

@@ -605,6 +605,59 @@ def test_desk_scenario_file_is_the_desk_document():
     assert json.loads(DESK_SCENARIO.read_text()) == {**desk_document("cvr"), "output_dir": "out"}
 
 
+# -- paths that cannot be read or written ----------------------------------------------
+
+def unusable_path_argv(case, scenario_path, tmp_path):
+    """The argv of one command whose path cannot be used, and the error it must report."""
+    a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
+    a_file.write_text("")
+    a_dir.mkdir()
+    doc = mini_scenario_doc()
+    doc["graph"] = {"path": "a_dir"}
+    graph_dir = tmp_path / "graph_dir.json"
+    graph_dir.write_text(json.dumps(doc))
+    sweep = ["sweep", "--scenario", scenario_path, "--param", "n_av", "--values", "3",
+             "--reps", "1"]
+    return {
+        "--scenario is missing": (
+            ["run", "--scenario", str(tmp_path / "missing.json")], "FileNotFound"),
+        "graph.path is a directory": (
+            ["run", "--scenario", str(graph_dir), "--out", str(tmp_path / "o")],
+            "ConfigValidation"),
+        "--scenario is a directory": (
+            ["run", "--scenario", str(a_dir), "--out", str(tmp_path / "o")], "IsADirectory"),
+        "run --out is a file": (
+            ["run", "--scenario", scenario_path, "--out", str(a_file)], "FileExists"),
+        "inspect --out is a file": (
+            ["inspect", "--scenario", scenario_path, "--time", "60", "--out", str(a_file)],
+            "FileExists"),
+        "sweep --out is a file": (sweep + ["--out", str(a_file)], "FileExists"),
+        "gen-grid --out is a directory": (
+            ["gen-grid", "--k", "2", "--spacing", "100", "--out", str(a_dir)], "IsADirectory"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "--scenario is missing", "graph.path is a directory", "--scenario is a directory", "run --out is a file",
+    "inspect --out is a file", "sweep --out is a file", "gen-grid --out is a directory"])
+def test_unusable_path_exits_2_with_one_json_line(scenario_path, tmp_path, capsys, case):
+    argv, error = unusable_path_argv(case, scenario_path, tmp_path)
+    assert main(argv) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == error
+    if error == "ConfigValidation":
+        assert err["field"] == "graph.path"
+
+
+def test_sweep_to_an_unusable_out_runs_nothing(scenario_path, tmp_path, capsys, monkeypatch):
+    runs = counted_runs(monkeypatch)
+    argv, _ = unusable_path_argv("sweep --out is a file", scenario_path, tmp_path)
+    assert main(argv) == 2
+    assert runs == []
+
+
 # -- scenario keys: the table, its pinned rejections and the README ------------------
 
 def readme_key_table_keys() -> set:
