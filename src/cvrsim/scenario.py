@@ -121,7 +121,7 @@ def load_scenario(path: str) -> dict:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8 text
             raise ConfigValidationError("", f"scenario is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigValidationError("", "scenario document must be a JSON object")

@@ -608,47 +608,50 @@ def test_desk_scenario_file_is_the_desk_document():
 # -- paths that cannot be read or written ----------------------------------------------
 
 def unusable_path_argv(case, scenario_path, tmp_path):
-    """The argv of one command whose path cannot be used, and the error it must report."""
+    """The argv of one command whose path cannot be used, and the error fields it must print."""
     a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
     a_file.write_text("")
     a_dir.mkdir()
+    not_text = tmp_path / "not_text.json"
+    not_text.write_bytes(b"\xff\xfe{")
     doc = mini_scenario_doc()
     doc["graph"] = {"path": "a_dir"}
     graph_dir = tmp_path / "graph_dir.json"
     graph_dir.write_text(json.dumps(doc))
+    run = ["run", "--out", str(tmp_path / "o"), "--scenario"]
     sweep = ["sweep", "--scenario", scenario_path, "--param", "n_av", "--values", "3",
              "--reps", "1"]
     return {
-        "--scenario is missing": (
-            ["run", "--scenario", str(tmp_path / "missing.json")], "FileNotFound"),
-        "graph.path is a directory": (
-            ["run", "--scenario", str(graph_dir), "--out", str(tmp_path / "o")],
-            "ConfigValidation"),
-        "--scenario is a directory": (
-            ["run", "--scenario", str(a_dir), "--out", str(tmp_path / "o")], "IsADirectory"),
-        "run --out is a file": (
-            ["run", "--scenario", scenario_path, "--out", str(a_file)], "FileExists"),
+        "--scenario is missing": (run + [str(tmp_path / "missing.json")],
+                                  {"error": "FileNotFound"}),
+        "--scenario is a directory": (run + [str(a_dir)], {"error": "IsADirectory"}),
+        "--scenario is not UTF-8": (run + [str(not_text)],
+                                    {"error": "ConfigValidation", "field": ""}),
+        "graph.path is a directory": (run + [str(graph_dir)],
+                                      {"error": "ConfigValidation", "field": "graph.path"}),
+        "run --out is a file": (["run", "--scenario", scenario_path, "--out", str(a_file)],
+                                {"error": "FileExists"}),
         "inspect --out is a file": (
             ["inspect", "--scenario", scenario_path, "--time", "60", "--out", str(a_file)],
-            "FileExists"),
-        "sweep --out is a file": (sweep + ["--out", str(a_file)], "FileExists"),
+            {"error": "FileExists"}),
+        "sweep --out is a file": (sweep + ["--out", str(a_file)], {"error": "FileExists"}),
         "gen-grid --out is a directory": (
-            ["gen-grid", "--k", "2", "--spacing", "100", "--out", str(a_dir)], "IsADirectory"),
+            ["gen-grid", "--k", "2", "--spacing", "100", "--out", str(a_dir)],
+            {"error": "IsADirectory"}),
     }[case]
 
 
 @pytest.mark.parametrize("case", [
-    "--scenario is missing", "graph.path is a directory", "--scenario is a directory", "run --out is a file",
-    "inspect --out is a file", "sweep --out is a file", "gen-grid --out is a directory"])
+    "--scenario is missing", "--scenario is a directory", "--scenario is not UTF-8",
+    "graph.path is a directory", "run --out is a file", "inspect --out is a file",
+    "sweep --out is a file", "gen-grid --out is a directory"])
 def test_unusable_path_exits_2_with_one_json_line(scenario_path, tmp_path, capsys, case):
-    argv, error = unusable_path_argv(case, scenario_path, tmp_path)
+    argv, want = unusable_path_argv(case, scenario_path, tmp_path)
     assert main(argv) == 2
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
-    assert err["error"] == error
-    if error == "ConfigValidation":
-        assert err["field"] == "graph.path"
+    assert {key: err[key] for key in want} == want
 
 
 def test_sweep_to_an_unusable_out_runs_nothing(scenario_path, tmp_path, capsys, monkeypatch):
