@@ -578,10 +578,10 @@ class World:
     # -- movement ---------------------------------------------------------------
 
     def _route_to(self, i, dest) -> None:
-        """Send vehicle(s) i to node ``dest``, or hold them where it is HOLD.
+        """Send vehicle(s) i to node ``dest``, or hold them where ``dest`` is HOLD.
 
-        Mid-edge vehicles reach their forward node first; a vehicle already
-        standing at its target node gets NO_DEST. Every write replaces the last.
+        Mid-edge vehicles reach their forward node first, and a vehicle at its
+        target node gets NO_DEST.
         """
         f = self.fleet
         f.dest[i] = np.where((f.tail[i] < 0) & (f.node[i] == dest), NO_DEST, dest)
@@ -618,13 +618,11 @@ class World:
                                           if r - budget > 1e-9]
 
     def _move(self, budget: float, t_end: float) -> None:
-        """Drive every vehicle ``budget`` meters along its route.
+        """Drive every vehicle ``budget`` meters along its route; it moves iff ``dest >= 0``.
 
-        A vehicle moves iff it has a destination (``dest >= 0``); a held one,
-        or one with NO_DEST, stands still. A moving vehicle that stays inside
-        its edge only adds ``budget`` to its offset and to one odometer; all
-        of those move in one masked step. The other moving vehicles reach a
-        node this tick, or start it at one, and go through
+        A moving vehicle that stays inside its edge only adds ``budget`` to its
+        offset and to one odometer; all of those move in one masked step. The
+        other movers reach a node this tick, or start it at one, and go through
         :meth:`_drive` in ascending id order, so events keep their order.
         """
         f = self.fleet

@@ -747,7 +747,8 @@ def fleet_view(world):
          None if request is None else request.id)
         for node, tail, offset, state, held, route, service, rebalance_m, request in zip(
             f.node.tolist(), f.tail.tolist(), f.offset.tolist(), f.state.tolist(),
-            (f.dest == HOLD).tolist(), routes, f.service_m.tolist(), f.rebalance_m.tolist(), f.requests)
+            (f.dest == HOLD).tolist(), routes, f.service_m.tolist(), f.rebalance_m.tolist(),
+            f.requests)
     ]
     return vehicles, world.events, world._window_waits, world.private_remaining
 
