@@ -8,10 +8,11 @@ in ascending pixel index order so results do not depend on scheduling.
 
 Every pixel's nearest generator comes from one exact tiled pass: the raster
 is cut into 8x8-pixel tiles, each tile keeps only the generators that can be
-nearest to some pixel center in its bounding box, and the squared distances
-dx*dx + dy*dy are compared exactly, ties going to the smallest generator
-index. :func:`coverage_summary` derives every per-generator statistic from
-that pass; the objective and the Lloyd step derive from the summary.
+nearest to some pixel center in its bounding box, and the tiles' candidates
+are compared rank by rank, the squared distances dx*dx + dy*dy exactly and
+ties going to the smallest generator index. :func:`coverage_summary` derives
+every per-generator statistic from that pass; the objective and the Lloyd
+step derive from the summary.
 """
 
 from __future__ import annotations
@@ -64,24 +65,25 @@ class GridField:
 
     @cached_property
     def _tiles(self):
-        """Pixel indices and centers of the 8x8-pixel tiles, and their boxes.
+        """Pixel indices and center coordinates of the 8x8-pixel tiles, and their boxes.
 
-        Returns (pix, x, y, col_lo, col_hi, row_lo, row_hi): pix, x and y are
-        (tiles, 64) in row-major tile order; tile (r, c) lies inside the box
+        Returns (pix, col_x, row_y, col_lo, col_hi, row_lo, row_hi): pix is
+        (tiles, 64), the row-major pixels of each tile in row-major tile order;
+        col_x[c] holds the 8 center x values of tile column c and row_y[r] the
+        8 center y values of tile row r, so pixel (i, j) of tile (r, c) is
+        centered at (col_x[c, j], row_y[r, i]). That tile lies inside the box
         [col_lo[c], col_hi[c]] x [row_lo[r], row_hi[r]]. Edge tiles repeat
         their last real row and column, so every box bounds real centers only.
         """
         t = _TILE
-        ix = np.minimum(np.arange(-(-self.nx // t) * t), self.nx - 1).reshape(1, -1, 1, t)
-        iy = np.minimum(np.arange(-(-self.ny // t) * t), self.ny - 1).reshape(-1, 1, t, 1)
-        pix = (iy * self.nx + ix).reshape(-1, t * t)
-        x = self.centers[pix, 0]
-        y = self.centers[pix, 1]
-        grid_x = x.reshape(len(iy), -1, t * t)
-        grid_y = y.reshape(len(iy), -1, t * t)
-        return (pix, x, y,
-                grid_x.min(axis=(0, 2))[:, None], grid_x.max(axis=(0, 2))[:, None],
-                grid_y.min(axis=(1, 2))[:, None], grid_y.max(axis=(1, 2))[:, None])
+        ix = np.minimum(np.arange(-(-self.nx // t) * t), self.nx - 1).reshape(-1, t)
+        iy = np.minimum(np.arange(-(-self.ny // t) * t), self.ny - 1).reshape(-1, t)
+        pix = (iy[:, None, :, None] * self.nx + ix[None, :, None, :]).reshape(-1, t * t)
+        col_x = self.centers[ix, 0]
+        row_y = self.centers[iy * self.nx, 1]
+        return (pix, col_x, row_y,
+                col_x.min(axis=1)[:, None], col_x.max(axis=1)[:, None],
+                row_y.min(axis=1)[:, None], row_y.max(axis=1)[:, None])
 
 
 @dataclass(frozen=True)
@@ -192,29 +194,50 @@ def _nearest_generator(field: GridField, gens: np.ndarray) -> tuple[np.ndarray, 
     reaches the box's far corner. Rounding is monotone, so the computed
     distance from a pixel to a generator never falls below that generator's
     box distance nor exceeds its far-corner distance: every generator that
-    ties for the nearest survives, and no tile is left without a candidate
-    (reduceat needs that). Over the surviving (tile, generator) pairs
-    d2 = dx*dx + dy*dy is compared exactly and ties go to the smallest index.
+    ties for the nearest survives, and every tile keeps at least one
+    candidate, which rank 0 below needs.
+
+    The tiles are sorted by candidate count, largest first, so those with an
+    r-th candidate form a prefix. Rank 0 fills every tile; each later rank
+    takes the r-th candidate wherever d2 = dx*dx + dy*dy is strictly smaller.
+    Candidates ascend, so ties stay with the smallest index. d2 is formed as
+    dy*dy + dx*dx from each tile's column and row coordinates, the same
+    rounded sum since floating-point addition commutes.
     """
-    pix, x, y, col_lo, col_hi, row_lo, row_hi = field._tiles
+    pix, col_x, row_y, col_lo, col_hi, row_lo, row_hi = field._tiles
     gx, gy = gens[:, 0], gens[:, 1]
     near_x, far_x = _box_distances(col_lo, col_hi, gx)
     near_y, far_y = _box_distances(row_lo, row_hi, gy)
     near = (near_x[None, :, :] + near_y[:, None, :]).reshape(len(pix), -1)
     far = (far_x[None, :, :] + far_y[:, None, :]).reshape(len(pix), -1)
     keep = near <= far.min(axis=1, keepdims=True) * (1.0 + 1e-9)
-    tile, gen = np.nonzero(keep)  # grouped by tile, generators ascending
-    starts = np.concatenate([[0], np.cumsum(keep.sum(axis=1))[:-1]])
-    dx = x[tile] - gx[gen, None]
-    dy = y[tile] - gy[gen, None]
-    d2 = dx * dx + dy * dy
-    best = np.minimum.reduceat(d2, starts, axis=0)
-    owner = np.minimum.reduceat(
-        np.where(d2 == best[tile], gen[:, None], len(gens)), starts, axis=0)
+    counts = keep.sum(axis=1)
+    _, gen = np.nonzero(keep)  # grouped by tile, generators ascending
+    order = np.argsort(-counts, kind="stable")
+    starts = (np.cumsum(counts) - counts)[order]
+    counts = counts[order]
+    x = col_x[order % len(col_x)]
+    y = row_y[order // len(col_x)]
+    best = np.empty((len(order), _TILE, _TILE))
+    owner = np.empty((len(order), _TILE, _TILE), dtype=np.int32)
+    for r in range(counts[0]):
+        m = int(np.count_nonzero(counts > r))
+        g = gen[starts[:m] + r]
+        dx = x[:m] - gx[g, None]
+        dy = y[:m] - gy[g, None]
+        d2 = (dy * dy)[:, :, None] + (dx * dx)[:, None, :]
+        g = g[:, None, None]
+        if r == 0:
+            best[...] = d2
+            owner[...] = g
+        else:
+            b = best[:m]
+            np.copyto(owner[:m], g, where=d2 < b)
+            np.minimum(b, d2, out=b)
     assignment = np.empty(field.n_pixels, dtype=np.int32)
     own_d2 = np.empty(field.n_pixels)
-    assignment[pix] = owner
-    own_d2[pix] = best
+    assignment[pix[order]] = owner.reshape(len(order), -1)
+    own_d2[pix[order]] = best.reshape(len(order), -1)
     return assignment, own_d2
 
 

@@ -480,14 +480,48 @@ def fields_and_generators(draw):
     return field, np.array(gens), r
 
 
+def assert_summary_exact(field, gens, r):
+    """The summary's assignment and polar moments equal, bit for bit, those of
+    the brute-force owners, summed in ascending pixel order."""
+    summary = coverage_summary(field, gens, r)
+    owner = brute_plane_assignment(field, gens)
+    assert np.array_equal(summary.assignment, owner)
+    dx = field.centers[:, 0] - gens[owner, 0]
+    dy = field.centers[:, 1] - gens[owner, 1]
+    d2 = dx * dx + dy * dy
+    w_in = np.where(d2 <= r * r, field.mass, 0.0)
+    n = len(gens)
+    assert np.array_equal(summary.j_full, np.bincount(owner, weights=field.mass * d2, minlength=n))
+    assert np.array_equal(summary.j_limited, np.bincount(owner, weights=w_in * d2, minlength=n))
+    return summary
+
+
+def crowded_generators(nx, ny):
+    """Twelve copies of the first pixel center, and six half-pixel lattice points
+    in the lower left 8x8 tile: that tile keeps more than eight candidates,
+    even on a 1x1 raster. Five more generators lie anywhere around the box."""
+    rng = np.random.default_rng(nx * 100 + ny)
+    corner = [min(nx, 8), min(ny, 8)]
+    lattice = rng.integers(0, 2 * np.array(corner) + 1, size=(6, 2)) / 2
+    anywhere = rng.uniform(-2.0, [nx + 2.0, ny + 2.0], size=(5, 2))
+    return np.vstack([lattice[:3], np.full((12, 2), 0.5), lattice[3:], anywhere])
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 40), (40, 1), (16, 16), (23, 9)])
+def test_coverage_summary_exact_on_every_candidate_rank(nx, ny):
+    mass = np.random.default_rng(nx + ny).random(nx * ny)
+    field = rect_field(nx, ny, mass=mass / mass.sum())
+    for r in (0.0, 1.5, 2.0 * field.diagonal()):
+        assert_summary_exact(field, crowded_generators(nx, ny), r)
+
+
 @settings(max_examples=80, deadline=None)
 @given(fields_and_generators())
 def test_coverage_summary_exact_and_consistent_on_random_rasters(case):
     field, gens, r = case
-    summary = coverage_summary(field, gens, r)
+    summary = assert_summary_exact(field, gens, r)
     assignment = plane_voronoi(field, gens)
     assert np.array_equal(summary.assignment, assignment)
-    assert np.array_equal(assignment, brute_plane_assignment(field, gens))
     from cvrsim.plane import PlanarCell
     for i in range(len(gens)):
         limited = r_limited_cell(assignment, field, i, gens[i], r)

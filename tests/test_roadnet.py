@@ -487,6 +487,64 @@ def test_nearest_nodes_matches_scalar_version():
     assert [nearest_node(city, p) for p in mid] == list(batch)
 
 
+CITY_SPACING_M = 9750 / 29
+
+
+@st.composite
+def graphs_and_snap_points(draw):
+    """A graph and points to snap to it, rich in exact and near ties."""
+    kind = draw(st.sampled_from(["city lattice", "few nodes", "duplicate coordinates"]))
+    if kind == "city lattice":
+        k = draw(st.integers(2, 12))
+        graph = grid_graph(k, CITY_SPACING_M)
+        # Half-spacing lattice points sit on nodes, on edge midpoints and on
+        # cell centers, where two or four nodes tie.
+        half = st.tuples(st.integers(-2, 2 * k), st.integers(-2, 2 * k)).map(
+            lambda ij: (ij[0] * CITY_SPACING_M / 2, ij[1] * CITY_SPACING_M / 2))
+    else:
+        # Past 16 nodes the tree splits into several leaves.
+        n = draw(st.integers(1, 3) if kind == "few nodes" else st.integers(2, 40))
+        coord = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
+            lambda ij: (ij[0] * 1.5, ij[1] * 1.5))
+        coords = draw(st.lists(coord, min_size=n, max_size=n))
+        if kind == "duplicate coordinates":
+            coords += draw(st.lists(st.sampled_from(coords), min_size=1, max_size=8))
+        graph = build_graph([(i, x, y) for i, (x, y) in enumerate(coords)],
+                            [(i, i + 1, 1.0) for i in range(len(coords) - 1)])
+        half = coord.map(lambda xy: (xy[0] / 2, xy[1] / 2))
+    xmin, ymin, xmax, ymax = graph.bounding_box()
+    pad = max(xmax - xmin, ymax - ymin, 1.0)
+    anywhere = st.tuples(st.floats(xmin - pad, xmax + pad), st.floats(ymin - pad, ymax + pad))
+    points = draw(st.lists(st.one_of(half, anywhere), max_size=60))
+    return graph, np.array(points, dtype=np.float64).reshape(-1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_snap_points())
+def test_nearest_nodes_matches_brute_force(case):
+    graph, points = case
+    snapped = nearest_nodes(graph, points)
+    assert snapped.shape == (len(points),)
+    assert np.array_equal(snapped, brute_nearest(points, graph.coords))
+
+
+def test_nearest_nodes_on_every_half_spacing_lattice_point():
+    city = grid_graph(12, CITY_SPACING_M)
+    ij = np.array(list(itertools.product(range(-2, 25), repeat=2)))
+    points = ij * CITY_SPACING_M / 2
+    assert np.array_equal(nearest_nodes(city, points), brute_nearest(points, city.coords))
+
+
+def test_nearest_nodes_of_no_points_is_empty():
+    assert nearest_nodes(grid_graph(3, CITY_SPACING_M), np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nearest_nodes_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="points must be finite"):
+        nearest_nodes(grid_graph(4, 10.0), [[5.0, 5.0], [bad, 25.0]])
+
+
 # -- helpers ---------------------------------------------------------------------
 
 def test_position_distance_mid_edge_drives_forward():
