@@ -5,8 +5,7 @@ routing, shortest-path (graph) Voronoi partitions, range-limited graph cells
 (all of them at once through :func:`graph_cells`), and mass-weighted graph
 centroids (those of all cells at once through :func:`graph_centroids`, whose
 costs are summed left to right over each cell's members, so they do not
-depend on the BLAS build), and exact Euclidean snaps of points to nodes
-through a KD tree (:func:`nearest_nodes`).
+depend on the BLAS build).
 
 A vehicle's position is its forward node plus the lead, the distance still to
 drive to that node: 0.0 at a node, and the rest of the edge when mid-edge.
@@ -19,13 +18,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
-from scipy.spatial import cKDTree
 
 from .errors import (
     DisconnectedGraphError,
@@ -78,11 +74,6 @@ class RoadGraph:
         head = np.concatenate([self.edge_v, self.edge_u])
         weight = np.concatenate([self.edge_len, self.edge_len])
         return csr_matrix((weight, (tail, head)), shape=(n, n))
-
-    @cached_property
-    def _kdtree(self) -> cKDTree:
-        """KD tree over the node coordinates, built on the first snap."""
-        return cKDTree(self.coords)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the node coordinates."""
@@ -381,27 +372,15 @@ def graph_centroid(cell: GraphCell, mass: np.ndarray, oracle: DistanceOracle) ->
 def nearest_nodes(graph: RoadGraph, points) -> np.ndarray:
     """Euclidean-nearest node to each row of ``points``; ties to the smallest id.
 
-    The squared distances are compared exactly as dx*dx + dy*dy. The graph's
-    KD tree gives each point's nearest distance d, then every node within the
-    next float above d * (1 + 1e-9). The tree's distances differ from exact
-    ones by a few ulps, far less than that margin, so the ball holds every
-    node whose exact squared distance could be the smallest; among them the
-    exact comparison decides. Raises ValueError for a non-finite point.
+    The squared distances are compared exactly as dx*dx + dy*dy. Raises
+    ValueError for a non-finite point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    tree = graph._kdtree
-    d, _ = tree.query(pts)
-    balls = tree.query_ball_point(pts, np.nextafter(d * (1.0 + 1e-9), np.inf),
-                                  return_sorted=False)
-    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
-    cand = np.fromiter(chain.from_iterable(balls), dtype=np.int64, count=sizes.sum())
-    row = np.repeat(np.arange(len(pts)), sizes)
-    dx = pts[row, 0] - graph.coords[cand, 0]
-    dy = pts[row, 1] - graph.coords[cand, 1]
-    first = np.lexsort((cand, dx * dx + dy * dy, row))[np.cumsum(sizes) - sizes]
-    return cand[first]
+    dx = pts[:, 0, None] - graph.coords[None, :, 0]
+    dy = pts[:, 1, None] - graph.coords[None, :, 1]
+    return np.argmin(dx * dx + dy * dy, axis=1)
 
 
 def nearest_node(graph: RoadGraph, point) -> int:

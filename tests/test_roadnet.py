@@ -502,7 +502,6 @@ def graphs_and_snap_points(draw):
         half = st.tuples(st.integers(-2, 2 * k), st.integers(-2, 2 * k)).map(
             lambda ij: (ij[0] * CITY_SPACING_M / 2, ij[1] * CITY_SPACING_M / 2))
     else:
-        # Past 16 nodes the tree splits into several leaves.
         n = draw(st.integers(1, 3) if kind == "few nodes" else st.integers(2, 40))
         coord = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
             lambda ij: (ij[0] * 1.5, ij[1] * 1.5))
