@@ -8,20 +8,12 @@ controllers pull the idle fleet toward demand before requests appear, and
 the PI adapter holds part of the fleet still whenever service is healthy.
 """
 
-import dataclasses
-
-from cvrsim.roadnet import all_pairs_shortest
 from cvrsim.scenario import desk_scenario
 from cvrsim.sim import run_scenario
 
-base = desk_scenario("cvr", seed=1)
-base.oracle = all_pairs_shortest(base.graph)
-
 print(f"{'policy':<12} {'completion %':>12} {'wait s':>8} {'system s':>9} {'rebalance km':>13}")
 for name in ("do_nothing", "lp", "cvr", "cvr_graph", "cvr_pi"):
-    cfg = desk_scenario(name, seed=1)
-    cfg = dataclasses.replace(cfg, oracle=base.oracle)
-    metrics, series, requests = run_scenario(cfg)
+    metrics, series, requests = run_scenario(desk_scenario(name, seed=1))
     print(f"{name:<12} {metrics.completion_rate_pct:>12.1f} "
           f"{metrics.mean_wait_s:>8.1f} {metrics.mean_system_time_s:>9.1f} "
           f"{metrics.rebalance_distance_km:>13.1f}")

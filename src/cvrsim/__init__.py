@@ -39,17 +39,16 @@ from .rebalance import (
 )
 from .roadnet import (
     DistanceOracle,
-    GraphCell,
     RoadGraph,
     all_pairs_shortest,
     build_graph,
-    graph_centroid,
+    graph_cells,
+    graph_centroids,
     graph_from_json,
     graph_to_json,
     graph_voronoi,
     grid_graph,
-    nearest_node,
-    r_limited_graph_cell,
+    nearest_nodes,
 )
 from .scenario import build_config, desk_scenario, load_scenario
 from .sim import (

@@ -1,9 +1,9 @@
 """Idle-vehicle rebalancing controllers.
 
 Every controller maps a snapshot of the idle fleet to one decision per idle
-vehicle, in idle-pool order: a destination node id, or -1 to hold in place.
-Controllers are stateless except for the PI fleet-size adapter, whose
-persistent quantities live in :class:`PIState`.
+vehicle, in idle-pool order: a destination node id, or :data:`HOLD` to hold
+in place. Controllers are stateless except for the PI fleet-size adapter,
+whose persistent quantities live in :class:`PIState`.
 """
 
 from __future__ import annotations
@@ -28,21 +28,22 @@ from .roadnet import (
 from .roadnet import graph_centroid, graph_voronoi, r_limited_graph_cell  # noqa: F401
 
 CONTROLLERS = ("do_nothing", "cvr", "cvr_graph", "cvr_alpha", "cvr_pi", "lp")
+HOLD = -1  # the destination of a vehicle that holds where it stands
 
 
 @dataclass
 class RebalanceDecision:
     """One command per idle vehicle, in idle-pool order.
 
-    ``destination[k]`` is the target node of the k-th pooled vehicle, or -1
-    to hold it where it stands.
+    ``destination[k]`` is the target node of the k-th pooled vehicle, or
+    :data:`HOLD` to hold it where it stands.
     """
 
     destination: np.ndarray
 
     def held_ids(self) -> np.ndarray:
         """Pool positions of the vehicles that hold."""
-        return np.flatnonzero(self.destination < 0)
+        return np.flatnonzero(self.destination == HOLD)
 
 
 @dataclass(frozen=True)
@@ -134,14 +135,14 @@ def cvr_targets(
     ``summary`` is the coverage pass over all idle vehicles (held ones
     included), one generator per vehicle in pool order. ``held`` masks the
     vehicles that hold; the rest move to the node nearest their weighted
-    cell centroid. ``previous`` gives each vehicle's current target (-1:
+    cell centroid. ``previous`` gives each vehicle's current target (HOLD:
     none), which a massless cell keeps. With min_retarget_gain_m > 0, a
     switch away from a current target is suppressed unless the new node is
     at least that far from it.
     """
     n = len(summary.limited_mass)
     held = np.zeros(n, dtype=bool) if held is None else np.asarray(held, dtype=bool)
-    target = (np.full(n, -1, dtype=np.int64) if previous is None
+    target = (np.full(n, HOLD, dtype=np.int64) if previous is None
               else np.array(previous, dtype=np.int64))  # massless cell: keep going
     movable = ~held & (summary.limited_mass > 0)
     if movable.any():
@@ -151,7 +152,7 @@ def cvr_targets(
             gap = np.hypot(*(graph.coords[snapped] - graph.coords[prev]).T)
             snapped = np.where((prev >= 0) & (gap < min_retarget_gain_m), prev, snapped)
         target[movable] = snapped
-    target[held] = -1
+    target[held] = HOLD
     return RebalanceDecision(destination=target)
 
 
@@ -161,7 +162,8 @@ def cvr_graph_targets(nodes, node_mass, oracle: DistanceOracle,
 
     Vehicle positions arrive snapped to nodes; vehicles sharing a node share
     one generator and therefore one destination. A vehicle whose cell has no
-    member within range holds.
+    member within range holds: ``graph_centroids`` gives an empty cell -1,
+    which is :data:`HOLD`.
     """
     gens, cell = np.unique(np.asarray(nodes, dtype=np.int64), return_inverse=True)
     cells = graph_cells(oracle, gens, r_graph_m)
@@ -182,7 +184,7 @@ def lp_rebalance(fwd, lead, pending_origins, oracle: DistanceOracle,
         raise ValueError("speed must be positive")
     fwd = np.asarray(fwd, dtype=np.int64)
     origins = np.asarray(pending_origins, dtype=np.int64)
-    target = np.full(len(fwd), -1, dtype=np.int64)
+    target = np.full(len(fwd), HOLD, dtype=np.int64)
     if len(fwd) and len(origins):
         lead = np.asarray(lead, dtype=np.float64)
         cost = position_node_distance(oracle, fwd[:, None], lead[:, None], origins) / speed_mps
@@ -193,4 +195,4 @@ def lp_rebalance(fwd, lead, pending_origins, oracle: DistanceOracle,
 
 def do_nothing(n: int) -> RebalanceDecision:
     """Hold each of the ``n`` idle vehicles where it stands."""
-    return RebalanceDecision(destination=np.full(n, -1, dtype=np.int64))
+    return RebalanceDecision(destination=np.full(n, HOLD, dtype=np.int64))

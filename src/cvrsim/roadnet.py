@@ -286,11 +286,6 @@ class GraphCells:
     near: np.ndarray
     near_bounds: np.ndarray
 
-    def limited(self, k: int) -> GraphCell:
-        """Range-limited cell of the k-th generator, as r_limited_graph_cell returns it."""
-        a, b = self.near_bounds[k], self.near_bounds[k + 1]
-        return GraphCell(generator=int(self.generators[k]), members=self.near[a:b])
-
 
 def graph_cells(oracle: DistanceOracle, generators, r_graph_m: float) -> GraphCells:
     """All graph Voronoi cells and their range-limited parts in one pass.
@@ -381,11 +376,6 @@ def nearest_nodes(graph: RoadGraph, points) -> np.ndarray:
     dx = pts[:, 0, None] - graph.coords[None, :, 0]
     dy = pts[:, 1, None] - graph.coords[None, :, 1]
     return np.argmin(dx * dx + dy * dy, axis=1)
-
-
-def nearest_node(graph: RoadGraph, point) -> int:
-    """Euclidean-nearest node to a planar point; ties to the smallest id."""
-    return int(nearest_nodes(graph, point)[0])
 
 
 def position_node_distance(oracle: DistanceOracle, fwd, lead, node):

@@ -186,12 +186,17 @@ def checked_grid_graph(k: int, spacing_m: float, k_field: str, spacing_field: st
     """The k-by-k grid, once k >= 2 and the spacing is positive and finite.
 
     ``graph.grid`` and ``cvrsim gen-grid`` share this check, each naming its own fields.
+    A spacing so large that a coordinate or the edge total overflows is rejected
+    on the spacing field.
     """
     if k < 2:
         raise ConfigValidationError(k_field, f"grid needs k >= 2, got {k}")
     if not (math.isfinite(spacing_m) and spacing_m > 0):
         raise ConfigValidationError(spacing_field, f"must be positive and finite, got {spacing_m}")
-    return grid_graph(k, spacing_m)
+    try:
+        return grid_graph(k, spacing_m)
+    except ValueError as exc:
+        raise ConfigValidationError(spacing_field, str(exc)) from None
 
 
 def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = None) -> SimConfig:

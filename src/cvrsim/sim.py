@@ -78,7 +78,7 @@ def mfd_speed(m: float, params: MFDParams = DEFAULT_MFD) -> float:
 
 STATES = (IDLE, ASSIGNED, CARRYING)  # Fleet.state holds an index into this tuple
 _IDLE, _ASSIGNED, _CARRYING = range(len(STATES))
-HOLD = -1     # Fleet.dest of a held vehicle: a RebalanceDecision's hold value
+HOLD = rebalance.HOLD  # Fleet.dest of a held vehicle
 NO_DEST = -2  # Fleet.dest of a vehicle that neither drives nor holds
 
 
@@ -210,7 +210,6 @@ class SimConfig:
     # fleet
     placement: str = "uniform"
     seed: int = 1
-    oracle: DistanceOracle | None = None
 
     def effective_r_graph(self) -> float:
         return self.r_graph_m if self.r_graph_m is not None else math.sqrt(2.0) * self.r_m
@@ -388,7 +387,7 @@ class World:
         cfg.validate()
         self.cfg = cfg
         self.graph = cfg.graph
-        self.oracle = cfg.oracle if cfg.oracle is not None else all_pairs_shortest(cfg.graph)
+        self.oracle = all_pairs_shortest(cfg.graph)
 
         self.requests = demand.generate_requests(
             cfg.profile, cfg.origin_mass, cfg.destination_mass,

@@ -4,6 +4,7 @@ Everything here is deliberately written with different algorithms or naive
 loops so the tests never share a code path with what they verify.
 """
 
+import csv
 import heapq
 import itertools
 import math
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from cvrsim import plane
-from cvrsim.demand import COMPLETED, PICKED_UP
+from cvrsim.demand import CANCELLED, COMPLETED, MATCHED, PENDING, PICKED_UP
 from cvrsim.sim import ASSIGNED, CARRYING, IDLE
 
 
@@ -89,6 +90,54 @@ def brute_hold_scores_graph(nodes, mass, dist, r_graph_m):
                 j_limited += term
         scores[g] = j_limited / j_full if j_full > 0.0 else 0.0
     return np.array([scores[int(n)] for n in nodes])
+
+
+def implied_statuses(req):
+    """The statuses a request's timestamps allow.
+
+    Without a ``dropoff_time`` attribute (``requests.csv`` does not write one) a
+    picked-up request may be either picked up or completed.
+    """
+    if req.pickup_time is not None:
+        if not hasattr(req, "dropoff_time"):
+            return {PICKED_UP, COMPLETED}
+        return {COMPLETED} if req.dropoff_time is not None else {PICKED_UP}
+    if req.match_time is not None:
+        return {MATCHED}
+    return {PENDING, CANCELLED}
+
+
+def audit_requests(requests, metrics):
+    """Every request ends in one state its timestamps allow, and the counts match ``metrics``.
+
+    ``requests`` are a run's injected requests in issue order, as
+    :class:`cvrsim.demand.Request` records or :func:`requests_from_csv` rows;
+    ``metrics`` is a dict of the run's metrics, as ``metrics.json`` holds them.
+    """
+    assert [r.id for r in requests] == list(range(len(requests)))
+    for r in requests:
+        assert r.status in implied_statuses(r), (r.id, r.status)
+        times = [t for t in (r.t0, r.match_time, r.pickup_time, getattr(r, "dropoff_time", None))
+                 if t is not None]
+        assert all(a <= b + 1e-9 for a, b in zip(times, times[1:])), (r.id, times)
+    statuses = [r.status for r in requests]
+    assert metrics["n_requests"] == len(requests)
+    assert metrics["n_orders"] == statuses.count(PICKED_UP) + statuses.count(COMPLETED)
+    assert metrics["n_cancelled"] == statuses.count(CANCELLED)
+    assert metrics["n_orders"] + metrics["n_cancelled"] + metrics["n_inflight"] \
+        == metrics["n_requests"]
+
+
+def requests_from_csv(path):
+    """The rows of a ``requests.csv`` as records :func:`audit_requests` reads."""
+    def clock(text):
+        return float(text) if text else None
+
+    with open(path) as fh:
+        return [SimpleNamespace(id=int(row["id"]), t0=float(row["t0"]),
+                                match_time=clock(row["match_t"]),
+                                pickup_time=clock(row["pickup_t"]), status=row["status"])
+                for row in csv.DictReader(fh)]
 
 
 def position_lead(graph, pos):

@@ -24,17 +24,12 @@ from cvrsim.plane import (
     coverage_objective,
 )
 from cvrsim.rebalance import lp_rebalance
-from cvrsim.roadnet import (
-    all_pairs_shortest,
-    build_graph,
-    graph_centroid,
-    graph_voronoi,
-    r_limited_graph_cell,
-)
+from cvrsim.roadnet import all_pairs_shortest, build_graph, graph_cells, graph_centroids
 from cvrsim.scenario import _demand_source, build_config, desk_document
 from cvrsim.sim import mfd_speed, run_scenario
 
 from oracles import (
+    audit_requests,
     brute_graph_centroid,
     brute_min_assignment_cost,
     random_connected_graph,
@@ -54,16 +49,13 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def desk():
-    base = build_config(desk_document("cvr", seed=1))
-    oracle = all_pairs_shortest(base.graph)
-    base.oracle = oracle
-
     def run(controller, seed, control_period_s=10.0, **overrides):
         cfg = build_config(desk_document(controller, seed=seed,
                                          control_period_s=control_period_s,
                                          controller_extra=overrides or None))
-        cfg.oracle = oracle
-        return run_scenario(cfg)
+        metrics, series, requests = run_scenario(cfg)
+        audit_requests(requests, metrics.to_dict())
+        return metrics, series, requests
 
     t0 = time.time()
     runs = {}
@@ -81,7 +73,7 @@ def desk():
     runs[("cvr_alpha0", 10.0, 1)] = run("cvr_alpha", 1, alpha=0.0)
     runs[("cvr_alpha1", 10.0, 1)] = run("cvr_alpha", 1, alpha=1.0)
 
-    return {"runs": runs, "ordering_elapsed": ordering_elapsed, "oracle": oracle}
+    return {"runs": runs, "ordering_elapsed": ordering_elapsed}
 
 
 def mean_metric(desk_runs, ctrl, attr, period=10.0):
@@ -181,12 +173,13 @@ def test_criterion_3_graph_centroid_brute_force():
         mass /= mass.sum()
         n_gens = int(rng.integers(1, min(6, n) + 1))
         gens = sorted(rng.choice(n, size=n_gens, replace=False).tolist())
-        assignment = graph_voronoi(oracle, gens)
         radius = float(rng.uniform(5, 80))
-        for gen in gens:
-            cell = r_limited_graph_cell(assignment, oracle, gen, radius)
-            got = graph_centroid(cell, mass, oracle)
-            want = brute_graph_centroid(cell.members, mass, oracle.dist)
+        # every cell in one batched pass, as the cvr_graph controller runs it
+        cells = graph_cells(oracle, gens, radius)
+        centroids = graph_centroids(oracle, cells.near, cells.near_bounds, mass)
+        for k, (a, b) in enumerate(zip(cells.near_bounds[:-1], cells.near_bounds[1:])):
+            got = int(centroids[k])
+            want = brute_graph_centroid(cells.near[a:b], mass, oracle.dist)
             assert got == want, f"centroid mismatch: {got} vs {want}"
             cells_checked += 1
     elapsed = time.time() - start

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from cvrsim import cli
 from cvrsim.cli import main
-from cvrsim.demand import CANCELLED, COMPLETED, MATCHED, PENDING, PICKED_UP
 from cvrsim.errors import ConfigValidationError, UnknownParameterError
 from cvrsim.roadnet import graph_from_json, graph_to_json, grid_graph
 from cvrsim.scenario import DESK_PI, build_config, desk_document, set_sweep_value
 from cvrsim.sim import DEFAULT_MFD, SCENARIO_KEYS
 
+from oracles import audit_requests, requests_from_csv
 from test_scenario_keys import FIELDS as PINNED_FIELDS
 
 
@@ -205,6 +205,10 @@ DESK_NODES = 400
     ("graph", "path", "nan_length"),
     ("graph", "path", "inf_bridge"),
     ("graph", "path", "nan_coord"),
+    # finite, but on the desk's 20x20 grid a coordinate (1e308) or the edge total
+    # (1e306) overflows
+    ("graph.grid", "spacing_m", 1e308),
+    ("graph.grid", "spacing_m", 1e306),
 ])
 def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key, value):
     doc = desk_document()
@@ -280,32 +284,8 @@ def test_run_survives_any_mutated_value(path, value):
                     fleet = sum(int(row[c]) for c in (
                         "n_idle_active", "n_idle_held", "n_assigned", "n_carrying"))
                     assert fleet == doc["fleet"]["n_av"]
-            check_terminal_states(Path(tmp))
-
-
-def implied_statuses(row):
-    """The statuses a requests.csv row's timestamps allow (its drop-off time is not written)."""
-    if row["pickup_t"]:
-        return {PICKED_UP, COMPLETED}
-    if row["match_t"]:
-        return {MATCHED}
-    return {PENDING, CANCELLED}
-
-
-def check_terminal_states(out_dir):
-    """Every request is in one state that its timestamps allow, and the counts add up."""
-    metrics = json.loads((out_dir / "metrics.json").read_text())
-    with open(out_dir / "requests.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [int(row["id"]) for row in rows] == list(range(len(rows)))
-    for row in rows:
-        assert row["status"] in implied_statuses(row)
-    statuses = [row["status"] for row in rows]
-    assert metrics["n_requests"] == len(rows)
-    assert metrics["n_orders"] == statuses.count(PICKED_UP) + statuses.count(COMPLETED)
-    assert metrics["n_cancelled"] == statuses.count(CANCELLED)
-    assert metrics["n_orders"] + metrics["n_cancelled"] + metrics["n_inflight"] \
-        == metrics["n_requests"]
+            audit_requests(requests_from_csv(Path(tmp) / "requests.csv"),
+                           json.loads((Path(tmp) / "metrics.json").read_text()))
 
 
 def test_mfd_within_bounds_accepted():
@@ -483,6 +463,8 @@ def test_gen_grid_output_reloads_cleanly(tmp_path, capsys):
     ("3", "0", "spacing"),
     ("3", "nan", "spacing"),
     ("3", "inf", "spacing"),
+    ("3", "1e308", "spacing"),    # node 2 lies at x = inf
+    ("2", "1.7e308", "spacing"),  # the four edge lengths add up to inf
 ])
 def test_gen_grid_rejects_bad_arguments(tmp_path, capsys, k, spacing, field):
     out = tmp_path / "net.json"

@@ -26,13 +26,7 @@ from cvrsim.rebalance import (
     pi_update,
     select_holds,
 )
-from cvrsim.roadnet import (
-    all_pairs_shortest,
-    build_graph,
-    graph_voronoi,
-    grid_graph,
-    r_limited_graph_cell,
-)
+from cvrsim.roadnet import all_pairs_shortest, build_graph, grid_graph
 
 from oracles import (
     brute_graph_centroid,
@@ -206,11 +200,10 @@ def test_graph_targets_stay_inside_own_cell():
     vehicles = sorted(rng.choice(64, size=5, replace=False).tolist())
     r_graph = 25.0
     decision = cvr_graph_targets(vehicles, mass, oracle, r_graph)
-    assignment = graph_voronoi(oracle, vehicles)
+    owner = brute_graph_owner(oracle.dist, vehicles)
     for vid, node in enumerate(vehicles):
         dest = decision.destination[vid]
-        cell = r_limited_graph_cell(assignment, oracle, node, r_graph)
-        assert dest in set(cell.members.tolist())
+        assert owner[dest] == node and oracle.dist[node, dest] <= r_graph
 
 
 def test_graph_targets_shared_node_share_destination():

@@ -22,7 +22,6 @@ from cvrsim.roadnet import (
     graph_to_json,
     graph_voronoi,
     grid_graph,
-    nearest_node,
     nearest_nodes,
     position_node_distance,
     r_limited_graph_cell,
@@ -333,21 +332,21 @@ def test_centroid_tie_on_grid_goes_to_smaller_node():
     # nodes 0 and 8 both cost 1400/49; a (d*d) @ mass gemv summed them in an order
     # that made node 8 cheaper by one rounding
     oracle = all_pairs_shortest(grid_graph(7, 10.0))
-    cell = graph_cells(oracle, [0], 25.0).limited(0)
-    assert cell.members.tolist() == [0, 1, 2, 7, 8, 14]
+    cells = graph_cells(oracle, [0], 25.0)
+    assert cells.near.tolist() == [0, 1, 2, 7, 8, 14]
     mass = np.full(49, 1 / 49)
-    assert brute_graph_centroid(cell.members, mass, oracle.dist) == 0
-    assert graph_centroid(cell, mass, oracle) == 0
+    assert brute_graph_centroid(cells.near, mass, oracle.dist) == 0
+    assert graph_centroids(oracle, cells.near, cells.near_bounds, mass).tolist() == [0]
 
 
 def test_centroid_on_city_spacing_sums_left_to_right():
     # the four middle nodes 5, 6, 9, 10 tie in exact arithmetic; the
     # left-to-right sum makes node 5 cheapest, a gemv made node 9 cheapest
     oracle = all_pairs_shortest(grid_graph(4, 9750 / 29))
-    cell = graph_cells(oracle, [0], 1e9).limited(0)
+    cells = graph_cells(oracle, [0], 1e9)
     mass = np.full(16, 1 / 16)
-    assert brute_graph_centroid(cell.members, mass, oracle.dist) == 5
-    assert graph_centroid(cell, mass, oracle) == 5
+    assert brute_graph_centroid(cells.near, mass, oracle.dist) == 5
+    assert graph_centroids(oracle, cells.near, cells.near_bounds, mass).tolist() == [5]
 
 
 def test_graph_centroids_empty_cells_give_minus_one():
@@ -356,6 +355,11 @@ def test_graph_centroids_empty_cells_give_minus_one():
     got = graph_centroids(oracle, [0, 1, 2, 4], [0, 0, 3, 3, 4, 4], mass)
     assert got.tolist() == [-1, 1, -1, 4, -1]
     assert graph_centroids(oracle, [], [0, 0], mass).tolist() == [-1]
+
+
+def limited_cells(cells):
+    """The member arrays of a GraphCells' range-limited cells, in generator order."""
+    return [cells.near[a:b] for a, b in zip(cells.near_bounds[:-1], cells.near_bounds[1:])]
 
 
 def _centroid_case(seed, kind, n, n_gens, reach):
@@ -386,13 +390,10 @@ def test_graph_centroids_equal_brute_force_for_every_cell(seed, kind, n, n_gens,
     rng, oracle, mass, gens, radius = _centroid_case(seed, kind, n, n_gens, reach)
     cells = graph_cells(oracle, gens, radius)
     got = graph_centroids(oracle, cells.near, cells.near_bounds, mass)
-    for k in range(len(cells.generators)):
-        cell = cells.limited(k)
-        want = brute_graph_centroid(cell.members, mass, oracle.dist)
-        assert got[k] == want
-        assert graph_centroid(cell, mass, oracle) == want
+    parts = limited_cells(cells)
+    for k, members in enumerate(parts):
+        assert got[k] == brute_graph_centroid(members, mass, oracle.dist)
     # thinned cells: arbitrary member subsets, some of them empty
-    parts = [cells.limited(k).members for k in range(len(cells.generators))]
     parts = [p[rng.random(len(p)) < 0.5] for p in parts]
     bounds = np.concatenate([[0], np.cumsum([len(p) for p in parts])])
     got = graph_centroids(oracle, np.concatenate(parts), bounds, mass)
@@ -411,13 +412,11 @@ def check_graph_cells(oracle, gens, radius, mass):
     assert np.array_equal(cells.generators[cells.owner], owner)
     assert np.array_equal(cells.owner_dist, oracle.dist[owner, np.arange(len(owner))])
     assert np.array_equal(cells.in_range, cells.owner_dist <= radius)
-    for k, gen in enumerate(sorted(gens)):
+    centroids = graph_centroids(oracle, cells.near, cells.near_bounds, mass)
+    for k, (gen, members) in enumerate(zip(sorted(gens), limited_cells(cells))):
         want = r_limited_graph_cell(owner, oracle, gen, radius)
-        got = cells.limited(k)
-        assert got.generator == gen
-        assert np.array_equal(got.members, want.members)
-        assert graph_centroid(got, mass, oracle) == brute_graph_centroid(
-            want.members, mass, oracle.dist)
+        assert np.array_equal(members, want.members)
+        assert centroids[k] == brute_graph_centroid(want.members, mass, oracle.dist)
 
 
 @settings(max_examples=80, deadline=None)
@@ -450,16 +449,16 @@ def test_graph_cells_reject_bad_generator_sets():
         graph_cells(oracle, [1, 1], 1.0)
 
 
-# -- nearest_node -------------------------------------------------------------------
+# -- nearest_nodes ------------------------------------------------------------------
 
 def test_nearest_node_exact_hit():
     g = grid_graph(4, 10.0)
-    assert nearest_node(g, g.coords[7]) == 7
+    assert nearest_nodes(g, g.coords[7]).tolist() == [7]
 
 
 def test_nearest_node_tie_smaller_id():
     g = build_graph([(0, 0, 0), (1, 2, 0)], [(0, 1, 2.0)])
-    assert nearest_node(g, (1.0, 0.0)) == 0
+    assert nearest_nodes(g, (1.0, 0.0)).tolist() == [0]
 
 
 def test_nearest_node_three_candidates():
@@ -467,7 +466,7 @@ def test_nearest_node_three_candidates():
         [(0, 0, 0), (1, 10, 0), (2, 0, 10)],
         [(0, 1, 10.0), (0, 2, 10.0)],
     )
-    assert nearest_node(g, (1.0, 2.0)) == 0
+    assert nearest_nodes(g, (1.0, 2.0)).tolist() == [0]
 
 
 def test_nearest_nodes_matches_scalar_version():
@@ -475,7 +474,7 @@ def test_nearest_nodes_matches_scalar_version():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-5, 40, size=(50, 2))
     batch = nearest_nodes(g, pts)
-    assert [nearest_node(g, p) for p in pts] == list(batch)
+    assert [nearest_nodes(g, p)[0] for p in pts] == list(batch)
     # Midpoints between node pairs tie exactly between two or more nodes; on a
     # spacing that is not a binary fraction, an expanded |p|^2 + |c|^2 - 2 p.c
     # breaks those ties by rounding instead of by the smallest id.
@@ -484,7 +483,7 @@ def test_nearest_nodes_matches_scalar_version():
                     for i, j in itertools.combinations(range(city.n_nodes), 2)])
     batch = nearest_nodes(city, mid)
     assert list(batch) == list(brute_nearest(mid, city.coords))
-    assert [nearest_node(city, p) for p in mid] == list(batch)
+    assert [nearest_nodes(city, p)[0] for p in mid] == list(batch)
 
 
 CITY_SPACING_M = 9750 / 29

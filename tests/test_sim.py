@@ -32,6 +32,7 @@ from cvrsim.sim import (
 from oracles import (
     ScalarMovement,
     ScalarVehicle,
+    audit_requests,
     brute_match_tick,
     position_lead,
     random_connected_graph,
@@ -507,14 +508,7 @@ def test_snapshot_destination_is_where_a_busy_vehicle_drives():
 def test_every_request_reaches_exactly_one_terminal_state():
     world = World(mini_config("cvr"))
     world.run()
-    injected = world.requests[:world.n_injected]
-    for r in injected:
-        assert r.status in (COMPLETED, CANCELLED, PICKED_UP, "matched", "pending")
-        if r.status == COMPLETED:
-            assert r.pickup_time is not None and r.pickup_time >= r.t0
-            assert r.dropoff_time >= r.pickup_time
-    m = world.metrics()
-    assert m.n_orders + m.n_cancelled + m.n_inflight == m.n_requests
+    audit_requests(world.requests[:world.n_injected], world.metrics().to_dict())
 
 
 def test_zero_horizon_yields_empty_metrics():
