@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import plane
 from .roadnet import (
@@ -180,6 +179,8 @@ def lp_rebalance(fwd, lead, pending_origins, oracle: DistanceOracle,
     on shortest-path travel times; matched vehicles get the request origin as
     a rebalancing destination, the rest hold.
     """
+    from scipy.optimize import linear_sum_assignment  # loaded by the first lp call, not on import
+
     if speed_mps <= 0:
         raise ValueError("speed must be positive")
     fwd = np.asarray(fwd, dtype=np.int64)

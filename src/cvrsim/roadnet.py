@@ -1,11 +1,11 @@
 """Road-network machinery.
 
 Validated undirected graphs, dense all-pairs shortest paths with next-hop
-routing, shortest-path (graph) Voronoi partitions, range-limited graph cells
-(all of them at once through :func:`graph_cells`), and mass-weighted graph
-centroids (those of all cells at once through :func:`graph_centroids`, whose
-costs are summed left to right over each cell's members, so they do not
-depend on the BLAS build).
+routing (the last graph's oracle is kept and reused), shortest-path (graph)
+Voronoi partitions, range-limited graph cells (all of them at once through
+:func:`graph_cells`), and mass-weighted graph centroids (those of all cells at
+once through :func:`graph_centroids`, whose costs are summed left to right
+over each cell's members, so they do not depend on the BLAS build).
 
 A vehicle's position is its forward node plus the lead, the distance still to
 drive to that node: 0.0 at a node, and the rest of the edge when mid-edge.
@@ -217,7 +217,34 @@ def graph_from_json(doc) -> RoadGraph:
     return build_graph(doc["nodes"], doc["edges"])
 
 
+# (key, oracle) of the last graph all_pairs_shortest built; see its docstring.
+_last_oracle: tuple[tuple, DistanceOracle] | None = None
+
+
 def all_pairs_shortest(graph: RoadGraph) -> DistanceOracle:
+    """Dense all-pairs shortest paths with next hops, built once per graph.
+
+    Returns the oracle built last when ``graph`` has the same node count and
+    byte-identical ``edge_u``, ``edge_v`` and ``edge_len`` arrays as the graph
+    it was built for, and otherwise builds a new one and keeps that instead.
+    Node coordinates are not part of the key: the oracle does not depend on
+    them. The oracle's arrays are read-only, so callers can share it. The
+    last oracle stays referenced until a different graph is built: 12 bytes
+    per node pair, so 1.9 MB on the 400-node desk grid, 9.7 MB on the
+    900-node city grid and 288 MB at 4900 nodes.
+    """
+    global _last_oracle
+    key = (graph.n_nodes,) + tuple(
+        (a.dtype.str, a.tobytes()) for a in (graph.edge_u, graph.edge_v, graph.edge_len))
+    last = _last_oracle
+    if last is not None and last[0] == key:
+        return last[1]
+    oracle = _build_oracle(graph)
+    _last_oracle = (key, oracle)
+    return oracle
+
+
+def _build_oracle(graph: RoadGraph) -> DistanceOracle:
     """Dense all-pairs shortest paths (Dijkstra from every node) with next hops.
 
     next_hop[i, j] is the smallest-id neighbour v of i with

@@ -151,6 +151,8 @@ def entry(doc, path):
 DESK_NODES = 400
 
 
+# A value pytest cannot name (a list or an object) gets an explicit id, so a row
+# inserted above it renames no case. The ids are the names these cases had.
 @pytest.mark.parametrize("section, key, value", [
     ("sim", "resolution_m", 0.0),
     ("sim", "resolution_m", math.nan),
@@ -186,21 +188,28 @@ DESK_NODES = 400
     ("controller", "graph_hold_score", "false"),
     ("sim", "persistent_private_trips", "no"),
     ("sim", "horizon_s", True),
-    ("sim", "tick_s", [1]),
+    pytest.param("sim", "tick_s", [1], id="sim-tick_s-value33"),
     ("demand", "gamma", "0.5"),
-    ("demand", "profile", [[-5.0, 75.0]]),
+    pytest.param("demand", "profile", [[-5.0, 75.0]], id="demand-profile-value35"),
     # node vectors must be finite
-    ("demand", "origin", {"node_mass": [math.nan] + [1 / (DESK_NODES - 1)] * (DESK_NODES - 1)}),
-    ("demand", "origin", {"node_counts": [math.nan] + [1] * (DESK_NODES - 1)}),
-    ("demand", "origin", {"node_counts": [math.inf] + [1] * (DESK_NODES - 1)}),
+    pytest.param("demand", "origin",
+                 {"node_mass": [math.nan] + [1 / (DESK_NODES - 1)] * (DESK_NODES - 1)},
+                 id="demand-origin-value36"),
+    pytest.param("demand", "origin", {"node_counts": [math.nan] + [1] * (DESK_NODES - 1)},
+                 id="demand-origin-value37"),
+    pytest.param("demand", "origin", {"node_counts": [math.inf] + [1] * (DESK_NODES - 1)},
+                 id="demand-origin-value38"),
     # each mixture is checked once, whichever controller reads it
     ("demand.origin.mixture[1]", "weight", 0.5),
     ("demand.destination.mixture[1]", "weight", 0.6),
     ("demand.origin.mixture[0]", "weight", -0.3),
     ("demand.origin.mixture[0]", "mean", math.nan),
-    ("demand.origin.mixture[0]", "mean", [3400.0, 3400.0, 0.0]),
-    ("demand.origin.mixture[0]", "cov", [[1.0]]),
-    ("demand.origin.mixture[0]", "cov", [[640000.0, 500000.0], [0.0, 640000.0]]),
+    pytest.param("demand.origin.mixture[0]", "mean", [3400.0, 3400.0, 0.0],
+                 id="demand.origin.mixture[0]-mean-value43"),
+    pytest.param("demand.origin.mixture[0]", "cov", [[1.0]],
+                 id="demand.origin.mixture[0]-cov-value44"),
+    pytest.param("demand.origin.mixture[0]", "cov", [[640000.0, 500000.0], [0.0, 640000.0]],
+                 id="demand.origin.mixture[0]-cov-value45"),
     # non-finite graph values: an infinite bridge edge once made the run endless
     ("graph", "path", "nan_length"),
     ("graph", "path", "inf_bridge"),
@@ -426,6 +435,15 @@ def test_sweep_checks_every_value_before_any_run(scenario_path, tmp_path, capsys
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "ConfigValidation" and err["field"] == "fleet.n_av"
     assert runs == []
+
+
+def test_in_process_sweep_builds_one_oracle(scenario_path, tmp_path, capsys, monkeypatch,
+                                            oracle_builds):
+    runs = counted_runs(monkeypatch)
+    code = main(["sweep", "--scenario", scenario_path, "--param", "n_av",
+                 "--values", "3,6", "--reps", "2", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(runs) == 4 and len(oracle_builds) == 1
 
 
 def test_sweep_deterministic_across_invocations(scenario_path, tmp_path, capsys):

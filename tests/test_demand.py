@@ -48,10 +48,11 @@ def test_non_finite_entries_rejected(bad):
         check_node_mass([bad, 0.5, 0.5])
 
 
+# Explicit ids (the names these cases had), so a case inserted in the list renames none.
 @pytest.mark.parametrize("profile", [
     [(math.nan, 75.0)], [(math.inf, 75.0)], [(3600.0, math.inf)], [(3600.0, math.nan)],
     [(0.0, 75.0)], [(3600.0, -1.0)],
-])
+], ids=[f"profile{i}" for i in range(6)])
 def test_malformed_profile_rejected(profile):
     # a non-finite entry would otherwise never close the arrival loop
     with pytest.raises(ValueError, match="entry 0"):

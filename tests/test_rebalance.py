@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -426,8 +431,8 @@ def test_lp_cost_matrix_equals_per_pair_distances(monkeypatch):
         seen.append(cost.copy())
         return real(cost)
 
-    real = rebalance.linear_sum_assignment
-    monkeypatch.setattr(rebalance, "linear_sum_assignment", spy)
+    real = scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
     for speed in (1.0, 7.3, 1 / 3):
         positions = []
         for u, v, w in edges[:12]:
@@ -438,6 +443,25 @@ def test_lp_cost_matrix_equals_per_pair_distances(monkeypatch):
         want = np.array([[brute_position_distance(g, oracle.dist, p, o) / speed
                           for o in origins] for p in positions])
         assert np.array_equal(seen[-1], want)
+
+
+def test_scipy_optimize_loads_with_the_first_lp_run():
+    script = (
+        "import dataclasses, sys\n"
+        "import cvrsim\n"
+        "from cvrsim.scenario import desk_scenario\n"
+        "from cvrsim.sim import World\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "for name in ('cvr_graph', 'lp'):\n"
+        "    World(dataclasses.replace(desk_scenario(name), horizon_s=600.0)).run()\n"
+        "    print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(rebalance.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "False", "True"]
 
 
 def test_lp_matches_brute_force(grid):

@@ -13,6 +13,7 @@ from cvrsim.errors import (
     NonPositiveLengthError,
 )
 from cvrsim.roadnet import (
+    _build_oracle,
     all_pairs_shortest,
     build_graph,
     graph_cells,
@@ -206,6 +207,64 @@ def test_next_hop_walks_are_shortest_paths(g):
             assert walk == oracle.path(a, b)
             walked = sum(g.edge_length(u, v) for u, v in zip(walk, walk[1:]))
             assert walked == pytest.approx(oracle.dist[a, b], rel=1e-9, abs=0.0)
+
+
+# -- the kept oracle ----------------------------------------------------------------
+
+def same_tables(a, b):
+    return np.array_equal(a.dist, b.dist) and np.array_equal(a.next_hop, b.next_hop)
+
+
+def grid_parts(k, spacing_m):
+    """The node and edge lists of ``grid_graph(k, spacing_m)``."""
+    g = grid_graph(k, spacing_m)
+    nodes = [(i, x, y) for i, (x, y) in enumerate(g.coords.tolist())]
+    edges = list(zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_len.tolist()))
+    return nodes, edges
+
+
+def test_equal_graphs_share_one_oracle(oracle_builds):
+    first = all_pairs_shortest(grid_graph(5, 10.0))
+    assert all_pairs_shortest(grid_graph(5, 10.0)) is first
+    assert len(oracle_builds) == 1
+
+
+@pytest.mark.parametrize("edit", ["longer-edge", "extra-edge"])
+def test_a_changed_edge_set_builds_a_new_oracle(oracle_builds, edit):
+    nodes, edges = grid_parts(5, 10.0)
+    if edit == "longer-edge":
+        edges[7] = (*edges[7][:2], 10.5)
+    else:
+        edges.append((0, 24, 5.0))
+    base = all_pairs_shortest(grid_graph(5, 10.0))
+    g = build_graph(nodes, edges)
+    got = all_pairs_shortest(g)
+    assert got is not base and len(oracle_builds) == 2
+    assert same_tables(got, _build_oracle(g))
+    assert not same_tables(got, base)
+
+
+def test_graphs_in_turn_each_get_their_own_oracle(oracle_builds):
+    a, b = grid_graph(5, 10.0), grid_graph(5, 12.0)  # the same edges, other lengths
+    for g in (a, b, a):
+        assert same_tables(all_pairs_shortest(g), _build_oracle(g))
+    assert len(oracle_builds) == 3
+
+
+def test_moved_coordinates_reuse_the_oracle(oracle_builds):
+    nodes, edges = grid_parts(5, 10.0)
+    moved = build_graph([(i, 3.0 * x + 1.0, y - 7.0) for i, x, y in nodes], edges)
+    assert all_pairs_shortest(moved) is all_pairs_shortest(grid_graph(5, 10.0))
+    assert len(oracle_builds) == 1
+
+
+def test_kept_oracle_arrays_are_read_only(oracle_builds):
+    for _ in range(2):  # the build, then the kept oracle
+        oracle = all_pairs_shortest(grid_graph(3, 10.0))
+        for table in (oracle.dist, oracle.next_hop):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 1] = 0
+    assert len(oracle_builds) == 1
 
 
 # -- graph_voronoi --------------------------------------------------------------

@@ -11,7 +11,7 @@ from cvrsim.demand import CANCELLED, COMPLETED, MATCHED, PICKED_UP, Request
 from cvrsim.errors import ConfigValidationError
 from cvrsim import plane, rebalance
 from cvrsim.roadnet import all_pairs_shortest, build_graph, grid_graph, position_node_distance
-from cvrsim.scenario import desk_scenario
+from cvrsim.scenario import build_config, desk_scenario
 from cvrsim.sim import (
     ASSIGNED,
     CARRYING,
@@ -37,6 +37,7 @@ from oracles import (
     position_lead,
     random_connected_graph,
 )
+from test_city_trajectories import perfbench_module
 
 
 def mini_config(controller="do_nothing", seed=1, **overrides):
@@ -530,6 +531,12 @@ def test_same_seed_repeats_bit_identically():
     b = run_scenario(mini_config("cvr", seed=7))
     assert a[0] == b[0]
     assert a[1] == b[1]
+
+
+def test_the_desk_workload_builds_one_oracle(oracle_builds):
+    worlds = [World(build_config(doc)) for _, doc in perfbench_module("workloads").desk(1)]
+    assert len(worlds) == 6 and len(oracle_builds) == 1
+    assert all(world.oracle is worlds[0].oracle for world in worlds)
 
 
 def test_vehicle_count_conserved_in_series():
