@@ -29,7 +29,7 @@ from .errors import (
     NonPositiveDefiniteCovarianceError,
     ZeroMassCellError,
 )
-from .roadnet import RoadGraph
+from .roadnet import RoadGraph, _box_distances
 
 _TILE = 8  # tile side in pixels for the nearest-generator pass
 
@@ -177,15 +177,6 @@ def rasterize_node_mass(box, resolution: float, graph: RoadGraph, node_mass) -> 
     return _field_from_raw(resolution, raw, xmin, ymin, nx, ny, centers)
 
 
-def _box_distances(lo, hi, g):
-    """Squared distances from each coordinate in g to the nearest point and
-    to the farthest end of each interval [lo, hi], as (intervals, len(g))."""
-    below, above = lo - g, g - hi
-    near = np.maximum(np.maximum(below, above), 0.0)
-    far = np.minimum(below, above)
-    return near * near, far * far
-
-
 def _nearest_generator(field: GridField, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest generator of every pixel center and its squared distance.
 
@@ -212,7 +203,7 @@ def _nearest_generator(field: GridField, gens: np.ndarray) -> tuple[np.ndarray, 
     far = (far_x[None, :, :] + far_y[:, None, :]).reshape(len(pix), -1)
     keep = near <= far.min(axis=1, keepdims=True) * (1.0 + 1e-9)
     counts = keep.sum(axis=1)
-    _, gen = np.nonzero(keep)  # grouped by tile, generators ascending
+    gen = np.flatnonzero(keep) % len(gens)  # grouped by tile, generators ascending
     order = np.argsort(-counts, kind="stable")
     starts = (np.cumsum(counts) - counts)[order]
     counts = counts[order]
@@ -263,20 +254,31 @@ def plane_voronoi(field: GridField, generators) -> np.ndarray:
 class CoverageSummary:
     """One-pass per-generator statistics of a range-limited partition.
 
-    Centroids are NaN where the limited cell carries no mass. j_full is the
-    polar moment over the unlimited Voronoi cell, j_limited over the cell cut
-    to the coverage radius.
+    Centroids are NaN where the limited cell carries no mass. The polar
+    moments are computed from the pass on first read: j_full over the
+    unlimited Voronoi cell, j_limited over the cell cut to the coverage radius.
     """
 
     assignment: np.ndarray
+    own_d2: np.ndarray         # each pixel's squared distance to its generator
+    mass: np.ndarray           # pixel masses
+    in_range_mass: np.ndarray  # pixel masses, 0.0 beyond the coverage radius
     limited_mass: np.ndarray
     limited_centroid: np.ndarray  # (n, 2), NaN rows for massless cells
-    j_limited: np.ndarray
-    j_full: np.ndarray
+
+    @cached_property
+    def j_full(self) -> np.ndarray:
+        return np.bincount(self.assignment, weights=self.mass * self.own_d2,
+                           minlength=len(self.limited_mass))
+
+    @cached_property
+    def j_limited(self) -> np.ndarray:
+        return np.bincount(self.assignment, weights=self.in_range_mass * self.own_d2,
+                           minlength=len(self.limited_mass))
 
 
 def coverage_summary(field: GridField, generators, r_m: float) -> CoverageSummary:
-    """Assignment, limited centroids, and polar moments in one raster pass.
+    """Assignment, limited masses and centroids in one raster pass; moments on demand.
 
     The assignment is exactly plane_voronoi's (ties to the smallest index);
     each statistic is one bincount over the pixels in ascending index order,
@@ -286,19 +288,16 @@ def coverage_summary(field: GridField, generators, r_m: float) -> CoverageSummar
     gens = _generators(generators)
     n = len(gens)
     assignment, own_d2 = _nearest_generator(field, gens)
-    mass = field.mass
-    j_full = np.bincount(assignment, weights=mass * own_d2, minlength=n)
     # Out of range a pixel weighs 0.0, which adds exactly +0.0 to its owner's sums.
-    w_in = np.where(own_d2 <= r_m * r_m, mass, 0.0)
+    w_in = np.where(own_d2 <= r_m * r_m, field.mass, 0.0)
     mass_w = np.bincount(assignment, weights=w_in, minlength=n)
     sum_x = np.bincount(assignment, weights=w_in * field.centers[:, 0], minlength=n)
     sum_y = np.bincount(assignment, weights=w_in * field.centers[:, 1], minlength=n)
-    j_lim = np.bincount(assignment, weights=w_in * own_d2, minlength=n)
     with np.errstate(invalid="ignore", divide="ignore"):
         centroid = np.column_stack([sum_x, sum_y]) / mass_w[:, None]
     centroid[mass_w <= 0] = np.nan
-    return CoverageSummary(assignment=assignment, limited_mass=mass_w,
-                           limited_centroid=centroid, j_limited=j_lim, j_full=j_full)
+    return CoverageSummary(assignment=assignment, own_d2=own_d2, mass=field.mass,
+                           in_range_mass=w_in, limited_mass=mass_w, limited_centroid=centroid)
 
 
 def r_limited_cell(

@@ -5,7 +5,9 @@ routing (the last graph's oracle is kept and reused), shortest-path (graph)
 Voronoi partitions, range-limited graph cells (all of them at once through
 :func:`graph_cells`), and mass-weighted graph centroids (those of all cells at
 once through :func:`graph_centroids`, whose costs are summed left to right
-over each cell's members, so they do not depend on the BLAS build).
+over each cell's members, so they do not depend on the BLAS build), and the
+Euclidean node snap :func:`nearest_nodes`, through a bucket index that each
+graph builds on its first snap.
 
 A vehicle's position is its forward node plus the lead, the distance still to
 drive to that node: 0.0 at a node, and the rest of the edge when mid-edge.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -81,6 +84,11 @@ class RoadGraph:
         xmax, ymax = self.coords.max(axis=0)
         return float(xmin), float(ymin), float(xmax), float(ymax)
 
+    @cached_property
+    def _snap_index(self) -> SnapIndex:
+        """The bucket index :func:`nearest_nodes` reads, built on the first snap."""
+        return _build_snap_index(self.coords)
+
 
 @dataclass(frozen=True)
 class DistanceOracle:
@@ -120,6 +128,28 @@ class GraphCell:
         return len(self.members)
 
 
+def _whole(value, what: str, *args) -> int:
+    """A whole number as an int; a bool, a fraction or a string is rejected, not truncated.
+
+    The error names the value ``what.format(*args)``, formatted only on error.
+    """
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, np.integer))
+            or (isinstance(value, (float, np.floating)) and value.is_integer())):
+        raise ValueError(f"{what.format(*args)} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str, *args) -> float:
+    """A number as a float; a bool or a string is rejected, not converted.
+
+    The error names the value ``what.format(*args)``, formatted only on error.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what.format(*args)} must be a number, got {value!r}")
+    return float(value)
+
+
 def build_graph(nodes, edges) -> RoadGraph:
     """Validate and build an undirected road graph.
 
@@ -127,7 +157,9 @@ def build_graph(nodes, edges) -> RoadGraph:
     edges: iterable of (u, v, length_m).
 
     Raises DuplicateEdgeError, NonPositiveLengthError, DisconnectedGraphError,
-    or ValueError for malformed ids and non-finite coordinates or lengths.
+    or ValueError for malformed ids, for ids or endpoints that are not whole
+    numbers (a bool is not one), and for coordinates or lengths that are not
+    finite numbers.
     """
     nodes = list(nodes)
     if not nodes:
@@ -135,14 +167,17 @@ def build_graph(nodes, edges) -> RoadGraph:
     n = len(nodes)
     coords = np.full((n, 2), np.nan)
     seen_ids = set()
+    # An int id and float coordinates and lengths are taken as they are; the
+    # helpers check any other value. The common case then costs no call.
     for nid, x, y in nodes:
-        nid = int(nid)
+        nid = nid if type(nid) is int else _whole(nid, "node id")
         if nid in seen_ids:
             raise ValueError(f"duplicate node id {nid}")
         if not 0 <= nid < n:
             raise ValueError(f"node ids must be dense 0..{n - 1}, got {nid}")
         seen_ids.add(nid)
-        x, y = float(x), float(y)
+        x = x if type(x) is float else _real(x, "node {} x", nid)
+        y = y if type(y) is float else _real(y, "node {} y", nid)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"node {nid} has non-finite coordinates ({x}, {y})")
         coords[nid] = (x, y)
@@ -150,7 +185,9 @@ def build_graph(nodes, edges) -> RoadGraph:
     eu, ev, el = [], [], []
     seen_edges = set()
     for u, v, length in edges:
-        u, v, length = int(u), int(v), float(length)
+        u = u if type(u) is int else _whole(u, "edge endpoint")
+        v = v if type(v) is int else _whole(v, "edge endpoint")
+        length = length if type(length) is float else _real(length, "edge ({}, {}) length", u, v)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge endpoint out of range: ({u}, {v})")
         if u == v:
@@ -391,18 +428,106 @@ def graph_centroid(cell: GraphCell, mass: np.ndarray, oracle: DistanceOracle) ->
     return int(graph_centroids(oracle, members, [0, len(members)], mass)[0])
 
 
+def _box_distances(lo, hi, g):
+    """Squared distances from each coordinate in g to the nearest point and
+    to the farthest end of each interval [lo, hi], as (intervals, len(g))."""
+    below, above = lo - g, g - hi
+    near = np.maximum(np.maximum(below, above), 0.0)
+    far = np.minimum(below, above)
+    return near * near, far * far
+
+
+@dataclass(frozen=True)
+class SnapIndex:
+    """A k x k grid of buckets over the node box, each with its candidate nearest nodes.
+
+    edges_x, edges_y : (k + 1,) ascending bucket edges; bucket (i, j) is the
+        box [edges_x[j], edges_x[j + 1]] x [edges_y[i], edges_y[i + 1]]
+    candidates : (k * k, width) row i * k + j lists the nodes that can be
+        nearest to some point of bucket (i, j), ascending and padded with
+        repeats of the last; of nodes at one position only the smallest id
+    cand_x, cand_y : the coordinates of ``candidates``
+    """
+
+    edges_x: np.ndarray
+    edges_y: np.ndarray
+    candidates: np.ndarray
+    cand_x: np.ndarray
+    cand_y: np.ndarray
+
+
+def _bucket_edges(c: np.ndarray, k: int) -> np.ndarray:
+    """k + 1 ascending edges from c.min() to c.max(), formed without the span,
+    which can overflow."""
+    lo, hi = c.min(), c.max()
+    t = np.arange(k + 1) / k
+    return np.maximum.accumulate(np.clip(lo * (1.0 - t) + hi * t, lo, hi))
+
+
+def _build_snap_index(coords: np.ndarray) -> SnapIndex:
+    """The bucket index of ``coords``, one bucket row at a time.
+
+    A node at the position of a smaller id never wins a snap, so only the
+    smallest id at each position is indexed. A bucket keeps the nodes whose
+    squared distance to its box is at most (1 + 1e-9) times the smallest
+    squared distance at which some node reaches the box's far corner; the
+    argument of ``plane._nearest_generator`` shows every node that ties for
+    the nearest to a point of the box survives. Coordinates near the float
+    limits overflow these distances to inf (numpy warns), which only keeps
+    more candidates.
+    """
+    _, first = np.unique(coords, axis=0, return_index=True)
+    nodes = np.sort(first)
+    cx, cy = coords[nodes, 0], coords[nodes, 1]
+    k = math.isqrt(len(nodes) - 1) + 1  # ceil(sqrt(len(nodes)))
+    edges_x, edges_y = _bucket_edges(cx, k), _bucket_edges(cy, k)
+    near_x, far_x = _box_distances(edges_x[:-1, None], edges_x[1:, None], cx)
+    near_y, far_y = _box_distances(edges_y[:-1, None], edges_y[1:, None], cy)
+    counts, members = [], []
+    for ny, fy in zip(near_y, far_y):
+        keep = near_x + ny <= (far_x + fy).min(axis=1, keepdims=True) * (1.0 + 1e-9)
+        counts.append(keep.sum(axis=1))
+        members.append(np.flatnonzero(keep) % len(nodes))  # by bucket, ascending
+    counts, members = np.concatenate(counts), np.concatenate(members)
+    starts = np.cumsum(counts) - counts
+    slot = members[starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)]
+    return SnapIndex(edges_x=edges_x, edges_y=edges_y, candidates=nodes[slot],
+                     cand_x=cx[slot], cand_y=cy[slot])
+
+
+def _closest(pts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Per row of ``pts``, the first column minimizing dx*dx + dy*dy to (xs, ys).
+
+    ``xs`` and ``ys`` hold one row per point, or one row all points share.
+    """
+    dx = pts[:, 0, None] - xs
+    dy = pts[:, 1, None] - ys
+    return np.argmin(dx * dx + dy * dy, axis=1)
+
+
 def nearest_nodes(graph: RoadGraph, points) -> np.ndarray:
     """Euclidean-nearest node to each row of ``points``; ties to the smallest id.
 
-    The squared distances are compared exactly as dx*dx + dy*dy. Raises
-    ValueError for a non-finite point.
+    The squared distances are compared exactly as dx*dx + dy*dy, over the
+    candidates of the bucket of the graph's :class:`SnapIndex` that holds the
+    point; a point outside the node box compares every node. A
+    squared distance beyond the float range is inf, and numpy warns of the
+    overflow. Raises ValueError for a non-finite point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    dx = pts[:, 0, None] - graph.coords[None, :, 0]
-    dy = pts[:, 1, None] - graph.coords[None, :, 1]
-    return np.argmin(dx * dx + dy * dy, axis=1)
+    index = graph._snap_index
+    x, y = pts[:, 0], pts[:, 1]
+    ex, ey = index.edges_x, index.edges_y
+    # The inner edges place every point in a bucket, one outside the box in the closest.
+    bucket = (np.searchsorted(ey[1:-1], y, side="right") * (len(ex) - 1)
+              + np.searchsorted(ex[1:-1], x, side="right"))
+    snapped = index.candidates[bucket, _closest(pts, index.cand_x[bucket], index.cand_y[bucket])]
+    outside = (x < ex[0]) | (x > ex[-1]) | (y < ey[0]) | (y > ey[-1])
+    if outside.any():
+        snapped[outside] = _closest(pts[outside], graph.coords[:, 0], graph.coords[:, 1])
+    return snapped
 
 
 def position_node_distance(oracle: DistanceOracle, fwd, lead, node):

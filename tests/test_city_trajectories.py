@@ -40,3 +40,27 @@ def test_city_trajectory_is_pinned(controller, hours):
     requests = world.requests[:world.n_injected]
     assert checks.check_world(world, metrics) == []
     assert checks.digest(metrics, world.series, requests) == CITY_SHA256[controller, hours]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_coverage_controllers_beat_baselines_on_the_city(seed):
+    """The paper's claim at city scale, on the one-hour city of the benchmark.
+
+    Each coverage controller completes more requests, and keeps them waiting
+    less on average, than holding every idle vehicle and than the reactive LP.
+    The planar controller's gap to the graph one is printed, not bounded.
+    """
+    workloads = perfbench_module("workloads")
+    runs = {name: World(build_config(workloads.city_document(name, seed, 1))).run()
+            for name in ("do_nothing", "lp", "cvr_graph", "cvr")}
+    completion = {name: m.completion_rate_pct for name, m in runs.items()}
+    wait = {name: m.mean_wait_s for name, m in runs.items()}
+    ok = all(completion[c] > completion[b] and wait[c] < wait[b]
+             for c in ("cvr_graph", "cvr") for b in ("do_nothing", "lp"))
+    detail = (f"seed {seed}: completion "
+              + " ".join(f"{name}={value:.1f}" for name, value in completion.items())
+              + "; wait " + " ".join(f"{name}={value:.0f}s" for name, value in wait.items())
+              + f"; planar-graph gap {completion['cvr'] - completion['cvr_graph']:+.1f} points,"
+              f" {wait['cvr'] - wait['cvr_graph']:+.0f} s")
+    print(f"[city] {'PASS' if ok else 'FAIL'}: {detail}")
+    assert ok, detail

@@ -137,6 +137,12 @@ def broken_grid_document(defect):
         next(e for e in doc["edges"] if e[:2] == [23, 24])[2] = math.inf
     elif defect == "nan_coord":
         doc["nodes"][7][1] = math.nan
+    elif defect == "fractional_id":  # int() once read it as 7, so the graph was built
+        doc["nodes"][7][0] = 7.5
+    elif defect == "bool_endpoint":
+        doc["edges"][0][1] = True
+    elif defect == "string_length":
+        doc["edges"][0][2] = "200.0"
     return doc
 
 
@@ -214,6 +220,10 @@ DESK_NODES = 400
     ("graph", "path", "nan_length"),
     ("graph", "path", "inf_bridge"),
     ("graph", "path", "nan_coord"),
+    # values of the wrong kind in the graph file are rejected, never truncated or coerced
+    ("graph", "path", "fractional_id"),
+    ("graph", "path", "bool_endpoint"),
+    ("graph", "path", "string_length"),
     # finite, but on the desk's 20x20 grid a coordinate (1e308) or the edge total
     # (1e306) overflows
     ("graph.grid", "spacing_m", 1e308),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvrsim import roadnet
 from cvrsim.errors import (
     DisconnectedGraphError,
     DuplicateEdgeError,
@@ -99,6 +100,46 @@ def test_non_finite_values_rejected(nodes, length, last):
 def test_sparse_node_ids_rejected():
     with pytest.raises(ValueError):
         build_graph([(0, 0, 0), (2, 1, 0)], [(0, 2, 1.0)])
+
+
+TWO_NODES = [(0, 0.0, 0.0), (1, 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("nodes, edges, message", [
+    # int() once read these ids as 0 and 1 and built a 2-node graph with edge (0, 1)
+    pytest.param([(0.5, 0, 0), (1.9, 1, 0)], [(0.7, 1.2, 5.0)],
+                 "node id must be a whole number", id="fractional-ids"),
+    pytest.param([(0, 0, 0), (True, 1, 0)], [(0, 1, 1.0)],
+                 "node id must be a whole number", id="bool-id"),
+    pytest.param([("0", 0, 0), (1, 1, 0)], [(0, 1, 1.0)],
+                 "node id must be a whole number", id="string-id"),
+    pytest.param(TWO_NODES, [(0, 1.2, 1.0)],
+                 "edge endpoint must be a whole number", id="fractional-endpoint"),
+    pytest.param(TWO_NODES, [(False, 1, 1.0)],
+                 "edge endpoint must be a whole number", id="bool-endpoint"),
+    pytest.param(TWO_NODES, [(0, "1", 1.0)],
+                 "edge endpoint must be a whole number", id="string-endpoint"),
+    pytest.param(TWO_NODES, [(0, 1, "5")],
+                 r"edge \(0, 1\) length must be a number", id="string-length"),
+    pytest.param(TWO_NODES, [(0, 1, True)],
+                 r"edge \(0, 1\) length must be a number", id="bool-length"),
+    pytest.param(TWO_NODES, [(0, 1, None)],
+                 r"edge \(0, 1\) length must be a number", id="null-length"),
+    pytest.param([(0, 0, 0), (1, "1", 0)], [(0, 1, 1.0)],
+                 "node 1 x must be a number", id="string-coordinate"),
+    pytest.param([(0, 0, False), (1, 1, 0)], [(0, 1, 1.0)],
+                 "node 0 y must be a number", id="bool-coordinate"),
+])
+def test_values_that_would_be_truncated_or_coerced_are_rejected(nodes, edges, message):
+    with pytest.raises(ValueError, match=message):
+        build_graph(nodes, edges)
+
+
+def test_whole_floats_and_numpy_numbers_are_accepted():
+    g = build_graph([(np.int64(1), np.float32(2.5), 0), (0.0, 0, np.int32(1))],
+                    [(np.int16(1), 0.0, np.int64(3))])
+    assert g.coords.tolist() == [[0.0, 1.0], [2.5, 0.0]]
+    assert g.edge_length(0, 1) == 3.0
 
 
 # -- all_pairs_shortest --------------------------------------------------------
@@ -600,6 +641,70 @@ def test_nearest_nodes_of_no_points_is_empty():
 def test_nearest_nodes_rejects_non_finite_points(bad):
     with pytest.raises(ValueError, match="points must be finite"):
         nearest_nodes(grid_graph(4, 10.0), [[5.0, 5.0], [bad, 25.0]])
+
+
+def test_nearest_nodes_when_the_coordinate_span_overflows():
+    # Two clusters 2e308 apart, one finite edge between them: the node box's
+    # width is inf, so every squared distance across it overflows.
+    coords = [(-1e308, 0.0), (1e308, 0.0), (1e308, 1e150), (-1e308, -1e150), (1e308, 0.0)]
+    graph = build_graph([(i, x, y) for i, (x, y) in enumerate(coords)],
+                        [(i, i + 1, 1.0) for i in range(len(coords) - 1)])
+    rng = np.random.default_rng(5)
+    offsets = rng.uniform(-1e153, 1e153, size=(40, 2))
+    points = np.concatenate([
+        np.asarray(coords),
+        [(1e308, 5e149), (-1e308, -5e149), (1e308, 3e150), (-1e308, -3e150)],  # ties, outside
+        np.asarray(coords)[rng.integers(0, len(coords), 40)] + offsets])
+    with np.errstate(over="ignore"):  # distances across the clusters are inf, here and there
+        assert np.array_equal(nearest_nodes(graph, points), brute_nearest(points, graph.coords))
+
+
+def test_nearest_nodes_when_every_node_shares_one_point():
+    graph = build_graph([(i, 3.0, -2.0) for i in range(6)], [(i, i + 1, 1.0) for i in range(5)])
+    points = np.concatenate([[(3.0, -2.0)], np.random.default_rng(8).normal(0, 1e3, (30, 2))])
+    assert np.array_equal(nearest_nodes(graph, points), brute_nearest(points, graph.coords))
+    assert nearest_nodes(graph, points).tolist() == [0] * len(points)
+
+
+def test_nearest_nodes_far_outside_the_node_box():
+    doc = graph_to_json(grid_graph(30, CITY_SPACING_M))
+    # Node 900 stands 1 m above the top right corner. Far above the box it is
+    # the nearest node even at x = 0, where no bucket keeps it as a candidate.
+    x, y = doc["nodes"][899][1:]
+    doc["nodes"].append([900, x, y + 1.0])
+    doc["edges"].append([899, 900, 1.0])
+    city = graph_from_json(doc)
+    rng = np.random.default_rng(9)
+    angle = rng.uniform(0, 2 * np.pi, 200)
+    radius = 10.0 ** rng.uniform(4, 12, 200)
+    points = 4875.0 + radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    points = np.concatenate([points, [(0.0, 1e9), (-1e9, 4875.0), (-1e6, -1e6)]])
+    snapped = nearest_nodes(city, points)
+    assert snapped[-3] == 900
+    assert np.array_equal(snapped, brute_nearest(points, city.coords))
+
+
+def test_nearest_nodes_on_every_half_spacing_point_of_the_city_and_a_ring_outside():
+    city = grid_graph(30, CITY_SPACING_M)
+    ij = np.array(list(itertools.product(range(-2, 61), repeat=2)))
+    points = ij * CITY_SPACING_M / 2
+    assert np.array_equal(nearest_nodes(city, points), brute_nearest(points, city.coords))
+
+
+def test_snap_index_is_built_once_per_graph(monkeypatch):
+    builds = []
+
+    def counted(coords):
+        builds.append(coords)
+        return build_snap_index(coords)
+
+    build_snap_index = roadnet._build_snap_index
+    monkeypatch.setattr(roadnet, "_build_snap_index", counted)
+    first, second = grid_graph(5, 10.0), grid_graph(5, 10.0)
+    for _ in range(3):
+        for graph in (first, second):
+            assert nearest_nodes(graph, [(12.0, 31.0), (-5.0, 60.0)]).tolist() == [16, 20]
+    assert [c is g.coords for c, g in zip(builds, (first, second))] == [True, True]
 
 
 # -- helpers ---------------------------------------------------------------------
