@@ -127,7 +127,6 @@ def cvr_targets(
     graph: RoadGraph,
     held=None,
     previous=None,
-    min_retarget_gain_m: float = 0.0,
 ) -> RebalanceDecision:
     """Planar coverage targets: range-limited cell centroid, snapped to a node.
 
@@ -135,9 +134,7 @@ def cvr_targets(
     included), one generator per vehicle in pool order. ``held`` masks the
     vehicles that hold; the rest move to the node nearest their weighted
     cell centroid. ``previous`` gives each vehicle's current target (HOLD:
-    none), which a massless cell keeps. With min_retarget_gain_m > 0, a
-    switch away from a current target is suppressed unless the new node is
-    at least that far from it.
+    none), which a massless cell keeps.
     """
     n = len(summary.limited_mass)
     held = np.zeros(n, dtype=bool) if held is None else np.asarray(held, dtype=bool)
@@ -145,12 +142,7 @@ def cvr_targets(
               else np.array(previous, dtype=np.int64))  # massless cell: keep going
     movable = ~held & (summary.limited_mass > 0)
     if movable.any():
-        snapped = nearest_nodes(graph, summary.limited_centroid[movable])
-        if min_retarget_gain_m > 0.0:
-            prev = target[movable]
-            gap = np.hypot(*(graph.coords[snapped] - graph.coords[prev]).T)
-            snapped = np.where((prev >= 0) & (gap < min_retarget_gain_m), prev, snapped)
-        target[movable] = snapped
+        target[movable] = nearest_nodes(graph, summary.limited_centroid[movable])
     target[held] = HOLD
     return RebalanceDecision(destination=target)
 

@@ -124,9 +124,6 @@ class GraphCell:
     generator: int
     members: np.ndarray  # sorted node ids
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def _whole(value, what: str, *args) -> int:
     """A whole number as an int; a bool, a fraction or a string is rejected, not truncated.
@@ -246,11 +243,25 @@ def graph_to_json(graph: RoadGraph) -> dict:
     }
 
 
-def graph_from_json(doc) -> RoadGraph:
-    """Load a graph from a parsed JSON document or a file path."""
-    if isinstance(doc, (str, bytes)):
-        with open(doc) as fh:
-            doc = json.load(fh)
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its pairs; a key given twice raises ValueError, never overwrites."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"repeated key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
+def load_json(path: str):
+    """The JSON document in the file at ``path``, whose objects repeat no key."""
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
+def graph_from_json(path: str) -> RoadGraph:
+    """Load a graph from the JSON file at ``path``."""
+    doc = load_json(path)
     return build_graph(doc["nodes"], doc["edges"])
 
 
@@ -309,7 +320,7 @@ def _owners(oracle: DistanceOracle, generators) -> tuple[np.ndarray, np.ndarray,
     Distance ties go to the smaller generator id: argmin over the rows of the
     sorted generator list returns the first occurrence.
     """
-    given = np.asarray(list(generators), dtype=np.int64)
+    given = np.asarray(generators, dtype=np.int64)
     gens = np.unique(given)
     if gens.size == 0:
         raise EmptyGeneratorSetError("no generators")

@@ -2,8 +2,8 @@
 
 A scenario file is a JSON object with sections ``graph``, ``demand``,
 ``fleet``, ``controller``, ``sim`` and an optional ``output_dir``. Unknown
-keys anywhere are rejected so typos fail loudly, and every value must have
-its JSON type: a string is not a number and a number is not a flag.
+and repeated keys anywhere are rejected so typos fail loudly, and every value
+must have its JSON type: a string is not a number and a number is not a flag.
 :func:`build_config` turns a parsed document into a runnable
 :class:`~cvrsim.sim.SimConfig`. Every key of the fleet, controller and sim
 sections is declared once, in :data:`cvrsim.sim.SCENARIO_KEYS`: its path, its
@@ -30,7 +30,7 @@ import numpy as np
 from . import demand
 from .errors import ConfigValidationError
 from .plane import mixture_density
-from .roadnet import RoadGraph, graph_from_json, grid_graph
+from .roadnet import RoadGraph, graph_from_json, grid_graph, load_json
 from .sim import DEFAULT_MFD, SCENARIO_KEYS, MFDParams, SimConfig
 
 _SECTIONS = {"graph", "demand", "fleet", "controller", "sim", "output_dir"}
@@ -118,11 +118,10 @@ SWEEPABLE = {"gamma": ("demand", "gamma")} | {
 
 
 def load_scenario(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8 text
-            raise ConfigValidationError("", f"scenario is not valid JSON: {exc}") from None
+    try:
+        doc = load_json(path)
+    except ValueError as exc:  # a JSONDecodeError, bytes that are not UTF-8, a repeated key
+        raise ConfigValidationError("", f"scenario is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigValidationError("", "scenario document must be a JSON object")
     return doc

@@ -144,7 +144,6 @@ SCENARIO_KEYS = {
     "y_ref": ("controller.y_ref", float, None, None),
     "y_hold": ("controller.y_hold", float, None, None),
     "graph_hold_score": ("controller.graph_hold_score", bool, None, None),
-    "min_retarget_gain_m": ("controller.min_retarget_gain_m", float, None, None),
     "tick_s": ("sim.tick_s", float, lambda v: v > 0, "tick must be positive"),
     "control_period_s": ("sim.control_period_s", float, None, None),
     "fleet_period_s": ("sim.fleet_period_s", float, None, None),
@@ -157,7 +156,6 @@ SCENARIO_KEYS = {
     "baseline_accumulation": ("sim.baseline_accumulation", int, lambda v: v >= 0,
                               "baseline accumulation must be nonnegative"),
     "mfd": ("sim.mfd", MFDParams, None, None),
-    "persistent_private_trips": ("sim.persistent_private_trips", bool, None, None),
     "resolution_m": ("sim.resolution_m", float, lambda v: v > 0,
                      "raster resolution must be positive"),
     "seed": ("sim.seed", int, lambda v: v >= 0, "seed must be nonnegative"),
@@ -190,7 +188,6 @@ class SimConfig:
     y_ref: float = rebalance.PIState.y_ref
     y_hold: float = rebalance.PIState.y_hold
     graph_hold_score: bool = False
-    min_retarget_gain_m: float = 0.0
     # clocks (seconds)
     tick_s: float = 1.0
     control_period_s: float = 10.0
@@ -203,7 +200,6 @@ class SimConfig:
     # congestion
     baseline_accumulation: int = 0
     mfd: MFDParams = DEFAULT_MFD
-    persistent_private_trips: bool = False
     # demand raster for planar controllers
     mixture: list | None = None
     resolution_m: float = 50.0
@@ -559,9 +555,7 @@ class World:
             # stands at, else nowhere (HOLD: held inside an edge).
             dest = f.dest[ids]
             previous = np.where((dest < 0) & (f.tail[ids] < 0), nodes, dest)
-            decision = rebalance.cvr_targets(
-                summary, self.graph, held=held, previous=previous,
-                min_retarget_gain_m=cfg.min_retarget_gain_m)
+            decision = rebalance.cvr_targets(summary, self.graph, held=held, previous=previous)
         self._route_to(ids, decision.destination)
 
     def _fleet_size_tick(self) -> None:
@@ -612,7 +606,7 @@ class World:
             if budget > 1e-12:
                 self._move(budget, self.clock + dt)
             # private traffic from cancellations moves at the same network speed
-            if self.private_remaining and not self.cfg.persistent_private_trips:
+            if self.private_remaining:
                 self.private_remaining = [r - budget for r in self.private_remaining
                                           if r - budget > 1e-9]
 
@@ -697,7 +691,7 @@ class World:
             snap["pixel_generator_ids"] = idle_ids.tolist()
             snap["field"] = self.field
         elif idle_ids.size:
-            snap["node_assignment"] = graph_voronoi(self.oracle, set(f.node[idle_ids].tolist()))
+            snap["node_assignment"] = graph_voronoi(self.oracle, np.unique(f.node[idle_ids]))
         return snap
 
 

@@ -194,13 +194,18 @@ def brute_hold_score(index, positions, field, r_m, assignment):
 
 
 def brute_nearest(points, generators):
-    """Nearest generator of each point by plain loops; ties to the smallest index."""
-    gens = np.atleast_2d(np.asarray(generators, dtype=float))
+    """Nearest generator of each point by plain loops; ties to the smallest index.
+
+    The loops run over Python floats, which are IEEE doubles, so dx*dx + dy*dy
+    rounds as numpy's would; ``d * d`` overflows to inf where ``**`` would raise.
+    """
+    gens = np.atleast_2d(np.asarray(generators, dtype=float)).tolist()
     out = np.empty(len(points), dtype=int)
-    for i, (px, py) in enumerate(points):
+    for i, (px, py) in enumerate(np.asarray(points, dtype=float).tolist()):
         best, best_d = 0, None
         for gi, (gx, gy) in enumerate(gens):
-            d = (px - gx) ** 2 + (py - gy) ** 2
+            dx, dy = px - gx, py - gy
+            d = dx * dx + dy * dy
             if best_d is None or d < best_d:
                 best, best_d = gi, d
         out[i] = best
@@ -246,30 +251,22 @@ def loop_select_holds(ids, hold_count, scores):
     return {vid for vid, _ in order[:max(hold_count, 0)]}
 
 
-def loop_cvr_targets(ids, summary, graph, held=frozenset(), previous=None,
-                     min_retarget_gain_m=0.0):
+def loop_cvr_targets(ids, summary, graph, held=frozenset(), previous=None):
     """Planar coverage targets vehicle by vehicle, keyed by id (None: hold).
 
     A held vehicle holds; a vehicle whose limited cell has no mass keeps
     ``previous.get(id)``; any other goes to the node nearest its limited
-    centroid, unless that node lies within ``min_retarget_gain_m`` of its
-    previous target, which it then keeps.
+    centroid.
     """
     previous = previous or {}
     decision = {}
     for i, vid in enumerate(ids):
-        prev = previous.get(vid)
         if vid in held:
             decision[vid] = None
         elif not summary.limited_mass[i] > 0:
-            decision[vid] = prev
+            decision[vid] = previous.get(vid)
         else:
-            target = int(brute_nearest([summary.limited_centroid[i]], graph.coords)[0])
-            if (min_retarget_gain_m > 0.0 and prev is not None and target != prev
-                    and np.hypot(*(graph.coords[target] - graph.coords[prev]))
-                    < min_retarget_gain_m):
-                target = prev
-            decision[vid] = target
+            decision[vid] = int(brute_nearest([summary.limited_centroid[i]], graph.coords)[0])
     return decision
 
 
@@ -339,13 +336,11 @@ class ScalarMovement:
     for bit.
     """
 
-    def __init__(self, graph, oracle, vehicles, tick_s, tick=0,
-                 private_remaining=(), persistent_private_trips=False):
+    def __init__(self, graph, oracle, vehicles, tick_s, tick=0, private_remaining=()):
         self.graph = graph
         self.oracle = oracle
         self.vehicles = vehicles
-        self.cfg = SimpleNamespace(tick_s=tick_s,
-                                   persistent_private_trips=persistent_private_trips)
+        self.cfg = SimpleNamespace(tick_s=tick_s)
         self.tick = tick
         self.private_remaining = list(private_remaining)
         self._window_waits = []
@@ -426,6 +421,6 @@ class ScalarMovement:
                     if not veh.route and self._on_route_end(veh, t_end):
                         budget = 0.0
         # private traffic from cancellations moves at the same network speed
-        if self.private_remaining and not self.cfg.persistent_private_trips:
+        if self.private_remaining:
             move = speed * dt
             self.private_remaining = [r - move for r in self.private_remaining if r - move > 1e-9]

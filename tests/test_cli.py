@@ -192,7 +192,6 @@ DESK_NODES = 400
     ("controller", "r_m", None),
     ("controller", "alpha", None),
     ("controller", "graph_hold_score", "false"),
-    ("sim", "persistent_private_trips", "no"),
     ("sim", "horizon_s", True),
     pytest.param("sim", "tick_s", [1], id="sim-tick_s-value33"),
     ("demand", "gamma", "0.5"),
@@ -228,6 +227,9 @@ DESK_NODES = 400
     # (1e306) overflows
     ("graph.grid", "spacing_m", 1e308),
     ("graph.grid", "spacing_m", 1e306),
+    # keys the schema no longer has are unknown, whatever their value
+    ("controller", "min_retarget_gain_m", 0.0),
+    ("sim", "persistent_private_trips", "no"),
 ])
 def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key, value):
     doc = desk_document()
@@ -244,6 +246,32 @@ def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "ConfigValidation"
     assert err["field"] == f"{section}.{key}"
+
+
+@pytest.mark.parametrize("where", ["scenario", "graph file"])
+def test_run_rejects_a_repeated_key(tmp_path, capsys, where):
+    # json.load alone keeps the last of two equal keys: this fleet would run with n_av 0
+    if where == "scenario":
+        text = json.dumps(mini_scenario_doc()).replace(
+            '"fleet": {"n_av": 5', '"fleet": {"n_av": 5, "n_av": 0')
+        key, field = "n_av", ""
+    else:
+        doc = mini_scenario_doc()
+        doc["graph"] = {"path": "net.json"}
+        text = json.dumps(doc)
+        graph = graph_to_json(grid_graph(5, 200.0))
+        (tmp_path / "net.json").write_text(
+            json.dumps(graph)[:-1] + ', "nodes": ' + json.dumps(graph["nodes"][:2]) + "}")
+        key, field = "nodes", "graph.path"
+    scenario = tmp_path / "scn.json"
+    scenario.write_text(text)
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigValidation" and err["field"] == field
+    assert f"repeated key {key!r}" in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def fuzz_document():
@@ -263,8 +291,7 @@ def fuzz_document():
         "fleet": {"n_av": 4},
         "controller": {"name": "cvr_alpha", "r_m": 500.0, "alpha": 0.5,
                        "graph_hold_score": False},
-        "sim": {"horizon_s": 300.0, "tick_s": 1.0, "control_period_s": 10.0,
-                "persistent_private_trips": False},
+        "sim": {"horizon_s": 300.0, "tick_s": 1.0, "control_period_s": 10.0},
     }
 
 
@@ -454,6 +481,17 @@ def test_in_process_sweep_builds_one_oracle(scenario_path, tmp_path, capsys, mon
                  "--values", "3,6", "--reps", "2", "--out", str(tmp_path)])
     assert code == 0
     assert len(runs) == 4 and len(oracle_builds) == 1
+
+
+def test_process_pool_and_in_process_sweeps_write_the_same_bytes(scenario_path, tmp_path,
+                                                                   capsys, monkeypatch):
+    args = ["sweep", "--scenario", scenario_path, "--param", "n_av",
+            "--values", "3,6", "--reps", "2"]
+    for threads in ("2", "1"):
+        monkeypatch.setenv("AMOD_THREADS", threads)
+        assert main(args + ["--out", str(tmp_path / threads)]) == 0
+    pool, in_process = (tmp_path / threads / "sweep.csv" for threads in ("2", "1"))
+    assert pool.read_bytes() == in_process.read_bytes()
 
 
 def test_sweep_deterministic_across_invocations(scenario_path, tmp_path, capsys):
@@ -674,15 +712,16 @@ def test_sweep_to_an_unusable_out_runs_nothing(scenario_path, tmp_path, capsys, 
 # -- scenario keys: the table, its pinned rejections and the README ------------------
 
 def readme_key_table_keys() -> set:
-    """Every key named in the first column of README's scenario key table."""
+    """Every fleet, controller and sim key named in the first column of README's key table."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     table = readme.split("| key | type | default |\n", 1)[1].split("\n\n", 1)[0]
     first_cells = [row.split("|")[1] for row in table.splitlines()]
-    return {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
+    return {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)
+            if key.startswith(("fleet.", "controller.", "sim."))}
 
 
 def test_readme_key_table_names_every_scenario_key():
-    assert {path for path, *_ in SCENARIO_KEYS.values()} <= readme_key_table_keys()
+    assert {path for path, *_ in SCENARIO_KEYS.values()} == readme_key_table_keys()
 
 
 def test_pinned_rejections_cover_every_scenario_key():

@@ -673,7 +673,7 @@ def test_nearest_nodes_far_outside_the_node_box():
     x, y = doc["nodes"][899][1:]
     doc["nodes"].append([900, x, y + 1.0])
     doc["edges"].append([899, 900, 1.0])
-    city = graph_from_json(doc)
+    city = build_graph(doc["nodes"], doc["edges"])
     rng = np.random.default_rng(9)
     angle = rng.uniform(0, 2 * np.pi, 200)
     radius = 10.0 ** rng.uniform(4, 12, 200)

@@ -16,7 +16,7 @@ import pytest
 
 from cvrsim.errors import ConfigValidationError
 from cvrsim.scenario import build_config, desk_document
-from cvrsim.sim import DEFAULT_MFD
+from cvrsim.sim import DEFAULT_MFD, SimConfig
 
 inf, nan = math.inf, math.nan
 
@@ -33,7 +33,6 @@ FIELDS = {
     "controller.y_ref": "y_ref",
     "controller.y_hold": "y_hold",
     "controller.graph_hold_score": "graph_hold_score",
-    "controller.min_retarget_gain_m": "min_retarget_gain_m",
     "sim.tick_s": "tick_s",
     "sim.control_period_s": "control_period_s",
     "sim.fleet_period_s": "fleet_period_s",
@@ -43,7 +42,6 @@ FIELDS = {
     "sim.pickup_tolerance_s": "pickup_tolerance_s",
     "sim.baseline_accumulation": "baseline_accumulation",
     "sim.mfd": "mfd",
-    "sim.persistent_private_trips": "persistent_private_trips",
     "sim.resolution_m": "resolution_m",
     "sim.seed": "seed",
 }
@@ -73,8 +71,6 @@ RANGE_CASES = [
     ("controller.k_i", nan, "controller.k_i", "must be finite, got nan"),
     ("controller.y_ref", -inf, "controller.y_ref", "must be finite, got -inf"),
     ("controller.y_hold", nan, "controller.y_hold", "must be finite, got nan"),
-    ("controller.min_retarget_gain_m", inf, "controller.min_retarget_gain_m",
-     "must be finite, got inf"),
     ("sim.tick_s", 0.0, "sim.tick_s", "tick must be positive"),
     ("sim.tick_s", -1.0, "sim.tick_s", "tick must be positive"),
     ("sim.tick_s", nan, "sim.tick_s", "must be finite, got nan"),
@@ -130,8 +126,6 @@ TYPE_CASES = [
      "must be true or false, got 'false'"),
     ("controller.graph_hold_score", 1, "controller.graph_hold_score",
      "must be true or false, got 1"),
-    ("controller.min_retarget_gain_m", "0", "controller.min_retarget_gain_m",
-     "must be a number, got '0'"),
     ("sim.tick_s", [1], "sim.tick_s", "must be a number, got [1]"),
     ("sim.control_period_s", "10", "sim.control_period_s", "must be a number, got '10'"),
     ("sim.fleet_period_s", None, "sim.fleet_period_s", "must be a number, got None"),
@@ -143,10 +137,6 @@ TYPE_CASES = [
      "must be a whole number, got 3200.5"),
     ("sim.mfd", [36.0], "sim.mfd", "must be a JSON object, got [36.0]"),
     ("sim.mfd", {"warp": 1.0}, "sim.mfd.warp", "unknown key"),
-    ("sim.persistent_private_trips", "no", "sim.persistent_private_trips",
-     "must be true or false, got 'no'"),
-    ("sim.persistent_private_trips", 0, "sim.persistent_private_trips",
-     "must be true or false, got 0"),
     ("sim.resolution_m", "50", "sim.resolution_m", "must be a number, got '50'"),
     ("sim.seed", 1.5, "sim.seed", "must be a whole number, got 1.5"),
     ("sim.seed", True, "sim.seed", "must be a whole number, got True"),
@@ -169,8 +159,6 @@ PROGRAMMATIC_TYPE_CASES = [
      "must be of type int, got 3200.0"),
     ("mfd", {"free_flow_mps": 36.0}, "sim.mfd",
      "must be of type MFDParams, got {'free_flow_mps': 36.0}"),
-    ("persistent_private_trips", 0, "sim.persistent_private_trips",
-     "must be of type bool, got 0"),
     ("seed", 1.0, "sim.seed", "must be of type int, got 1.0"),
 ]
 
@@ -221,6 +209,22 @@ def test_range_case_names_the_same_field_both_ways(desk_config, path, value, fie
 @pytest.mark.parametrize("path, value, field, reason", TYPE_CASES, ids=map(case_id, TYPE_CASES))
 def test_type_case_names_its_field(path, value, field, reason):
     assert rejection(lambda: build_config(document_with(path, value))) == (field, reason)
+
+
+# Keys the schema no longer has: a scenario that sets one is rejected like any
+# unknown key, and SimConfig has no field for it.
+DELETED_CASES = [
+    ("controller.min_retarget_gain_m", inf),
+    ("controller.min_retarget_gain_m", "0"),
+    ("sim.persistent_private_trips", "no"),
+    ("sim.persistent_private_trips", 0),
+]
+
+
+@pytest.mark.parametrize("path, value", DELETED_CASES, ids=map(case_id, DELETED_CASES))
+def test_deleted_key_is_unknown(path, value):
+    assert rejection(lambda: build_config(document_with(path, value))) == (path, "unknown key")
+    assert path.split(".")[1] not in {f.name for f in dataclasses.fields(SimConfig)}
 
 
 def test_section_and_key_structure_is_checked():

@@ -575,15 +575,6 @@ def test_graph_controller_destinations_reachable():
     assert metrics.rebalance_distance_km >= 0.0
 
 
-def test_persistent_private_trips_never_drain():
-    cfg = mini_config(n_av=0, profile=[(300.0, 120.0)],
-                      persistent_private_trips=True)
-    _, series, requests = run_scenario(cfg)
-    cancelled = sum(1 for r in requests if r.status == CANCELLED)
-    assert cancelled > 0
-    assert series[-1][5] == cfg.baseline_accumulation + cancelled
-
-
 def test_destination_placement_draws_from_destination_mass():
     cfg = mini_config(placement="destination", n_av=40)
     world = World(cfg)
@@ -698,9 +689,8 @@ def fleet_cases(draw):
         destination = draw(st.sampled_from([target, draw(st.integers(0, n - 1))]))
         vehicles.append((state, held, place, routed, target, destination))
     private = draw(st.lists(st.sampled_from([0.5, 5.0, 60.0]), max_size=3))
-    persistent = draw(st.booleans())
     ticks = draw(st.integers(1, 6))
-    return graph, speed, tick_s, vehicles, private, persistent, ticks
+    return graph, speed, tick_s, vehicles, private, ticks
 
 
 def place_fleet(graph, oracle, case_vehicles, make_request):
@@ -767,12 +757,11 @@ def scalar_view(reference):
 @settings(max_examples=200, deadline=None)
 @given(fleet_cases())
 def test_masked_movement_equals_scalar_loop(case):
-    graph, speed, tick_s, case_vehicles, private, persistent, ticks = case
+    graph, speed, tick_s, case_vehicles, private, ticks = case
     cfg = SimConfig(graph=graph, origin_mass=np.full(graph.n_nodes, 1 / graph.n_nodes),
                     destination_mass=np.full(graph.n_nodes, 1 / graph.n_nodes),
                     profile=[(60.0, 0.0)], n_av=len(case_vehicles), controller="do_nothing",
-                    tick_s=tick_s, control_period_s=tick_s, fleet_period_s=tick_s,
-                    persistent_private_trips=persistent)
+                    tick_s=tick_s, control_period_s=tick_s, fleet_period_s=tick_s)
     world = LoggedWorld(cfg)
     requests = []
 
@@ -783,8 +772,7 @@ def test_masked_movement_equals_scalar_loop(case):
 
     fleet = place_fleet(graph, world.oracle, case_vehicles, make_request)
     reference = LoggedScalarMovement(graph, world.oracle, [], tick_s,
-                                     private_remaining=private,
-                                     persistent_private_trips=persistent)
+                                     private_remaining=private)
     world.private_remaining = list(private)
     ref_requests = []
     f = world.fleet
