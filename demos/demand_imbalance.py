@@ -9,12 +9,11 @@ quantifies each level.
 """
 
 from cvrsim.demand import complement_mass, generate_requests, hellinger, synthesize_destination
-from cvrsim.scenario import DESK_DEST_MIXTURE, DESK_ORIGIN_MIXTURE, _demand_source
-from cvrsim.roadnet import grid_graph
+from cvrsim.scenario import build_config, desk_document
 
-graph = grid_graph(20, 250.0)
-p_origin = _demand_source({"mixture": DESK_ORIGIN_MIXTURE}, graph, "origin")[0]
-p_dest = _demand_source({"mixture": DESK_DEST_MIXTURE}, graph, "destination")[0]
+# The desk scenario's node masses; gamma = 1 keeps the observed destinations.
+desk = build_config(desk_document(gamma=1.0))
+p_origin, p_dest = desk.origin_mass, desk.destination_mass
 p_complement = complement_mass(p_origin)
 
 print("gamma   Hellinger(p_dest_gamma, p_origin)")

@@ -80,6 +80,10 @@ def _aggregate(values, results_by_value):
         for metric in ("completion_rate_pct", "mean_wait_s", "mean_system_time_s",
                        "rebalance_distance_km"):
             samples = np.array([_nan_guard(r[metric]) for r in runs], dtype=np.float64)
+            if np.isnan(samples).all():  # e.g. the wait when no run had an order
+                row[f"{metric}_mean"] = math.nan
+                row.update({f"{metric}_p{p}": math.nan for p in _PERCENTILES})
+                continue
             row[f"{metric}_mean"] = float(np.nanmean(samples))
             for p in _PERCENTILES:
                 row[f"{metric}_p{p}"] = float(np.nanpercentile(samples, p))
@@ -88,10 +92,11 @@ def _aggregate(values, results_by_value):
     rebal_means = np.array([row["rebalance_distance_km_mean"] for row in rows])
 
     def minmax(x):
-        span = np.nanmax(x) - np.nanmin(x)
+        known = x[~np.isnan(x)]  # a value whose runs had no request has no system time
+        span = known.max() - known.min() if known.size else 0.0
         if not span > 0:
             return np.zeros_like(x)
-        return (x - np.nanmin(x)) / span
+        return (x - known.min()) / span
 
     theta = minmax(sys_means) + minmax(rebal_means)
     for row, th in zip(rows, theta):

@@ -97,6 +97,8 @@ def hold_scores(summary: plane.CoverageSummary) -> np.ndarray:
     return _hold_ratio(summary.j_limited, summary.j_full)
 
 
+# No library code calls it (every hold score comes from the planar coverage
+# pass), but perfbench/run.py wraps it at this name.
 def hold_scores_graph(nodes, node_mass, oracle: DistanceOracle, r_graph_m: float) -> np.ndarray:
     """Graph analogue of the hold score on shortest-path cells, one per entry of ``nodes``.
 

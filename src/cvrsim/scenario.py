@@ -3,7 +3,7 @@
 A scenario file is a JSON object with sections ``graph``, ``demand``,
 ``fleet``, ``controller``, ``sim`` and an optional ``output_dir``. Unknown
 and repeated keys anywhere are rejected so typos fail loudly, and every value
-must have its JSON type: a string is not a number and a number is not a flag.
+must have its JSON type: a string is not a number.
 :func:`build_config` turns a parsed document into a runnable
 :class:`~cvrsim.sim.SimConfig`. Every key of the fleet, controller and sim
 sections is declared once, in :data:`cvrsim.sim.SCENARIO_KEYS`: its path, its
@@ -37,7 +37,7 @@ _SECTIONS = {"graph", "demand", "fleet", "controller", "sim", "output_dir"}
 _GRAPH_KEYS = {"path", "grid"}
 _GRID_KEYS = {"k", "spacing_m"}
 _DEMAND_KEYS = {"origin", "destination", "gamma", "profile"}
-_SOURCE_KEYS = {"mixture", "node_counts", "node_mass"}
+_SOURCE_KEYS = {"mixture", "node_counts"}
 _COMPONENT_KEYS = {"weight", "mean", "cov"}
 _MFD_KEYS = {f.name for f in dataclasses.fields(MFDParams)}
 
@@ -76,13 +76,6 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
-def _flag(value, field: str) -> bool:
-    """A JSON true or false; strings and numbers are not flags."""
-    if not isinstance(value, bool):
-        raise ConfigValidationError(field, f"must be true or false, got {value!r}")
-    return value
-
-
 def _text(value, field: str) -> str:
     if not isinstance(value, str):
         raise ConfigValidationError(field, f"must be a string, got {value!r}")
@@ -107,7 +100,7 @@ def _mfd(value, field: str) -> MFDParams:
 # Each key of SCENARIO_KEYS is read at the (section, key) of its dotted path
 # by the parser of its JSON type. An absent key takes its field's default, and
 # a key whose field has no default is required.
-_PARSERS = {int: _integer, float: _number, bool: _flag, str: _text, MFDParams: _mfd}
+_PARSERS = {int: _integer, float: _number, str: _text, MFDParams: _mfd}
 _PATHS = {field: tuple(entry[0].split(".")) for field, entry in SCENARIO_KEYS.items()}
 _SECTION_KEYS = {name: {key for section, key in _PATHS.values() if section == name}
                  for name, _ in _PATHS.values()}
@@ -160,10 +153,10 @@ def _parse_mixture(raw, where: str) -> list:
 
 
 def _demand_source(source, graph: RoadGraph, where: str) -> tuple[np.ndarray, list | None]:
-    """A demand source's node mass, and its parsed mixture (None for node vectors)."""
+    """A demand source's node mass, and its parsed mixture (None for node counts)."""
     _reject_unknown(source, _SOURCE_KEYS, where)
     if len(source) != 1:
-        raise ConfigValidationError(where, "need exactly one of mixture | node_counts | node_mass")
+        raise ConfigValidationError(where, "need exactly one of mixture | node_counts")
     if "mixture" in source:
         components = _parse_mixture(source["mixture"], where + ".mixture")
         density = mixture_density(graph.coords, components)
@@ -171,12 +164,9 @@ def _demand_source(source, graph: RoadGraph, where: str) -> tuple[np.ndarray, li
         if total <= 0:
             raise ConfigValidationError(where, "mixture density vanishes on every node")
         return density / total, components
-    key = next(iter(source))
-    values = _numbers(source[key], (graph.n_nodes,), where)
+    counts = _numbers(source["node_counts"], (graph.n_nodes,), where)
     try:
-        if key == "node_counts":
-            return demand.mass_from_counts(values), None
-        return demand.check_node_mass(values, where), None
+        return demand.mass_from_counts(counts), None
     except ValueError as exc:
         raise ConfigValidationError(where, str(exc)) from None
 

@@ -43,10 +43,8 @@ TIMESERIES_COLUMNS = (
 class MFDParams:
     """Network accumulation-to-speed relation (m/s), piecewise.
 
-    Exponential decay up to ``exp_cutoff`` vehicles, then a linear ramp that
-    reaches zero at ``jam_accumulation``. With linear_slope=None the ramp is
-    anchored to hit exactly zero at the jam point; an explicit slope is
-    clamped at zero instead.
+    Exponential decay up to ``exp_cutoff`` vehicles, then a linear ramp from
+    ``linear_intercept`` that reaches zero at ``jam_accumulation``.
     """
 
     free_flow_mps: float = 36.0
@@ -54,7 +52,6 @@ class MFDParams:
     exp_cutoff: float = 4320.0
     jam_accumulation: float = 7200.0
     linear_intercept: float = 6.31
-    linear_slope: float | None = None
 
 
 DEFAULT_MFD = MFDParams()
@@ -67,11 +64,8 @@ def mfd_speed(m: float, params: MFDParams = DEFAULT_MFD) -> float:
     if m <= params.exp_cutoff:
         return params.free_flow_mps * math.exp(-params.exp_rate * m)
     if m <= params.jam_accumulation:
-        if params.linear_slope is None:
-            span = params.jam_accumulation - params.exp_cutoff
-            v = params.linear_intercept * (1.0 - (m - params.exp_cutoff) / span)
-        else:
-            v = params.linear_intercept - params.linear_slope * (m - params.exp_cutoff)
+        span = params.jam_accumulation - params.exp_cutoff
+        v = params.linear_intercept * (1.0 - (m - params.exp_cutoff) / span)
         return max(v, 0.0)
     return 0.0
 
@@ -143,7 +137,6 @@ SCENARIO_KEYS = {
     "k_i": ("controller.k_i", float, None, None),
     "y_ref": ("controller.y_ref", float, None, None),
     "y_hold": ("controller.y_hold", float, None, None),
-    "graph_hold_score": ("controller.graph_hold_score", bool, None, None),
     "tick_s": ("sim.tick_s", float, lambda v: v > 0, "tick must be positive"),
     "control_period_s": ("sim.control_period_s", float, None, None),
     "fleet_period_s": ("sim.fleet_period_s", float, None, None),
@@ -187,7 +180,6 @@ class SimConfig:
     k_i: float = rebalance.PIState.k_i
     y_ref: float = rebalance.PIState.y_ref
     y_hold: float = rebalance.PIState.y_hold
-    graph_hold_score: bool = False
     # clocks (seconds)
     tick_s: float = 1.0
     control_period_s: float = 10.0
@@ -239,8 +231,6 @@ class SimConfig:
                 fail(name, "must be an integer multiple of the tick")
         mfd = self.mfd
         for key, value in mfd.__dict__.items():
-            if key == "linear_slope" and value is None:
-                continue
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
                     or not math.isfinite(value):
                 fail(f"sim.mfd.{key}", f"must be a finite number, got {value!r}")
@@ -254,8 +244,6 @@ class SimConfig:
             fail("sim.mfd.jam_accumulation", "jam accumulation must exceed exp_cutoff")
         if mfd.linear_intercept < 0:
             fail("sim.mfd.linear_intercept", "intercept must be nonnegative")
-        if mfd.linear_slope is not None and mfd.linear_slope < 0:
-            fail("sim.mfd.linear_slope", "slope must be null or nonnegative")
         try:
             demand.check_profile(self.profile)
         except ValueError as exc:
@@ -544,13 +532,7 @@ class World:
             elif name == "cvr_pi":
                 hold_n = len(ids) if self.pi.hold_all else min(self.pi.hold_count, len(ids))
             if hold_n > 0:
-                if cfg.graph_hold_score:
-                    scores = rebalance.hold_scores_graph(
-                        nodes, cfg.origin_mass,
-                        self.oracle, cfg.effective_r_graph())
-                else:
-                    scores = rebalance.hold_scores(summary)
-                held = rebalance.select_holds(hold_n, scores)
+                held = rebalance.select_holds(hold_n, rebalance.hold_scores(summary))
             # Where each vehicle heads now: its destination, else the node it
             # stands at, else nowhere (HOLD: held inside an edge).
             dest = f.dest[ids]

@@ -25,7 +25,7 @@ from cvrsim.plane import (
 )
 from cvrsim.rebalance import lp_rebalance
 from cvrsim.roadnet import all_pairs_shortest, build_graph, graph_cells, graph_centroids
-from cvrsim.scenario import _demand_source, build_config, desk_document
+from cvrsim.scenario import build_config, desk_document
 from cvrsim.sim import mfd_speed, run_scenario
 
 from oracles import (
@@ -233,10 +233,8 @@ def test_criterion_5_speed_relation_checks():
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_imbalance_endpoints_and_trend():
-    doc = desk_document("cvr")
-    cfg = build_config(doc)
-    p_origin = cfg.origin_mass
-    p_dest = _demand_source(doc["demand"]["destination"], cfg.graph, "dest")[0]
+    cfg = build_config(desk_document("cvr", gamma=1.0))  # gamma = 1: the observed destinations
+    p_origin, p_dest = cfg.origin_mass, cfg.destination_mass
     p_comp = complement_mass(p_origin)
     assert np.array_equal(synthesize_destination(p_dest, p_comp, 1.0), p_dest)
     assert np.array_equal(synthesize_destination(p_dest, p_comp, 0.0), p_comp)

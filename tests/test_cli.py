@@ -15,9 +15,9 @@ from cvrsim.cli import main
 from cvrsim.errors import ConfigValidationError, UnknownParameterError
 from cvrsim.roadnet import graph_from_json, graph_to_json, grid_graph
 from cvrsim.scenario import DESK_PI, build_config, desk_document, set_sweep_value
-from cvrsim.sim import DEFAULT_MFD, SCENARIO_KEYS
+from cvrsim.sim import DEFAULT_MFD, SCENARIO_KEYS, MFDParams, World
 
-from oracles import audit_requests, requests_from_csv
+from oracles import audit_requests, brute_graph_owner, requests_from_csv
 from test_scenario_keys import FIELDS as PINNED_FIELDS
 
 
@@ -155,6 +155,9 @@ def entry(doc, path):
 
 
 DESK_NODES = 400
+MISSING = object()  # a value that deletes the entry instead of setting it
+DELETED_KEYS = {"min_retarget_gain_m", "persistent_private_trips", "graph_hold_score",
+                "linear_slope", "node_mass"}
 
 
 # A value pytest cannot name (a list or an object) gets an explicit id, so a row
@@ -184,22 +187,17 @@ DESK_NODES = 400
     ("sim.mfd", "exp_rate", -1e-4),
     ("sim.mfd", "exp_cutoff", -1.0),
     ("sim.mfd", "linear_intercept", -1.0),
-    ("sim.mfd", "linear_slope", -0.01),
-    ("sim.mfd", "linear_slope", math.nan),
     # values of the wrong JSON type are rejected, never coerced
     ("controller", "r_m", "abc"),
     ("controller", "r_m", "1000"),
     ("controller", "r_m", None),
     ("controller", "alpha", None),
-    ("controller", "graph_hold_score", "false"),
     ("sim", "horizon_s", True),
     pytest.param("sim", "tick_s", [1], id="sim-tick_s-value33"),
     ("demand", "gamma", "0.5"),
+    ("demand", "gamma", 1.5),
     pytest.param("demand", "profile", [[-5.0, 75.0]], id="demand-profile-value35"),
     # node vectors must be finite
-    pytest.param("demand", "origin",
-                 {"node_mass": [math.nan] + [1 / (DESK_NODES - 1)] * (DESK_NODES - 1)},
-                 id="demand-origin-value36"),
     pytest.param("demand", "origin", {"node_counts": [math.nan] + [1] * (DESK_NODES - 1)},
                  id="demand-origin-value37"),
     pytest.param("demand", "origin", {"node_counts": [math.inf] + [1] * (DESK_NODES - 1)},
@@ -227,9 +225,30 @@ DESK_NODES = 400
     # (1e306) overflows
     ("graph.grid", "spacing_m", 1e308),
     ("graph.grid", "spacing_m", 1e306),
+    # a demand source, a mixture or a profile of the wrong shape
+    pytest.param("demand", "profile", MISSING, id="demand-profile-missing"),
+    pytest.param("demand.origin.mixture[0]", "cov", MISSING,
+                 id="demand.origin.mixture[0]-cov-missing"),
+    pytest.param("demand.origin", "mixture", [], id="demand.origin-mixture-empty"),
+    pytest.param("demand", "origin",
+                 {"mixture": [{"weight": 1.0, "mean": [0.0, 0.0],
+                               "cov": [[1.0, 0.0], [0.0, 1.0]]}],
+                  "node_counts": [1] * DESK_NODES},
+                 id="demand-origin-two-forms"),
+    pytest.param("demand", "origin",  # the density underflows to 0 at every node
+                 {"mixture": [{"weight": 1.0, "mean": [1e7, 1e7],
+                               "cov": [[1e7, 0.0], [0.0, 1e7]]}]},
+                 id="demand-origin-vanishing-mixture"),
+    pytest.param("demand", "profile", [[3600.0, 75.0, 1.0]], id="demand-profile-triple"),
     # keys the schema no longer has are unknown, whatever their value
     ("controller", "min_retarget_gain_m", 0.0),
     ("sim", "persistent_private_trips", "no"),
+    ("controller", "graph_hold_score", "false"),
+    ("sim.mfd", "linear_slope", -0.01),
+    ("sim.mfd", "linear_slope", math.nan),
+    pytest.param("demand.origin", "node_mass",
+                 [math.nan] + [1 / (DESK_NODES - 1)] * (DESK_NODES - 1),
+                 id="demand.origin-node_mass-value"),
 ])
 def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key, value):
     doc = desk_document()
@@ -237,6 +256,8 @@ def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key
     if (section, key) == ("graph", "path"):
         (tmp_path / "net.json").write_text(json.dumps(broken_grid_document(value)))
         doc["graph"] = {"path": "net.json"}
+    elif value is MISSING:
+        del entry(doc, section)[key]
     else:
         entry(doc, section)[key] = value
     path = tmp_path / "scn.json"
@@ -246,6 +267,8 @@ def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "ConfigValidation"
     assert err["field"] == f"{section}.{key}"
+    if key in DELETED_KEYS:
+        assert err["message"] == "unknown key"
 
 
 @pytest.mark.parametrize("where", ["scenario", "graph file"])
@@ -289,8 +312,7 @@ def fuzz_document():
             "profile": [[300.0, 240.0]],
         },
         "fleet": {"n_av": 4},
-        "controller": {"name": "cvr_alpha", "r_m": 500.0, "alpha": 0.5,
-                       "graph_hold_score": False},
+        "controller": {"name": "cvr_alpha", "r_m": 500.0, "alpha": 0.5},
         "sim": {"horizon_s": 300.0, "tick_s": 1.0, "control_period_s": 10.0},
     }
 
@@ -306,7 +328,7 @@ def leaf_paths(value, path=()):
         yield path
 
 
-# every number and flag, profile entries included
+# every number, profile entries included
 FUZZ_PATHS = list(leaf_paths(fuzz_document()))
 FUZZ_VALUES = ["abc", "1", None, True, False, [1.0], math.nan, math.inf, -math.inf, -3.0, 0.5]
 
@@ -336,8 +358,8 @@ def test_run_survives_any_mutated_value(path, value):
 
 def test_mfd_within_bounds_accepted():
     assert build_config(mini_scenario_doc()).mfd == DEFAULT_MFD
-    doc = mini_scenario_doc(mfd={"exp_rate": 0.0, "exp_cutoff": 0.0, "linear_slope": 0.002})
-    assert build_config(doc).mfd.linear_slope == 0.002
+    doc = mini_scenario_doc(mfd={"exp_rate": 0.0, "exp_cutoff": 0.0})
+    assert build_config(doc).mfd == MFDParams(exp_rate=0.0, exp_cutoff=0.0)
 
 
 def test_run_rejects_invalid_json(tmp_path, capsys):
@@ -464,6 +486,56 @@ def test_sweep_rejects_repeated_values(scenario_path, tmp_path, capsys, monkeypa
     assert runs == [] and not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("option, text, field", [
+    ("--values", "abc", "values"),
+    ("--values", "3,,4", "values"),
+    ("--reps", "0", "reps"),
+])
+def test_sweep_rejects_malformed_argument(scenario_path, tmp_path, capsys, monkeypatch,
+                                          option, text, field):
+    runs = counted_runs(monkeypatch)
+    args = {"--param": "n_av", "--values": "3", "--reps": "1", option: text}
+    code = main(["sweep", "--scenario", scenario_path, "--out", str(tmp_path)]
+                + [part for pair in args.items() for part in pair])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ConfigValidation" and err["field"] == field
+    assert runs == [] and not (tmp_path / "sweep.csv").exists()
+
+
+def sweep_rows(path):
+    with open(path / "sweep.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_over_an_empty_fleet_writes_nan_waits(scenario_path, tmp_path, capsys,
+                                                    monkeypatch):
+    # numpy warns on the mean of an all-NaN sample, and pytest turns that into an error
+    counted_runs(monkeypatch)
+    assert main(["sweep", "--scenario", scenario_path, "--param", "n_av",
+                 "--values", "0,3", "--reps", "2", "--out", str(tmp_path)]) == 0
+    empty, fleet = sweep_rows(tmp_path)
+    assert (empty["value"], fleet["value"]) == ("0", "3")
+    assert float(empty["completion_rate_pct_mean"]) == 0.0
+    waits = [column for column in empty if column.startswith("mean_wait_s_")]
+    assert len(waits) == 5 and all(math.isnan(float(empty[c])) for c in waits)
+    assert not any(math.isnan(float(fleet[c])) for c in waits)
+
+
+def test_sweep_without_requests_scores_rebalancing_alone(tmp_path, capsys, monkeypatch):
+    counted_runs(monkeypatch)
+    doc = mini_scenario_doc()
+    doc["demand"]["profile"] = [[900.0, 0.0]]
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--scenario", str(path), "--param", "n_av",
+                 "--values", "0,3", "--reps", "1", "--out", str(tmp_path)]) == 0
+    rows = sweep_rows(tmp_path)
+    assert all(math.isnan(float(row["mean_system_time_s_mean"])) for row in rows)
+    assert [float(row["rebalance_distance_km_mean"]) > 0 for row in rows] == [False, True]
+    assert [float(row["theta"]) for row in rows] == [0.0, 1.0]
+
+
 def test_sweep_checks_every_value_before_any_run(scenario_path, tmp_path, capsys, monkeypatch):
     runs = counted_runs(monkeypatch)
     code = main(["sweep", "--scenario", scenario_path, "--param", "n_av",
@@ -572,6 +644,26 @@ def test_inspect_mid_run_counts_fleet(scenario_path, tmp_path, capsys):
     assert len(lines) == 1 + 5
 
 
+@pytest.mark.parametrize("controller", ["cvr_graph", "lp"])
+def test_inspect_graph_assignment_is_the_idle_nodes_voronoi(tmp_path, capsys, controller):
+    doc = mini_scenario_doc()
+    doc["controller"] = {"name": controller}
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "snap"
+    assert main(["inspect", "--scenario", str(path), "--time", "300", "--out", str(out)]) == 0
+    world = World(build_config(doc))
+    world.run(until=300.0)
+    idle_nodes = {v["node"] if v["edge"] is None else v["edge"][1]
+                  for v in world.snapshot()["vehicles"] if v["state"] == "idle"}
+    assert idle_nodes
+    owner = brute_graph_owner(world.oracle.dist, idle_nodes)
+    with open(out / "snapshot_assignment.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["node", "generator_node"]
+    assert rows[1:] == [[str(node), str(gen)] for node, gen in enumerate(owner.tolist())]
+
+
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "desk_scenario.json"
 # sha256 of snapshot_vehicles.csv at t = 3600 s on the desk scenario. The
 # destination column is the node each vehicle drives to, empty when it has none.
@@ -587,8 +679,8 @@ def test_inspect_desk_snapshot_is_pinned(tmp_path, capsys):
 
 
 # sha256 of every `cvrsim run` artifact of the desk scenario, keyed by run
-# label: each controller once, plus `cvr_pi_graph_hold`. A refactor keeps
-# these bytes, or says why they changed.
+# label: each controller once. A refactor keeps these bytes, or says why they
+# changed.
 DESK_RUN_SHA256 = {
     "cvr": {
         "metrics.json": "5de9ae8a458a6e4df1d37e7b2a8898f5fd0ed3ad1215e89b2fa0db4c3647560e",
@@ -610,11 +702,6 @@ DESK_RUN_SHA256 = {
         "requests.csv": "4bdb7ef20df17dbcdbb7c9ea08ae1c3f12a07c66c55105989f16c9520e1fccc4",
         "timeseries.csv": "863b424a4cbedb4079395ee25f41d40f9a5cc2f274a0edef7f9ab530afd700f7",
     },
-    "cvr_pi_graph_hold": {
-        "metrics.json": "345cb6bda6aec454787ebbde73ef723eaf8c3f29bffa539813c4d8c9da01b068",
-        "requests.csv": "bf4738004da7b62dc818e1befd8b5d3962d5dc4385a02dcfe14bf1fbd2a3deff",
-        "timeseries.csv": "1ecb464d2dc507a29a9d49679da768e01c263e661a946e50c7e9d1cb0b209808",
-    },
     "do_nothing": {
         "metrics.json": "8f922e02558eb22194694eba9228a7713e45e338ad8f157738618e918a83d74a",
         "requests.csv": "42235271913bf054b7e0918c0cce50a11a1edb9678cd08834f34e5e9022683a1",
@@ -626,12 +713,10 @@ DESK_RUN_SHA256 = {
         "timeseries.csv": "850c8707ba6b3df02defd4a0e1039bd931463487c00cf3705cab4e46d3122f02",
     },
 }
-# Controller settings of each pinned run beyond the desk scenario's own; the
-# controller name is the run label unless the settings name another.
+# Controller settings of each pinned run beyond the desk scenario's own.
 DESK_RUN_EXTRA = {
     "cvr_alpha": {"alpha": 0.3},
     "cvr_pi": DESK_PI,
-    "cvr_pi_graph_hold": {"name": "cvr_pi", **DESK_PI, "graph_hold_score": True},
 }
 
 
@@ -662,6 +747,8 @@ def unusable_path_argv(case, scenario_path, tmp_path):
     a_dir.mkdir()
     not_text = tmp_path / "not_text.json"
     not_text.write_bytes(b"\xff\xfe{")
+    not_object = tmp_path / "not_object.json"
+    not_object.write_text("[]")
     doc = mini_scenario_doc()
     doc["graph"] = {"path": "a_dir"}
     graph_dir = tmp_path / "graph_dir.json"
@@ -675,6 +762,8 @@ def unusable_path_argv(case, scenario_path, tmp_path):
         "--scenario is a directory": (run + [str(a_dir)], {"error": "IsADirectory"}),
         "--scenario is not UTF-8": (run + [str(not_text)],
                                     {"error": "ConfigValidation", "field": ""}),
+        "--scenario is not an object": (run + [str(not_object)],
+                                        {"error": "ConfigValidation", "field": ""}),
         "graph.path is a directory": (run + [str(graph_dir)],
                                       {"error": "ConfigValidation", "field": "graph.path"}),
         "run --out is a file": (["run", "--scenario", scenario_path, "--out", str(a_file)],
@@ -691,8 +780,8 @@ def unusable_path_argv(case, scenario_path, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "--scenario is missing", "--scenario is a directory", "--scenario is not UTF-8",
-    "graph.path is a directory", "run --out is a file", "inspect --out is a file",
-    "sweep --out is a file", "gen-grid --out is a directory"])
+    "--scenario is not an object", "graph.path is a directory", "run --out is a file",
+    "inspect --out is a file", "sweep --out is a file", "gen-grid --out is a directory"])
 def test_unusable_path_exits_2_with_one_json_line(scenario_path, tmp_path, capsys, case):
     argv, want = unusable_path_argv(case, scenario_path, tmp_path)
     assert main(argv) == 2

@@ -16,7 +16,7 @@ import pytest
 
 from cvrsim.errors import ConfigValidationError
 from cvrsim.scenario import build_config, desk_document
-from cvrsim.sim import DEFAULT_MFD, SimConfig
+from cvrsim.sim import DEFAULT_MFD, MFDParams, SimConfig
 
 inf, nan = math.inf, math.nan
 
@@ -32,7 +32,6 @@ FIELDS = {
     "controller.k_i": "k_i",
     "controller.y_ref": "y_ref",
     "controller.y_hold": "y_hold",
-    "controller.graph_hold_score": "graph_hold_score",
     "sim.tick_s": "tick_s",
     "sim.control_period_s": "control_period_s",
     "sim.fleet_period_s": "fleet_period_s",
@@ -102,8 +101,6 @@ RANGE_CASES = [
      "jam accumulation must exceed exp_cutoff"),
     ("sim.mfd", {"linear_intercept": -1.0}, "sim.mfd.linear_intercept",
      "intercept must be nonnegative"),
-    ("sim.mfd", {"linear_slope": -0.01}, "sim.mfd.linear_slope", "slope must be null or nonnegative"),
-    ("sim.mfd", {"linear_slope": nan}, "sim.mfd.linear_slope", "must be a finite number, got nan"),
     ("sim.resolution_m", 0.0, "sim.resolution_m", "raster resolution must be positive"),
     ("sim.resolution_m", -50.0, "sim.resolution_m", "raster resolution must be positive"),
     ("sim.resolution_m", nan, "sim.resolution_m", "must be finite, got nan"),
@@ -122,10 +119,6 @@ TYPE_CASES = [
     ("controller.k_i", [0.4], "controller.k_i", "must be a number, got [0.4]"),
     ("controller.y_ref", None, "controller.y_ref", "must be a number, got None"),
     ("controller.y_hold", False, "controller.y_hold", "must be a number, got False"),
-    ("controller.graph_hold_score", "false", "controller.graph_hold_score",
-     "must be true or false, got 'false'"),
-    ("controller.graph_hold_score", 1, "controller.graph_hold_score",
-     "must be true or false, got 1"),
     ("sim.tick_s", [1], "sim.tick_s", "must be a number, got [1]"),
     ("sim.control_period_s", "10", "sim.control_period_s", "must be a number, got '10'"),
     ("sim.fleet_period_s", None, "sim.fleet_period_s", "must be a number, got None"),
@@ -152,8 +145,6 @@ PROGRAMMATIC_TYPE_CASES = [
     ("r_graph_m", "1", "controller.r_graph_m", "must be of type float, got '1'"),
     ("alpha", None, "controller.alpha", "must be of type float, got None"),
     ("k_p", False, "controller.k_p", "must be of type float, got False"),
-    ("graph_hold_score", "no", "controller.graph_hold_score", "must be of type bool, got 'no'"),
-    ("graph_hold_score", 1, "controller.graph_hold_score", "must be of type bool, got 1"),
     ("tick_s", [1.0], "sim.tick_s", "must be of type float, got [1.0]"),
     ("baseline_accumulation", 3200.0, "sim.baseline_accumulation",
      "must be of type int, got 3200.0"),
@@ -183,8 +174,11 @@ def rejection(call) -> tuple[str, str]:
 
 def document_with(path: str, value) -> dict:
     doc = desk_document("cvr")
-    section, key = path.split(".")
-    doc[section][key] = value
+    *sections, key = path.split(".")
+    target = doc
+    for name in sections:
+        target = target.setdefault(name, {})
+    target[key] = value
     return doc
 
 
@@ -212,19 +206,26 @@ def test_type_case_names_its_field(path, value, field, reason):
 
 
 # Keys the schema no longer has: a scenario that sets one is rejected like any
-# unknown key, and SimConfig has no field for it.
+# unknown key, and the config object its section fills (MFDParams for sim.mfd,
+# else SimConfig) has no field for it.
 DELETED_CASES = [
     ("controller.min_retarget_gain_m", inf),
     ("controller.min_retarget_gain_m", "0"),
     ("sim.persistent_private_trips", "no"),
     ("sim.persistent_private_trips", 0),
+    ("controller.graph_hold_score", "false"),
+    ("controller.graph_hold_score", 1),
+    ("sim.mfd.linear_slope", -0.01),
+    ("sim.mfd.linear_slope", nan),
 ]
 
 
 @pytest.mark.parametrize("path, value", DELETED_CASES, ids=map(case_id, DELETED_CASES))
 def test_deleted_key_is_unknown(path, value):
     assert rejection(lambda: build_config(document_with(path, value))) == (path, "unknown key")
-    assert path.split(".")[1] not in {f.name for f in dataclasses.fields(SimConfig)}
+    *section, key = path.split(".")
+    fields = MFDParams if section == ["sim", "mfd"] else SimConfig
+    assert key not in {f.name for f in dataclasses.fields(fields)}
 
 
 def test_section_and_key_structure_is_checked():

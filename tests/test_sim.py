@@ -19,7 +19,6 @@ from cvrsim.sim import (
     IDLE,
     STATES,
     IdlePool,
-    MFDParams,
     SimConfig,
     World,
     estimate_pickup,
@@ -91,12 +90,6 @@ def test_monotone_non_increasing():
     speeds = [mfd_speed(m) for m in range(0, 8001, 10)]
     assert all(a >= b for a, b in zip(speeds, speeds[1:]))
     assert all(s >= 0 for s in speeds)
-
-
-def test_custom_slope_override():
-    params = MFDParams(linear_slope=0.001)
-    assert mfd_speed(5320, params) == pytest.approx(6.31 - 1.0)
-    assert mfd_speed(0, params) == 36.0
 
 
 def test_negative_accumulation_rejected():
@@ -539,6 +532,23 @@ def test_the_desk_workload_builds_one_oracle(oracle_builds):
     assert all(world.oracle is worlds[0].oracle for world in worlds)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_planar_controller_runs_on_a_straight_road(axis):
+    """A collinear graph's box is padded to one pixel across the road, so the raster exists."""
+    coords = np.zeros((5, 2))
+    coords[:, axis] = np.arange(5) * 200.0
+    graph = build_graph([(i, x, y) for i, (x, y) in enumerate(coords.tolist())],
+                        [(i, i + 1, 200.0) for i in range(4)])
+    cfg = mini_config("cvr", graph=graph, origin_mass=np.full(5, 0.2),
+                      destination_mass=np.full(5, 0.2), n_av=3)
+    world = World(cfg)
+    across = world.field.centers[:, 1 - axis]
+    assert np.all(across == coords[0, 1 - axis])  # one row of pixels, centered on the road
+    metrics = world.run()
+    assert metrics.n_requests > 0 and metrics.n_orders > 0
+    audit_requests(world.requests[:world.n_injected], metrics.to_dict())
+
+
 def test_vehicle_count_conserved_in_series():
     cfg = mini_config("cvr")
     _, series, _ = run_scenario(cfg)
@@ -559,6 +569,11 @@ def test_config_validation_errors():
     cfg.origin_mass = np.full(25, 0.1)  # sums to 2.5
     with pytest.raises(ConfigValidationError):
         cfg.validate()
+    cfg = mini_config(destination_mass=np.full(24, 1 / 24))
+    with pytest.raises(ConfigValidationError) as err:
+        cfg.validate()
+    assert (err.value.field, err.value.reason) == \
+        ("demand.destination", "mass length 24 != 25 nodes")
 
 
 def test_pi_controller_runs_and_holds_somewhere():
@@ -580,12 +595,6 @@ def test_destination_placement_draws_from_destination_mass():
     world = World(cfg)
     allowed = set(np.flatnonzero(cfg.destination_mass > 0).tolist())
     assert set(world.fleet.node.tolist()) <= allowed
-
-
-def test_pi_with_graph_hold_scores_runs():
-    cfg = mini_config("cvr_pi", y_ref=12.0, y_hold=4.0, graph_hold_score=True)
-    metrics, _, _ = run_scenario(cfg)
-    assert metrics.n_requests > 0
 
 
 def test_pi_window_mean_idle_counts_every_advanced_tick(monkeypatch):
