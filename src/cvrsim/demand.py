@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -55,8 +56,9 @@ def check_node_mass(values, name: str = "mass") -> np.ndarray:
         raise ValueError(f"{name} has non-finite entries")
     if (p < 0).any():
         raise ValueError(f"{name} has negative entries")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{name} sums to {p.sum()!r}, expected 1")
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{name} sums to {total!r}, expected 1")
     return p
 
 
@@ -164,8 +166,5 @@ def generate_requests(
         if not clash.any():
             break
         destinations[clash] = rng.choice(n_nodes, size=int(clash.sum()), p=p_destination)
-    return [
-        Request(id=i, origin=int(o), destination=int(d), t0=t0,
-                t_mtol=t_mtol, t_ptol=t_ptol)
-        for i, (t0, o, d) in enumerate(zip(times, origins, destinations))
-    ]
+    return list(map(Request, range(count), origins.tolist(), destinations.tolist(), times,
+                    repeat(t_mtol), repeat(t_ptol)))

@@ -61,11 +61,9 @@ class RoadGraph:
         return self._length_lookup[(u, v)]
 
     def __post_init__(self):
-        lookup: dict[tuple[int, int], float] = {}
-        for u, v, w in zip(self.edge_u, self.edge_v, self.edge_len):
-            u, v, w = int(u), int(v), float(w)
-            lookup[(u, v)] = w
-            lookup[(v, u)] = w
+        u, v, w = self.edge_u.tolist(), self.edge_v.tolist(), self.edge_len.tolist()
+        lookup = dict(zip(zip(u, v), w))
+        lookup.update(zip(zip(v, u), w))
         object.__setattr__(self, "_length_lookup", lookup)
         for arr in (self.coords, self.edge_u, self.edge_v, self.edge_len):
             arr.flags.writeable = False
@@ -140,11 +138,73 @@ def _whole(value, what: str, *args) -> int:
 def _real(value, what: str, *args) -> float:
     """A number as a float; a bool or a string is rejected, not converted.
 
-    The error names the value ``what.format(*args)``, formatted only on error.
+    An int beyond the float range becomes an infinity. The error names the
+    value ``what.format(*args)``, formatted only on error.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{what.format(*args)} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Where a key equals one before it."""
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return repeat
+
+
+def _raise_first(checks) -> None:
+    """Raise the error of the first entry failing one of ``checks``.
+
+    checks: (mask, error) pairs in the order each entry is checked; error(i)
+    is the exception for entry i.
+    """
+    failing = [(mask, error) for mask, error in checks if mask.any()]
+    if failing:
+        i = min(int(mask.argmax()) for mask, _ in failing)
+        raise next(error(i) for mask, error in failing if mask[i])
+
+
+def _check_nodes(ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Run :func:`build_graph`'s node checks on the columns of the node entries."""
+    n = len(ids)
+    _raise_first([
+        (_repeats(ids), lambda i: ValueError(f"duplicate node id {ids[i]}")),
+        ((ids < 0) | (ids >= n), lambda i: ValueError(
+            f"node ids must be dense 0..{n - 1}, got {ids[i]}")),
+        (~(np.isfinite(x) & np.isfinite(y)), lambda i: ValueError(
+            f"node {ids[i]} has non-finite coordinates ({x[i]}, {y[i]})")),
+    ])
+
+
+def _check_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+    """Run :func:`build_graph`'s edge checks on the columns of an n-node graph's edge entries."""
+    _raise_first([
+        ((u < 0) | (u >= n) | (v < 0) | (v >= n), lambda i: ValueError(
+            f"edge endpoint out of range: ({u[i]}, {v[i]})")),
+        (u == v, lambda i: DuplicateEdgeError(f"self-loop at node {u[i]}")),
+        (~np.isfinite(w), lambda i: ValueError(
+            f"edge ({u[i]}, {v[i]}) has non-finite length {w[i]}")),
+        (w <= 0, lambda i: NonPositiveLengthError(f"edge ({u[i]}, {v[i]}) has length {w[i]}")),
+        (_repeats(np.minimum(u, v) * n + np.maximum(u, v)),
+         lambda i: DuplicateEdgeError(f"edge ({u[i]}, {v[i]}) appears twice")),
+    ])
+
+
+def _connected_graph(coords: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> RoadGraph:
+    """The graph of checked nodes and edges, once its length total is finite and it is connected."""
+    total = sum(w.tolist())
+    if not math.isfinite(total):  # bounds every path sum, so no distance overflows
+        raise ValueError(f"edge lengths add up to a non-finite total {total}")
+    graph = RoadGraph(coords=coords, edge_u=u, edge_v=v, edge_len=w)
+    _, labels = connected_components(graph.adjacency_matrix(), directed=False)
+    unreached = np.flatnonzero(labels != labels[0])
+    if unreached.size:
+        raise DisconnectedGraphError(f"node {unreached[0]} unreachable from node 0")
+    return graph
 
 
 def build_graph(nodes, edges) -> RoadGraph:
@@ -152,11 +212,13 @@ def build_graph(nodes, edges) -> RoadGraph:
 
     nodes: iterable of (id, x_m, y_m) with ids exactly 0..N-1 in any order.
     edges: iterable of (u, v, length_m).
+    Each entry is a list or tuple of three values.
 
     Raises DuplicateEdgeError, NonPositiveLengthError, DisconnectedGraphError,
-    or ValueError for malformed ids, for ids or endpoints that are not whole
-    numbers (a bool is not one), and for coordinates or lengths that are not
-    finite numbers.
+    or ValueError for an entry of another shape, for malformed ids, for ids or
+    endpoints that are not whole numbers (a bool is not one), and for
+    coordinates or lengths that are not finite numbers. The error names the
+    first bad entry.
     """
     nodes = list(nodes)
     if not nodes:
@@ -166,7 +228,10 @@ def build_graph(nodes, edges) -> RoadGraph:
     seen_ids = set()
     # An int id and float coordinates and lengths are taken as they are; the
     # helpers check any other value. The common case then costs no call.
-    for nid, x, y in nodes:
+    for i, entry in enumerate(nodes):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+            raise ValueError(f"node entry {i} must be [id, x_m, y_m], got {entry!r}")
+        nid, x, y = entry
         nid = nid if type(nid) is int else _whole(nid, "node id")
         if nid in seen_ids:
             raise ValueError(f"duplicate node id {nid}")
@@ -181,7 +246,10 @@ def build_graph(nodes, edges) -> RoadGraph:
 
     eu, ev, el = [], [], []
     seen_edges = set()
-    for u, v, length in edges:
+    for i, entry in enumerate(edges):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+            raise ValueError(f"edge entry {i} must be [u, v, length_m], got {entry!r}")
+        u, v, length = entry
         u = u if type(u) is int else _whole(u, "edge endpoint")
         v = v if type(v) is int else _whole(v, "edge endpoint")
         length = length if type(length) is float else _real(length, "edge ({}, {}) length", u, v)
@@ -200,37 +268,32 @@ def build_graph(nodes, edges) -> RoadGraph:
         eu.append(u)
         ev.append(v)
         el.append(length)
-    if not math.isfinite(sum(el)):  # bounds every path sum, so no distance overflows
-        raise ValueError(f"edge lengths add up to a non-finite total {sum(el)}")
-
-    graph = RoadGraph(
-        coords=coords,
-        edge_u=np.asarray(eu, dtype=np.int64),
-        edge_v=np.asarray(ev, dtype=np.int64),
-        edge_len=np.asarray(el, dtype=np.float64),
-    )
-
-    _, labels = connected_components(graph.adjacency_matrix(), directed=False)
-    unreached = np.flatnonzero(labels != labels[0])
-    if unreached.size:
-        raise DisconnectedGraphError(f"node {unreached[0]} unreachable from node 0")
-    return graph
+    return _connected_graph(coords, np.asarray(eu, dtype=np.int64),
+                            np.asarray(ev, dtype=np.int64), np.asarray(el, dtype=np.float64))
 
 
 def grid_graph(k: int, spacing_m: float) -> RoadGraph:
-    """k-by-k lattice with uniform edge length; node id = row * k + col."""
+    """k-by-k lattice with uniform edge length; node id = row * k + col.
+
+    Built as arrays and checked as :func:`build_graph` checks its entries.
+    Edges run row by row, each node's right edge before its up edge.
+    """
     if k < 2:
         raise ValueError("grid needs k >= 2")
-    nodes = [(r * k + c, c * spacing_m, r * spacing_m) for r in range(k) for c in range(k)]
-    edges = []
-    for r in range(k):
-        for c in range(k):
-            nid = r * k + c
-            if c + 1 < k:
-                edges.append((nid, nid + 1, spacing_m))
-            if r + 1 < k:
-                edges.append((nid, nid + k, spacing_m))
-    return build_graph(nodes, edges)
+    n = k * k
+    nid = np.arange(n)
+    # an overflowing spacing (or 0 * inf) is rejected below as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.arange(k, dtype=np.float64) * spacing_m
+    x, y = np.tile(steps, k), np.repeat(steps, k)
+    tail = np.repeat(nid, 2)
+    head = np.stack([nid + 1, nid + k], axis=1).ravel()
+    keep = np.stack([nid % k + 1 < k, nid + k < n], axis=1).ravel()
+    u, v = tail[keep], head[keep]
+    w = np.full(len(u), spacing_m, dtype=np.float64)
+    _check_nodes(nid, x, y)
+    _check_edges(n, u, v, w)
+    return _connected_graph(np.stack([x, y], axis=1), u, v, w)
 
 
 def graph_to_json(graph: RoadGraph) -> dict:

@@ -270,6 +270,16 @@ def loop_cvr_targets(ids, summary, graph, held=frozenset(), previous=None):
     return decision
 
 
+def loop_length_lookup(graph) -> dict:
+    """(u, v) -> length of every edge in both directions, filled one edge at a time."""
+    lookup = {}
+    for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_len):
+        u, v, w = int(u), int(v), float(w)
+        lookup[(u, v)] = w
+        lookup[(v, u)] = w
+    return lookup
+
+
 def random_connected_graph(rng, n_nodes, extra_edges, max_len=20, real_lengths=False):
     """Random tree plus chords; integer edge lengths keep float sums exact.
 

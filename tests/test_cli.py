@@ -143,6 +143,12 @@ def broken_grid_document(defect):
         doc["edges"][0][1] = True
     elif defect == "string_length":
         doc["edges"][0][2] = "200.0"
+    elif defect == "short_node":
+        doc["nodes"][3] = doc["nodes"][3][:2]
+    elif defect == "int_node":
+        doc["nodes"][3] = 3
+    elif defect == "dict_edge":
+        doc["edges"][0] = dict(zip(("u", "v", "length_m"), doc["edges"][0]))
     return doc
 
 
@@ -221,6 +227,10 @@ DELETED_KEYS = {"min_retarget_gain_m", "persistent_private_trips", "graph_hold_s
     ("graph", "path", "fractional_id"),
     ("graph", "path", "bool_endpoint"),
     ("graph", "path", "string_length"),
+    # an entry that is not [id, x_m, y_m] or [u, v, length_m] is named by its index
+    ("graph", "path", "short_node"),
+    ("graph", "path", "int_node"),
+    ("graph", "path", "dict_edge"),
     # finite, but on the desk's 20x20 grid a coordinate (1e308) or the edge total
     # (1e306) overflows
     ("graph.grid", "spacing_m", 1e308),
@@ -269,6 +279,24 @@ def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key
     assert err["field"] == f"{section}.{key}"
     if key in DELETED_KEYS:
         assert err["message"] == "unknown key"
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("short_node", "node entry 3 must be [id, x_m, y_m], got [3, 600.0]"),
+    ("int_node", "node entry 3 must be [id, x_m, y_m], got 3"),
+    ("dict_edge", "edge entry 0 must be [u, v, length_m], got {'u': 0, 'v': 1, 'length_m': 200.0}"),
+])
+def test_run_names_a_graph_entry_of_another_shape(tmp_path, capsys, defect, message):
+    # the entry once reached Python's unpacking, or had its dict keys read as values
+    (tmp_path / "net.json").write_text(json.dumps(broken_grid_document(defect)))
+    doc = mini_scenario_doc()
+    doc["graph"] = {"path": "net.json"}
+    scenario = tmp_path / "scn.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (err["error"], err["field"]) == ("ConfigValidation", "graph.path")
+    assert err["message"] == f"invalid graph: {message}"
 
 
 @pytest.mark.parametrize("where", ["scenario", "graph file"])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,12 +13,15 @@ from cvrsim.demand import (
     mass_from_counts,
     synthesize_destination,
 )
+from cvrsim.scenario import build_config, desk_document
 from cvrsim.errors import (
     AllZeroCountsError,
     GammaOutOfRangeError,
     LengthMismatchError,
     UniformInputError,
 )
+
+from test_city_trajectories import perfbench_module
 
 
 # -- mass_from_counts ------------------------------------------------------------
@@ -192,3 +196,33 @@ def test_empirical_origin_frequencies_match():
     counts = np.bincount([r.origin for r in requests], minlength=12)
     freq = counts / counts.sum()
     assert 0.5 * np.abs(freq - p_o).sum() <= 0.02
+
+
+# SHA-256 of each request's (id, origin, destination, t0.hex(), t_mtol, t_ptol),
+# drawn as World draws them for the desk scenario and for the benchmark's
+# two-hour city, at sim.seed 1 and 7.
+REQUEST_SHA256 = {
+    ("desk", 1): "a14ea85b99ad1968615f58144232fe11950d57b53c05f2bce413db92f2b3042f",
+    ("desk", 7): "1f889918bc6197d5a99be592611e00e35513a31d8ed21c63694799f3e67a4a19",
+    ("city", 1): "5cfd9a3cbba6e6aacce9b2ec8af75f92541572f1e0bf233953f20a709b3b1568",
+    ("city", 7): "6c6ed31c483f6ced4ec6f4e4a41b6dc07c546988f68287f502c11ead2be346a7",
+}
+
+
+@pytest.mark.parametrize("scenario, seed", list(REQUEST_SHA256))
+def test_request_streams_are_pinned(scenario, seed):
+    if scenario == "desk":
+        doc = desk_document("do_nothing", seed=seed)
+    else:
+        doc = perfbench_module("workloads").city_document("cvr_graph", seed, 2)
+    cfg = build_config(doc)
+    requests = generate_requests(cfg.profile, cfg.origin_mass, cfg.destination_mass,
+                                 np.random.SeedSequence([seed, 0]),
+                                 t_mtol=cfg.match_tolerance_s, t_ptol=cfg.pickup_tolerance_s)
+    digest = hashlib.sha256()
+    for r in requests:
+        digest.update(repr((r.id, r.origin, r.destination, r.t0.hex(), r.t_mtol, r.t_ptol)).encode()
+                      + b"\n")
+    assert digest.hexdigest() == REQUEST_SHA256[scenario, seed]
+    kinds = {(type(r.origin), type(r.destination), type(r.t0)) for r in requests}
+    assert kinds == {(int, int, float)}

@@ -1,4 +1,6 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from oracles import (
     brute_nearest,
     brute_position_distance,
     dijkstra,
+    loop_length_lookup,
     position_lead,
     random_connected_graph,
 )
@@ -140,6 +143,84 @@ def test_whole_floats_and_numpy_numbers_are_accepted():
                     [(np.int16(1), 0.0, np.int64(3))])
     assert g.coords.tolist() == [[0.0, 1.0], [2.5, 0.0]]
     assert g.edge_length(0, 1) == 3.0
+
+
+@pytest.mark.parametrize("nodes, edges, message", [
+    pytest.param([(0, 0, 0), (1, 1)], [(0, 1, 1.0)],
+                 "node entry 1 must be [id, x_m, y_m], got (1, 1)", id="short-node"),
+    pytest.param([(0, 0, 0), 1], [(0, 1, 1.0)],
+                 "node entry 1 must be [id, x_m, y_m], got 1", id="int-node"),
+    pytest.param([(0, 0, 0, 0), (1, 1, 0)], [(0, 1, 1.0)],
+                 "node entry 0 must be [id, x_m, y_m], got (0, 0, 0, 0)", id="long-node"),
+    pytest.param(TWO_NODES, [{"u": 0, "v": 1, "length_m": 1.0}],
+                 "edge entry 0 must be [u, v, length_m], got {'u': 0, 'v': 1, 'length_m': 1.0}",
+                 id="dict-edge"),
+    pytest.param(TWO_NODES, [(0, 1, 1.0), "0 1"],
+                 "edge entry 1 must be [u, v, length_m], got '0 1'", id="string-edge"),
+    # an earlier entry's defect is named first
+    pytest.param([(0, 0, 0), (5, 1, 0), 7], [(0, 1, 1.0)],
+                 "node ids must be dense 0..2, got 5", id="bad-id-before-short-node"),
+    pytest.param(TWO_NODES, [(0, 0, 1.0), (0, 1)],
+                 "self-loop at node 0", id="self-loop-before-short-edge"),
+])
+def test_an_entry_of_another_shape_is_named_by_its_index(nodes, edges, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        build_graph(nodes, edges)
+
+
+def test_an_int_too_large_for_a_float_is_a_non_finite_value():
+    with pytest.raises(ValueError, match=r"node 1 has non-finite coordinates \(inf, 0.0\)"):
+        build_graph([(0, 0, 0), (1, 10**400, 0)], [(0, 1, 1.0)])
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) has non-finite length -inf"):
+        build_graph(TWO_NODES, [(0, 1, -10**400)])
+
+
+def test_one_pass_iterators_are_accepted():
+    listed = grid_graph(3, 10.0)
+    doc = graph_to_json(listed)
+    g = build_graph((tuple(node) for node in doc["nodes"]), (tuple(e) for e in doc["edges"]))
+    for name in ("coords", "edge_u", "edge_v", "edge_len"):
+        assert getattr(g, name).tobytes() == getattr(listed, name).tobytes()
+
+
+def loop_grid_entries(k, spacing_m):
+    """The node and edge lists a k-by-k grid was built from, one node at a time."""
+    nodes = [(r * k + c, c * spacing_m, r * spacing_m) for r in range(k) for c in range(k)]
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            nid = r * k + c
+            if c + 1 < k:
+                edges.append((nid, nid + 1, spacing_m))
+            if r + 1 < k:
+                edges.append((nid, nid + k, spacing_m))
+    return nodes, edges
+
+
+@pytest.mark.parametrize("k", [2, 20, 30])
+@pytest.mark.parametrize("spacing_m", [1.0, 250.0, 9750 / 29])
+def test_grid_graph_equals_the_loop_built_grid(k, spacing_m):
+    g, want = grid_graph(k, spacing_m), build_graph(*loop_grid_entries(k, spacing_m))
+    for name in ("coords", "edge_u", "edge_v", "edge_len"):
+        got, ref = getattr(g, name), getattr(want, name)
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes()
+    assert g._length_lookup == loop_length_lookup(want)
+
+
+@pytest.mark.parametrize("k, spacing_m", [
+    (3, 1e308),  # a coordinate overflows
+    (2, 1.7e308),  # the edge total overflows
+    (3, 0.0), (3, -0.0), (3, -250.0), (3, float("nan")), (3, float("inf")), (3, float("-inf")),
+])
+def test_a_bad_grid_spacing_is_rejected_as_the_loop_built_grid_is(k, spacing_m):
+    with pytest.raises(ValueError) as want:
+        build_graph(*loop_grid_entries(k, spacing_m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow raises no numpy RuntimeWarning
+        with pytest.raises(ValueError) as got:
+            grid_graph(k, spacing_m)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 # -- all_pairs_shortest --------------------------------------------------------

@@ -576,6 +576,22 @@ def test_config_validation_errors():
         ("demand.destination", "mass length 24 != 25 nodes")
 
 
+@pytest.mark.parametrize("name, field", [("origin_mass", "demand.origin"),
+                                         ("destination_mass", "demand.destination")])
+def test_a_mass_summing_to_one_plus_1e_7_is_rejected_naming_its_field(name, field):
+    mass = np.full(25, 1 / 25)
+    mass[0] += 1e-7
+    # numpy's Generator.choice rejects it too, as a ValueError that names no field
+    with pytest.raises(ValueError, match="Probabilities do not sum to 1"):
+        np.random.default_rng(0).choice(25, p=mass)
+    cfg = mini_config()
+    setattr(cfg, name, mass)
+    with pytest.raises(ConfigValidationError) as err:
+        World(cfg)
+    assert err.value.field == field
+    assert err.value.reason == "mass sums to 1.0000001, expected 1"
+
+
 def test_pi_controller_runs_and_holds_somewhere():
     cfg = mini_config("cvr_pi", y_ref=12.0, y_hold=4.0)
     metrics, series, _ = run_scenario(cfg)
