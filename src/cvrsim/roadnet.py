@@ -1,13 +1,16 @@
 """Road-network machinery.
 
-Validated undirected graphs, dense all-pairs shortest paths with next-hop
-routing (the last graph's oracle is kept and reused), shortest-path (graph)
-Voronoi partitions, range-limited graph cells (all of them at once through
-:func:`graph_cells`), and mass-weighted graph centroids (those of all cells at
-once through :func:`graph_centroids`, whose costs are summed left to right
-over each cell's members, so they do not depend on the BLAS build), and the
-Euclidean node snap :func:`nearest_nodes`, through a bucket index that each
-graph builds on its first snap.
+Validated undirected graphs: :func:`build_graph` checks each node and edge
+entry of a graph file, reading its numbers with :func:`_whole` and
+:func:`_real` (which :mod:`cvrsim.scenario` shares), and :func:`grid_graph`
+checks only its two arguments before generating a lattice. Dense all-pairs
+shortest paths with next-hop routing (the last graph's oracle is kept and
+reused), shortest-path (graph) Voronoi partitions, range-limited graph cells
+(all of them at once through :func:`graph_cells`), and mass-weighted graph
+centroids (those of all cells at once through :func:`graph_centroids`, whose
+costs are summed left to right over each cell's members, so they do not
+depend on the BLAS build), and the Euclidean node snap :func:`nearest_nodes`,
+through a bucket index that each graph builds on its first snap.
 
 A vehicle's position is its forward node plus the lead, the distance still to
 drive to that node: 0.0 at a node, and the rest of the edge when mid-edge.
@@ -123,75 +126,38 @@ class GraphCell:
     members: np.ndarray  # sorted node ids
 
 
-def _whole(value, what: str, *args) -> int:
+def _whole(value) -> int:
     """A whole number as an int; a bool, a fraction or a string is rejected, not truncated.
 
-    The error names the value ``what.format(*args)``, formatted only on error.
+    The ValueError gives the reason alone, e.g. "must be a whole number, got 2.5".
     """
     if isinstance(value, bool) or not (
             isinstance(value, (int, np.integer))
             or (isinstance(value, (float, np.floating)) and value.is_integer())):
-        raise ValueError(f"{what.format(*args)} must be a whole number, got {value!r}")
+        raise ValueError(f"must be a whole number, got {value!r}")
     return int(value)
 
 
-def _real(value, what: str, *args) -> float:
+def _real(value) -> float:
     """A number as a float; a bool or a string is rejected, not converted.
 
-    An int beyond the float range becomes an infinity. The error names the
-    value ``what.format(*args)``, formatted only on error.
+    An int beyond the float range becomes an infinity. The ValueError gives
+    the reason alone, e.g. "must be a number, got 'x'".
     """
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{what.format(*args)} must be a number, got {value!r}")
+        raise ValueError(f"must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
 
 
-def _repeats(keys: np.ndarray) -> np.ndarray:
-    """Where a key equals one before it."""
-    repeat = np.ones(len(keys), dtype=bool)
-    repeat[np.unique(keys, return_index=True)[1]] = False
-    return repeat
-
-
-def _raise_first(checks) -> None:
-    """Raise the error of the first entry failing one of ``checks``.
-
-    checks: (mask, error) pairs in the order each entry is checked; error(i)
-    is the exception for entry i.
-    """
-    failing = [(mask, error) for mask, error in checks if mask.any()]
-    if failing:
-        i = min(int(mask.argmax()) for mask, _ in failing)
-        raise next(error(i) for mask, error in failing if mask[i])
-
-
-def _check_nodes(ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-    """Run :func:`build_graph`'s node checks on the columns of the node entries."""
-    n = len(ids)
-    _raise_first([
-        (_repeats(ids), lambda i: ValueError(f"duplicate node id {ids[i]}")),
-        ((ids < 0) | (ids >= n), lambda i: ValueError(
-            f"node ids must be dense 0..{n - 1}, got {ids[i]}")),
-        (~(np.isfinite(x) & np.isfinite(y)), lambda i: ValueError(
-            f"node {ids[i]} has non-finite coordinates ({x[i]}, {y[i]})")),
-    ])
-
-
-def _check_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
-    """Run :func:`build_graph`'s edge checks on the columns of an n-node graph's edge entries."""
-    _raise_first([
-        ((u < 0) | (u >= n) | (v < 0) | (v >= n), lambda i: ValueError(
-            f"edge endpoint out of range: ({u[i]}, {v[i]})")),
-        (u == v, lambda i: DuplicateEdgeError(f"self-loop at node {u[i]}")),
-        (~np.isfinite(w), lambda i: ValueError(
-            f"edge ({u[i]}, {v[i]}) has non-finite length {w[i]}")),
-        (w <= 0, lambda i: NonPositiveLengthError(f"edge ({u[i]}, {v[i]}) has length {w[i]}")),
-        (_repeats(np.minimum(u, v) * n + np.maximum(u, v)),
-         lambda i: DuplicateEdgeError(f"edge ({u[i]}, {v[i]}) appears twice")),
-    ])
+def _named(read, value, what: str, *args):
+    """``read(value)``, its error prefixed by the value's name ``what.format(*args)``."""
+    try:
+        return read(value)
+    except ValueError as exc:
+        raise ValueError(f"{what.format(*args)} {exc}") from None
 
 
 def _connected_graph(coords: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> RoadGraph:
@@ -232,14 +198,14 @@ def build_graph(nodes, edges) -> RoadGraph:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise ValueError(f"node entry {i} must be [id, x_m, y_m], got {entry!r}")
         nid, x, y = entry
-        nid = nid if type(nid) is int else _whole(nid, "node id")
+        nid = nid if type(nid) is int else _named(_whole, nid, "node id")
         if nid in seen_ids:
             raise ValueError(f"duplicate node id {nid}")
         if not 0 <= nid < n:
             raise ValueError(f"node ids must be dense 0..{n - 1}, got {nid}")
         seen_ids.add(nid)
-        x = x if type(x) is float else _real(x, "node {} x", nid)
-        y = y if type(y) is float else _real(y, "node {} y", nid)
+        x = x if type(x) is float else _named(_real, x, "node {} x", nid)
+        y = y if type(y) is float else _named(_real, y, "node {} y", nid)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"node {nid} has non-finite coordinates ({x}, {y})")
         coords[nid] = (x, y)
@@ -250,9 +216,10 @@ def build_graph(nodes, edges) -> RoadGraph:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise ValueError(f"edge entry {i} must be [u, v, length_m], got {entry!r}")
         u, v, length = entry
-        u = u if type(u) is int else _whole(u, "edge endpoint")
-        v = v if type(v) is int else _whole(v, "edge endpoint")
-        length = length if type(length) is float else _real(length, "edge ({}, {}) length", u, v)
+        u = u if type(u) is int else _named(_whole, u, "edge endpoint")
+        v = v if type(v) is int else _named(_whole, v, "edge endpoint")
+        length = (length if type(length) is float
+                  else _named(_real, length, "edge ({}, {}) length", u, v))
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge endpoint out of range: ({u}, {v})")
         if u == v:
@@ -275,25 +242,31 @@ def build_graph(nodes, edges) -> RoadGraph:
 def grid_graph(k: int, spacing_m: float) -> RoadGraph:
     """k-by-k lattice with uniform edge length; node id = row * k + col.
 
-    Built as arrays and checked as :func:`build_graph` checks its entries.
-    Edges run row by row, each node's right edge before its up edge.
+    Edges run row by row, each node's right edge before its up edge. Only the
+    two arguments are checked, not the entries they generate: raises
+    ValueError for k < 2, NonPositiveLengthError for a spacing <= 0, and
+    ValueError for a spacing that is NaN or infinite, for one whose farthest
+    coordinate (k - 1) * spacing_m overflows, and for an edge total that
+    overflows (checked as for :func:`build_graph`).
     """
     if k < 2:
         raise ValueError("grid needs k >= 2")
+    if spacing_m <= 0:
+        raise NonPositiveLengthError(f"grid spacing must be positive and finite, got {spacing_m}")
+    if not math.isfinite(spacing_m):
+        raise ValueError(f"grid spacing must be positive and finite, got {spacing_m}")
+    if not math.isfinite(_real(k - 1) * spacing_m):
+        raise ValueError(f"grid spacing {spacing_m} puts the farthest node at a non-finite "
+                         "coordinate")
     n = k * k
     nid = np.arange(n)
-    # an overflowing spacing (or 0 * inf) is rejected below as non-finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.arange(k, dtype=np.float64) * spacing_m
-    x, y = np.tile(steps, k), np.repeat(steps, k)
+    steps = np.arange(k, dtype=np.float64) * spacing_m
     tail = np.repeat(nid, 2)
     head = np.stack([nid + 1, nid + k], axis=1).ravel()
     keep = np.stack([nid % k + 1 < k, nid + k < n], axis=1).ravel()
     u, v = tail[keep], head[keep]
     w = np.full(len(u), spacing_m, dtype=np.float64)
-    _check_nodes(nid, x, y)
-    _check_edges(n, u, v, w)
-    return _connected_graph(np.stack([x, y], axis=1), u, v, w)
+    return _connected_graph(np.stack([np.tile(steps, k), np.repeat(steps, k)], axis=1), u, v, w)
 
 
 def graph_to_json(graph: RoadGraph) -> dict:

@@ -3,7 +3,10 @@
 A scenario file is a JSON object with sections ``graph``, ``demand``,
 ``fleet``, ``controller``, ``sim`` and an optional ``output_dir``. Unknown
 and repeated keys anywhere are rejected so typos fail loudly, and every value
-must have its JSON type: a string is not a number.
+must have its JSON type: a string is not a number. Numbers are read by the
+readers :mod:`cvrsim.roadnet` reads graph files with, so a numpy scalar in a
+document built in Python is accepted, and an int beyond the float range is
+read as an infinity and rejected on its field.
 :func:`build_config` turns a parsed document into a runnable
 :class:`~cvrsim.sim.SimConfig`. Every key of the fleet, controller and sim
 sections is declared once, in :data:`cvrsim.sim.SCENARIO_KEYS`: its path, its
@@ -24,13 +27,14 @@ import json
 import math
 import os
 import reprlib
+from functools import partial
 
 import numpy as np
 
 from . import demand
 from .errors import ConfigValidationError
 from .plane import mixture_density
-from .roadnet import RoadGraph, graph_from_json, grid_graph, load_json
+from .roadnet import RoadGraph, _real, _whole, graph_from_json, grid_graph, load_json
 from .sim import DEFAULT_MFD, SCENARIO_KEYS, MFDParams, SimConfig
 
 _SECTIONS = {"graph", "demand", "fleet", "controller", "sim", "output_dir"}
@@ -57,23 +61,12 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(value, field: str) -> float:
-    """A JSON number as a float; strings, flags and null are not numbers."""
-    if not _is_number(value):
-        raise ConfigValidationError(field, f"must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, field: str) -> int:
-    """A whole JSON number as an int; fractions, NaN and infinities are rejected."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
-        raise ConfigValidationError(field, f"must be a whole number, got {value!r}")
-    return int(value)
+def _read(reader, value, field: str):
+    """``reader(value)``, its rejection reported as a ConfigValidationError on ``field``."""
+    try:
+        return reader(value)
+    except ValueError as exc:
+        raise ConfigValidationError(field, str(exc)) from None
 
 
 def _text(value, field: str) -> str:
@@ -85,10 +78,15 @@ def _text(value, field: str) -> str:
 def _numbers(value, shape: tuple, field: str) -> np.ndarray:
     """A JSON array of finite numbers with exactly the given shape, as floats."""
     arr = np.array(value, dtype=object)
-    if arr.shape != shape or not all(_is_number(x) and math.isfinite(x) for x in arr.flat):
-        raise ConfigValidationError(
-            field, f"must be finite numbers in the shape {list(shape)}, got {reprlib.repr(value)}")
-    return arr.astype(np.float64)
+    try:
+        if arr.shape == shape:
+            reals = np.array([_real(x) for x in arr.flat], dtype=np.float64).reshape(shape)
+            if np.isfinite(reals).all():
+                return reals
+    except ValueError:
+        pass
+    raise ConfigValidationError(
+        field, f"must be finite numbers in the shape {list(shape)}, got {reprlib.repr(value)}")
 
 
 def _mfd(value, field: str) -> MFDParams:
@@ -100,7 +98,8 @@ def _mfd(value, field: str) -> MFDParams:
 # Each key of SCENARIO_KEYS is read at the (section, key) of its dotted path
 # by the parser of its JSON type. An absent key takes its field's default, and
 # a key whose field has no default is required.
-_PARSERS = {int: _integer, float: _number, str: _text, MFDParams: _mfd}
+_PARSERS = {int: partial(_read, _whole), float: partial(_read, _real), str: _text,
+            MFDParams: _mfd}
 _PATHS = {field: tuple(entry[0].split(".")) for field, entry in SCENARIO_KEYS.items()}
 _SECTION_KEYS = {name: {key for section, key in _PATHS.values() if section == name}
                  for name, _ in _PATHS.values()}
@@ -133,7 +132,7 @@ def _parse_mixture(raw, where: str) -> list:
     for i, comp in enumerate(raw):
         at = f"{where}[{i}]"
         _reject_unknown(comp, _COMPONENT_KEYS, at)
-        weight = _number(_require(comp, "weight", at), f"{at}.weight")
+        weight = _read(_real, _require(comp, "weight", at), f"{at}.weight")
         if not (math.isfinite(weight) and weight >= 0):
             raise ConfigValidationError(f"{at}.weight", f"must be finite and nonnegative, got {weight}")
         mean = _numbers(_require(comp, "mean", at), (2,), f"{at}.mean")
@@ -172,16 +171,13 @@ def _demand_source(source, graph: RoadGraph, where: str) -> tuple[np.ndarray, li
 
 
 def checked_grid_graph(k: int, spacing_m: float, k_field: str, spacing_field: str) -> RoadGraph:
-    """The k-by-k grid, once k >= 2 and the spacing is positive and finite.
+    """The k-by-k grid, once k >= 2; a spacing :func:`grid_graph` rejects is
+    reported on the spacing field.
 
     ``graph.grid`` and ``cvrsim gen-grid`` share this check, each naming its own fields.
-    A spacing so large that a coordinate or the edge total overflows is rejected
-    on the spacing field.
     """
     if k < 2:
         raise ConfigValidationError(k_field, f"grid needs k >= 2, got {k}")
-    if not (math.isfinite(spacing_m) and spacing_m > 0):
-        raise ConfigValidationError(spacing_field, f"must be positive and finite, got {spacing_m}")
     try:
         return grid_graph(k, spacing_m)
     except ValueError as exc:
@@ -211,8 +207,8 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
         grid = graph_sec["grid"]
         _reject_unknown(grid, _GRID_KEYS, "graph.grid")
         graph = checked_grid_graph(
-            _integer(_require(grid, "k", "graph.grid"), "graph.grid.k"),
-            _number(_require(grid, "spacing_m", "graph.grid"), "graph.grid.spacing_m"),
+            _read(_whole, _require(grid, "k", "graph.grid"), "graph.grid.k"),
+            _read(_real, _require(grid, "spacing_m", "graph.grid"), "graph.grid.spacing_m"),
             "graph.grid.k", "graph.grid.spacing_m")
 
     demand_sec = _require(doc, "demand", "scenario")
@@ -223,7 +219,7 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
     if "destination" in demand_sec:
         dest_mass, _ = _demand_source(demand_sec["destination"], graph, "demand.destination")
     if "gamma" in demand_sec:
-        gamma = _number(demand_sec["gamma"], "demand.gamma")
+        gamma = _read(_real, demand_sec["gamma"], "demand.gamma")
         try:
             dest_mass = demand.synthesize_destination(
                 dest_mass, demand.complement_mass(origin_mass), gamma)
@@ -234,7 +230,8 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
             and all(isinstance(pair, list) and len(pair) == 2 for pair in raw_profile)):
         raise ConfigValidationError(
             "demand.profile", "need a list of [duration_s, rate_per_hour] pairs")
-    profile = [(_number(d, "demand.profile"), _number(r, "demand.profile")) for d, r in raw_profile]
+    profile = [(_read(_real, d, "demand.profile"), _read(_real, r, "demand.profile"))
+               for d, r in raw_profile]
 
     sections = {}
     for name, keys in _SECTION_KEYS.items():
@@ -248,7 +245,7 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
         elif field in _REQUIRED:
             raise ConfigValidationError(path, "missing required entry")
     if seed_override is not None:
-        values["seed"] = _integer(seed_override, SCENARIO_KEYS["seed"][0])
+        values["seed"] = _read(_whole, seed_override, SCENARIO_KEYS["seed"][0])
     cfg = SimConfig(graph=graph, origin_mass=origin_mass, destination_mass=dest_mass,
                     profile=profile, mixture=mixture, **values)
     cfg.validate()

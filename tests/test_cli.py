@@ -166,6 +166,24 @@ DELETED_KEYS = {"min_retarget_gain_m", "persistent_private_trips", "graph_hold_s
                 "linear_slope", "node_mass"}
 
 
+# An int beyond the float range, at each number a scenario reads it in; these
+# once ended in an OverflowError traceback.
+OVERFLOW_ROWS = [
+    pytest.param(section, key, value(sign * 10**400),
+                 id=f"{section}-{key}-{'minus-' if sign < 0 else ''}1e400")
+    for sign in (1, -1)
+    for section, key, value in [
+        ("sim", "horizon_s", lambda big: big),
+        ("demand", "gamma", lambda big: big),
+        ("demand", "profile", lambda big: [[big, 75.0]]),
+        ("graph.grid", "spacing_m", lambda big: big),
+        ("demand.origin.mixture[0]", "weight", lambda big: big),
+        ("demand.origin.mixture[0]", "mean", lambda big: [big, 3400.0]),
+        ("demand", "origin", lambda big: {"node_counts": [big] + [1] * (DESK_NODES - 1)}),
+    ]
+]
+
+
 # A value pytest cannot name (a list or an object) gets an explicit id, so a row
 # inserted above it renames no case. The ids are the names these cases had.
 @pytest.mark.parametrize("section, key, value", [
@@ -259,6 +277,7 @@ DELETED_KEYS = {"min_retarget_gain_m", "persistent_private_trips", "graph_hold_s
     pytest.param("demand.origin", "node_mass",
                  [math.nan] + [1 / (DESK_NODES - 1)] * (DESK_NODES - 1),
                  id="demand.origin-node_mass-value"),
+    *OVERFLOW_ROWS,
 ])
 def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key, value):
     doc = desk_document()

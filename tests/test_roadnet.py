@@ -208,19 +208,38 @@ def test_grid_graph_equals_the_loop_built_grid(k, spacing_m):
     assert g._length_lookup == loop_length_lookup(want)
 
 
-@pytest.mark.parametrize("k, spacing_m", [
-    (3, 1e308),  # a coordinate overflows
-    (2, 1.7e308),  # the edge total overflows
-    (3, 0.0), (3, -0.0), (3, -250.0), (3, float("nan")), (3, float("inf")), (3, float("-inf")),
-])
-def test_a_bad_grid_spacing_is_rejected_as_the_loop_built_grid_is(k, spacing_m):
-    with pytest.raises(ValueError) as want:
+SPACING = "grid spacing must be positive and finite, got {}"
+BAD_SPACINGS = [
+    (3, 1e308, ValueError, "grid spacing 1e+308 puts the farthest node at a non-finite coordinate"),
+    (2, 1.7e308, ValueError, "edge lengths add up to a non-finite total inf"),
+    (3, 0.0, NonPositiveLengthError, SPACING.format(0.0)),
+    (3, -0.0, NonPositiveLengthError, SPACING.format(-0.0)),
+    (3, -250.0, NonPositiveLengthError, SPACING.format(-250.0)),
+    (3, float("nan"), ValueError, SPACING.format("nan")),
+    (3, float("inf"), ValueError, SPACING.format("inf")),
+    (3, float("-inf"), NonPositiveLengthError, SPACING.format("-inf")),
+]
+
+
+@pytest.mark.parametrize("k, spacing_m, error, message", BAD_SPACINGS,
+                         ids=[f"{k}-{spacing_m}" for k, spacing_m, *_ in BAD_SPACINGS])
+def test_a_bad_grid_spacing_is_rejected_as_the_loop_built_grid_is(k, spacing_m, error, message):
+    # grid_graph checks its arguments, so its message names the spacing where
+    # build_graph names the first generated entry it rejects
+    with pytest.raises(ValueError):
         build_graph(*loop_grid_entries(k, spacing_m))
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # overflow raises no numpy RuntimeWarning
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
         with pytest.raises(ValueError) as got:
             grid_graph(k, spacing_m)
-    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert (type(got.value), str(got.value)) == (error, message)
+
+
+def test_a_k_beyond_the_float_range_is_a_value_error():
+    # the span (k - 1) * spacing_m is formed before any array, so k must not
+    # reach Python's int-to-float OverflowError there
+    with pytest.raises(ValueError):
+        grid_graph(10**400, 250.0)
 
 
 # -- all_pairs_shortest --------------------------------------------------------

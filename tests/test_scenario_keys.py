@@ -154,11 +154,14 @@ PROGRAMMATIC_TYPE_CASES = [
 ]
 
 # Programmatic values of the right kind that JSON cannot write: numpy scalars,
-# and ints where floats are expected.
+# and ints where floats are expected. A scenario document built in Python
+# may hold them too.
 PROGRAMMATIC_ACCEPTED = [
     ("n_av", np.int64(30)), ("seed", np.int32(3)), ("r_m", 1000), ("r_graph_m", np.float64(900.0)),
     ("alpha", np.float32(0.25)), ("horizon_s", 10800), ("baseline_accumulation", np.uint16(3200)),
+    ("tick_s", np.int64(2)),
 ]
+PATHS = {field: path for path, field in FIELDS.items()}
 
 
 def case_id(case):
@@ -262,3 +265,4 @@ def test_programmatic_wrong_type_names_its_key(desk_config, field, value, named,
                          ids=map(case_id, PROGRAMMATIC_ACCEPTED))
 def test_programmatic_numbers_of_any_numeric_type_validate(desk_config, field, value):
     dataclasses.replace(desk_config, **{field: value}).validate()
+    assert getattr(build_config(document_with(PATHS[field], value)), field) == value
