@@ -33,10 +33,6 @@ class NodeOutsideBoxError(ValueError):
     """A node coordinate falls outside the raster bounding box."""
 
 
-class ZeroMassCellError(ValueError):
-    """The cell carries no demand mass, so its weighted centroid is undefined."""
-
-
 class AllZeroCountsError(ValueError):
     """Request counts sum to zero and cannot be normalized."""
 

@@ -11,8 +11,9 @@ is cut into 8x8-pixel tiles, each tile keeps only the generators that can be
 nearest to some pixel center in its bounding box, and the tiles' candidates
 are compared rank by rank, the squared distances dx*dx + dy*dy exactly and
 ties going to the smallest generator index. :func:`coverage_summary` derives
-every per-generator statistic from that pass; the objective and the Lloyd
-step derive from the summary.
+every per-generator statistic from that pass; the objective, the Lloyd step
+and the hold scores derive from the summary. Its one-cell references are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     EmptyGridError,
     NodeOutsideBoxError,
     NonPositiveDefiniteCovarianceError,
-    ZeroMassCellError,
 )
 from .roadnet import RoadGraph, _box_distances
 
@@ -84,14 +84,6 @@ class GridField:
         return (pix, col_x, row_y,
                 col_x.min(axis=1)[:, None], col_x.max(axis=1)[:, None],
                 row_y.min(axis=1)[:, None], row_y.max(axis=1)[:, None])
-
-
-@dataclass(frozen=True)
-class PlanarCell:
-    """One generator's (possibly range-limited) share of the raster."""
-
-    generator: np.ndarray  # (2,) position in meters
-    pixels: np.ndarray     # sorted flat pixel indices
 
 
 def _grid_geometry(box, resolution: float):
@@ -281,9 +273,9 @@ def coverage_summary(field: GridField, generators, r_m: float) -> CoverageSummar
     """Assignment, limited masses and centroids in one raster pass; moments on demand.
 
     The assignment is exactly plane_voronoi's (ties to the smallest index);
-    each statistic is one bincount over the pixels in ascending index order,
-    so it equals composing r_limited_cell, weighted_centroid, and
-    polar_moment per generator up to the order of the floating-point sums.
+    a limited cell is the pixels a generator owns within r_m of it. Each
+    statistic is one bincount over the pixels in ascending index order, so
+    it equals a per-cell sum up to the order of the floating-point additions.
     """
     gens = _generators(generators)
     n = len(gens)
@@ -298,33 +290,6 @@ def coverage_summary(field: GridField, generators, r_m: float) -> CoverageSummar
     centroid[mass_w <= 0] = np.nan
     return CoverageSummary(assignment=assignment, own_d2=own_d2, mass=field.mass,
                            in_range_mass=w_in, limited_mass=mass_w, limited_centroid=centroid)
-
-
-def r_limited_cell(
-    assignment: np.ndarray, field: GridField, index: int, position, r_m: float
-) -> PlanarCell:
-    """Pixels of generator ``index`` whose centers lie within r_m of it."""
-    position = np.asarray(position, dtype=np.float64)
-    owned = np.flatnonzero(assignment == index)
-    delta = field.centers[owned] - position
-    d2 = np.einsum("ij,ij->i", delta, delta)
-    return PlanarCell(generator=position, pixels=owned[d2 <= r_m * r_m])
-
-
-def weighted_centroid(cell: PlanarCell, field: GridField) -> np.ndarray:
-    """Mass-weighted mean of the cell's pixel centers."""
-    w = field.mass[cell.pixels]
-    total = w.sum()
-    if not total > 0:
-        raise ZeroMassCellError("cell carries no mass")
-    return (w @ field.centers[cell.pixels]) / total
-
-
-def polar_moment(cell: PlanarCell, field: GridField, point) -> float:
-    """Mass-weighted sum of squared distances from ``point`` to the cell."""
-    delta = field.centers[cell.pixels] - np.asarray(point, dtype=np.float64)
-    d2 = np.einsum("ij,ij->i", delta, delta)
-    return float(d2 @ field.mass[cell.pixels])
 
 
 def coverage_objective(generators, field: GridField, r_m: float) -> float:

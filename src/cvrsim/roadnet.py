@@ -37,6 +37,9 @@ from .errors import (
     NonPositiveLengthError,
 )
 
+# The largest grid side k whose k * k nodes one numpy array can index.
+MAX_GRID_K = math.isqrt(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True)
 class RoadGraph:
@@ -244,13 +247,13 @@ def grid_graph(k: int, spacing_m: float) -> RoadGraph:
 
     Edges run row by row, each node's right edge before its up edge. Only the
     two arguments are checked, not the entries they generate: raises
-    ValueError for k < 2, NonPositiveLengthError for a spacing <= 0, and
-    ValueError for a spacing that is NaN or infinite, for one whose farthest
-    coordinate (k - 1) * spacing_m overflows, and for an edge total that
-    overflows (checked as for :func:`build_graph`).
+    ValueError for k outside [2, MAX_GRID_K], NonPositiveLengthError for a
+    spacing <= 0, and ValueError for a spacing that is NaN or infinite, for
+    one whose farthest coordinate (k - 1) * spacing_m overflows, and for an
+    edge total that overflows (checked as for :func:`build_graph`).
     """
-    if k < 2:
-        raise ValueError("grid needs k >= 2")
+    if not 2 <= k <= MAX_GRID_K:
+        raise ValueError(f"grid needs 2 <= k <= {MAX_GRID_K}, got {k}")
     if spacing_m <= 0:
         raise NonPositiveLengthError(f"grid spacing must be positive and finite, got {spacing_m}")
     if not math.isfinite(spacing_m):

@@ -34,7 +34,7 @@ import numpy as np
 from . import demand
 from .errors import ConfigValidationError
 from .plane import mixture_density
-from .roadnet import RoadGraph, _real, _whole, graph_from_json, grid_graph, load_json
+from .roadnet import MAX_GRID_K, RoadGraph, _real, _whole, graph_from_json, grid_graph, load_json
 from .sim import DEFAULT_MFD, SCENARIO_KEYS, MFDParams, SimConfig
 
 _SECTIONS = {"graph", "demand", "fleet", "controller", "sim", "output_dir"}
@@ -171,13 +171,13 @@ def _demand_source(source, graph: RoadGraph, where: str) -> tuple[np.ndarray, li
 
 
 def checked_grid_graph(k: int, spacing_m: float, k_field: str, spacing_field: str) -> RoadGraph:
-    """The k-by-k grid, once k >= 2; a spacing :func:`grid_graph` rejects is
-    reported on the spacing field.
+    """The k-by-k grid, once 2 <= k <= MAX_GRID_K; a spacing :func:`grid_graph`
+    rejects is reported on the spacing field.
 
     ``graph.grid`` and ``cvrsim gen-grid`` share this check, each naming its own fields.
     """
-    if k < 2:
-        raise ConfigValidationError(k_field, f"grid needs k >= 2, got {k}")
+    if not 2 <= k <= MAX_GRID_K:
+        raise ConfigValidationError(k_field, f"grid needs 2 <= k <= {MAX_GRID_K}, got {k}")
     try:
         return grid_graph(k, spacing_m)
     except ValueError as exc:

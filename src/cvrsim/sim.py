@@ -119,12 +119,16 @@ class Fleet:
         return out
 
 
+# The most vehicles one numpy array can index.
+_MAX_FLEET = int(np.iinfo(np.intp).max)
+
 # Every key of a scenario's fleet, controller and sim sections, by the
 # SimConfig field it sets: (dotted path, JSON type, range or None, the reason a
 # value out of range is rejected). The scenario parser picks each key's parser
 # from its type; SimConfig.validate checks each type, then each range.
 SCENARIO_KEYS = {
-    "n_av": ("fleet.n_av", int, lambda v: v >= 0, "fleet size must be nonnegative"),
+    "n_av": ("fleet.n_av", int, lambda v: 0 <= v <= _MAX_FLEET,
+             f"fleet size must lie in [0, {_MAX_FLEET}]"),
     "placement": ("fleet.placement", str, lambda v: v in ("uniform", "destination"),
                   "unknown placement {!r}"),
     "controller": ("controller.name", str, lambda v: v in rebalance.CONTROLLERS,
@@ -227,6 +231,8 @@ class SimConfig:
         for name, period in (("sim.control_period_s", self.control_period_s),
                              ("sim.fleet_period_s", self.fleet_period_s)):
             ratio = period / self.tick_s
+            if not math.isfinite(ratio):  # a subnormal tick
+                fail(name, "must span a finite number of ticks")
             if abs(ratio - round(ratio)) > 1e-9:
                 fail(name, "must be an integer multiple of the tick")
         mfd = self.mfd

@@ -1,7 +1,11 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately written with different algorithms or naive
-loops so the tests never share a code path with what they verify.
+loops so the tests never share a code path with what they verify. The
+one-cell planar views (:func:`r_limited_cell`, :func:`weighted_centroid`,
+:func:`polar_moment`) take one generator's cell as a mask over the whole
+raster, where ``cvrsim.plane.coverage_summary``, the library's one coverage
+pass, bins every generator's statistics at once.
 """
 
 import csv
@@ -13,7 +17,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from cvrsim import plane
 from cvrsim.demand import CANCELLED, COMPLETED, MATCHED, PENDING, PICKED_UP
 from cvrsim.sim import ASSIGNED, CARRYING, IDLE
 
@@ -182,15 +185,36 @@ def brute_match_tick(pending, idle_vehicles, clock, graph, dist, speed_mps):
     return matches, cancellations
 
 
+def r_limited_cell(assignment, field, index, position, r_m):
+    """Flat indices of the pixels ``index`` owns whose centers lie within r_m of ``position``."""
+    delta = field.centers - np.asarray(position, dtype=np.float64)
+    d2 = np.einsum("ij,ij->i", delta, delta)
+    return np.flatnonzero((assignment == index) & (d2 <= r_m * r_m))
+
+
+def weighted_centroid(pixels, field):
+    """Mass-weighted mean of the listed pixel centers; ValueError for a massless cell."""
+    w = field.mass[pixels]
+    total = w.sum()
+    if not total > 0:
+        raise ValueError("cell carries no mass")
+    return (w @ field.centers[pixels]) / total
+
+
+def polar_moment(pixels, field, point):
+    """Mass-weighted sum of squared distances from ``point`` to the listed pixel centers."""
+    delta = field.centers[pixels] - np.asarray(point, dtype=np.float64)
+    d2 = np.einsum("ij,ij->i", delta, delta)
+    return float(d2 @ field.mass[pixels])
+
+
 def brute_hold_score(index, positions, field, r_m, assignment):
     """Coverage concentration J(W)/J(V) of one vehicle, from its own two cells."""
     pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))[index]
-    full = plane.PlanarCell(generator=pos, pixels=np.flatnonzero(assignment == index))
-    limited = plane.r_limited_cell(assignment, field, index, pos, r_m)
-    j_full = plane.polar_moment(full, field, pos)
+    j_full = polar_moment(np.flatnonzero(assignment == index), field, pos)
     if j_full <= 0.0:
         return 0.0
-    return plane.polar_moment(limited, field, pos) / j_full
+    return polar_moment(r_limited_cell(assignment, field, index, pos, r_m), field, pos) / j_full
 
 
 def brute_nearest(points, generators):

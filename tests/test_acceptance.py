@@ -15,13 +15,11 @@ import pytest
 from cvrsim.cli import main as cli_main
 from cvrsim.demand import complement_mass, hellinger, synthesize_destination
 from cvrsim.plane import (
-    plane_voronoi,
-    polar_moment,
-    r_limited_cell,
-    rasterize_mixture,
-    weighted_centroid,
-    lloyd_step,
     coverage_objective,
+    coverage_summary,
+    lloyd_step,
+    plane_voronoi,
+    rasterize_mixture,
 )
 from cvrsim.rebalance import lp_rebalance
 from cvrsim.roadnet import all_pairs_shortest, build_graph, graph_cells, graph_centroids
@@ -32,7 +30,10 @@ from oracles import (
     audit_requests,
     brute_graph_centroid,
     brute_min_assignment_cost,
+    polar_moment,
+    r_limited_cell,
     random_connected_graph,
+    weighted_centroid,
 )
 
 SEEDS = list(range(1, 11))
@@ -95,18 +96,20 @@ def test_criterion_1_parallel_axis_identity():
         field = rasterize_mixture((0, 0, 30, 30), 30.0 / n,
                                   [(1.0, mean, [[sd2, 0], [0, sd2]])])
         gens = rng.uniform(0, 30, size=(int(rng.integers(1, 6)), 2))
-        assignment = plane_voronoi(field, gens)
         i = int(rng.integers(0, len(gens)))
-        cell = r_limited_cell(assignment, field, i, gens[i], float(rng.uniform(4, 50)))
-        mass = field.mass[cell.pixels].sum()
+        r = float(rng.uniform(4, 50))
+        # The simulator's pass gives generator i's limited mass, centroid and
+        # moment about i; the oracle gives the same cell's moment about its centroid.
+        summary = coverage_summary(field, gens, r)
+        mass = summary.limited_mass[i]
         if mass <= 0:
             continue
-        centroid = weighted_centroid(cell, field)
-        x = rng.uniform(-10, 40, size=2)
-        j_x = polar_moment(cell, field, x)
-        j_c = polar_moment(cell, field, centroid)
-        residual = abs(j_x - (j_c + mass * float(np.sum((x - centroid) ** 2))))
-        assert residual <= 1e-9 * max(j_x, 1e-12)
+        centroid = summary.limited_centroid[i]
+        j_g = summary.j_limited[i]
+        j_c = polar_moment(r_limited_cell(summary.assignment, field, i, gens[i], r), field,
+                           centroid)
+        residual = abs(j_g - (j_c + mass * float(np.sum((gens[i] - centroid) ** 2))))
+        assert residual <= 1e-9 * j_g
         checked += 1
     elapsed = time.time() - start
     report(1, elapsed < 5.0,
@@ -139,7 +142,7 @@ def test_criterion_2_static_coverage_descent():
             close = True
             for i in range(6):
                 cell = r_limited_cell(assignment, field, i, gens[i], diagonal)
-                if field.mass[cell.pixels].sum() <= 0:
+                if field.mass[cell].sum() <= 0:
                     continue
                 c = weighted_centroid(cell, field)
                 if float(np.linalg.norm(gens[i] - c)) >= field.resolution:

@@ -278,6 +278,9 @@ OVERFLOW_ROWS = [
                  [math.nan] + [1 / (DESK_NODES - 1)] * (DESK_NODES - 1),
                  id="demand.origin-node_mass-value"),
     *OVERFLOW_ROWS,
+    # more vehicles, or grid nodes, than a numpy array can index
+    pytest.param("fleet", "n_av", 10**30, id="fleet-n_av-1e30"),
+    pytest.param("graph.grid", "k", 10**30, id="graph.grid-k-1e30"),
 ])
 def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key, value):
     doc = desk_document()
@@ -650,6 +653,7 @@ def test_gen_grid_output_reloads_cleanly(tmp_path, capsys):
     ("3", "inf", "spacing"),
     ("3", "1e308", "spacing"),    # node 2 lies at x = inf
     ("2", "1.7e308", "spacing"),  # the four edge lengths add up to inf
+    (str(10**30), "100", "k"),    # more nodes than a numpy array can index
 ])
 def test_gen_grid_rejects_bad_arguments(tmp_path, capsys, k, spacing, field):
     out = tmp_path / "net.json"

@@ -7,7 +7,6 @@ from cvrsim.errors import (
     EmptyGeneratorSetError,
     NodeOutsideBoxError,
     NonPositiveDefiniteCovarianceError,
-    ZeroMassCellError,
 )
 from cvrsim.plane import (
     GridField,
@@ -15,15 +14,18 @@ from cvrsim.plane import (
     coverage_summary,
     lloyd_step,
     plane_voronoi,
-    polar_moment,
-    r_limited_cell,
     rasterize_mixture,
     rasterize_node_mass,
-    weighted_centroid,
 )
 from cvrsim.roadnet import build_graph
 
-from oracles import brute_coverage_objective, brute_plane_assignment
+from oracles import (
+    brute_coverage_objective,
+    brute_plane_assignment,
+    polar_moment,
+    r_limited_cell,
+    weighted_centroid,
+)
 
 BIG_R = 1e9
 
@@ -185,93 +187,64 @@ def test_every_pixel_assigned_exactly_once():
     assert np.all((assignment >= 0) & (assignment < 5))
 
 
-# -- r_limited_cell ----------------------------------------------------------------
+# -- range limit ---------------------------------------------------------------------
 
 def test_huge_radius_recovers_full_cell():
     field = uniform_field(10)
-    gens = [[2.0, 2.0], [8.0, 8.0]]
-    assignment = plane_voronoi(field, gens)
-    cell = r_limited_cell(assignment, field, 0, gens[0], BIG_R)
-    assert np.array_equal(cell.pixels, np.flatnonzero(assignment == 0))
+    summary = coverage_summary(field, [[2.0, 2.0], [8.0, 8.0]], BIG_R)
+    assert np.array_equal(summary.in_range_mass, field.mass)
+    assert np.array_equal(summary.j_limited, summary.j_full)
 
 
 def test_tiny_radius_keeps_at_most_own_pixel():
     field = uniform_field(10)
-    gens = [[2.5, 2.5]]
-    assignment = plane_voronoi(field, gens)
-    cell = r_limited_cell(assignment, field, 0, gens[0], 0.4)
-    assert len(cell.pixels) == 1
+    summary = coverage_summary(field, [[2.5, 2.5]], 0.4)
+    assert np.flatnonzero(summary.in_range_mass).tolist() == [2 * 10 + 2]
 
 
 def test_disk_cell_area_within_one_pixel_ring():
     field = uniform_field(100)
-    center = [50.0, 50.0]
-    assignment = plane_voronoi(field, [center])
     r = 25.0
-    cell = r_limited_cell(assignment, field, 0, center, r)
-    area = len(cell.pixels) * field.resolution ** 2
+    summary = coverage_summary(field, [[50.0, 50.0]], r)
+    area = np.count_nonzero(summary.in_range_mass) * field.resolution ** 2
     assert abs(area - np.pi * r * r) <= 2 * np.pi * r * field.resolution
 
 
-# -- weighted_centroid / polar_moment -----------------------------------------------
+# -- limited centroids and polar moments ----------------------------------------------
 
 def test_uniform_cell_centroid_is_geometric_center():
     field = uniform_field(10)
-    assignment = plane_voronoi(field, [[5.0, 5.0]])
-    cell = r_limited_cell(assignment, field, 0, [5.0, 5.0], BIG_R)
-    assert np.allclose(weighted_centroid(cell, field), [5.0, 5.0])
+    summary = coverage_summary(field, [[5.0, 5.0]], BIG_R)
+    assert np.allclose(summary.limited_centroid[0], [5.0, 5.0])
 
 
 def test_point_mass_centroid_is_that_pixel():
     field = point_mass_field(np.array([3.5, 7.5]))
-    assignment = plane_voronoi(field, [[0.0, 0.0]])
-    cell = r_limited_cell(assignment, field, 0, [0.0, 0.0], BIG_R)
-    assert np.allclose(weighted_centroid(cell, field), [3.5, 7.5])
+    summary = coverage_summary(field, [[0.0, 0.0]], BIG_R)
+    assert np.allclose(summary.limited_centroid[0], [3.5, 7.5])
 
 
 def test_two_pixel_weighted_mean():
     centers = np.array([[0.0, 0.0], [10.0, 0.0]])
     field = GridField(xmin=-5, ymin=-5, resolution=10.0, nx=2, ny=1,
                       mass=np.array([0.25, 0.75]), centers=centers)
-    from cvrsim.plane import PlanarCell
-    cell = PlanarCell(generator=np.zeros(2), pixels=np.array([0, 1]))
-    assert weighted_centroid(cell, field)[0] == pytest.approx(7.5)
-
-
-def test_zero_mass_cell_rejected():
-    field = point_mass_field(np.array([9.5, 9.5]))
-    from cvrsim.plane import PlanarCell
-    cell = PlanarCell(generator=np.zeros(2), pixels=np.array([0, 1, 2]))
-    with pytest.raises(ZeroMassCellError):
-        weighted_centroid(cell, field)
+    summary = coverage_summary(field, [[0.0, 0.0]], BIG_R)
+    assert summary.limited_centroid[0, 0] == pytest.approx(7.5)
 
 
 def test_polar_moment_of_single_pixel_at_centroid_is_zero():
     field = point_mass_field(np.array([3.5, 3.5]))
-    from cvrsim.plane import PlanarCell
-    idx = int(np.argmax(field.mass))
-    cell = PlanarCell(generator=np.zeros(2), pixels=np.array([idx]))
-    assert polar_moment(cell, field, [3.5, 3.5]) == 0.0
+    summary = coverage_summary(field, [[3.5, 3.5]], BIG_R)
+    assert summary.j_full[0] == 0.0 and summary.j_limited[0] == 0.0
 
 
 def test_polar_moment_equidistant_pixels():
     centers = np.array([[-3.0, 0.0], [3.0, 0.0]])
     field = GridField(xmin=-6, ymin=-1, resolution=6.0, nx=2, ny=1,
                       mass=np.array([0.5, 0.5]), centers=centers)
-    from cvrsim.plane import PlanarCell
-    cell = PlanarCell(generator=np.zeros(2), pixels=np.array([0, 1]))
-    assert polar_moment(cell, field, [0.0, 0.0]) == pytest.approx(9.0)  # M=1, d=3
-
-
-def test_polar_moment_matches_manual_sum():
-    rng = np.random.default_rng(4)
-    field = uniform_field(12)
-    from cvrsim.plane import PlanarCell
-    pixels = np.sort(rng.choice(field.n_pixels, size=5, replace=False))
-    cell = PlanarCell(generator=np.zeros(2), pixels=pixels)
-    x = rng.uniform(0, 12, size=2)
-    manual = sum(field.mass[p] * np.sum((field.centers[p] - x) ** 2) for p in pixels)
-    assert polar_moment(cell, field, x) == pytest.approx(manual, rel=1e-12)
+    summary = coverage_summary(field, [[0.0, 0.0]], BIG_R)
+    assert summary.j_full[0] == pytest.approx(9.0)  # M=1, d=3
+    assert summary.j_limited[0] == pytest.approx(9.0)
 
 
 # -- coverage_objective ----------------------------------------------------------------
@@ -329,6 +302,9 @@ def test_zero_mass_cells_stay_put():
     gens = np.array([[1.5, 1.5], [8.0, 8.0]])  # second cell has no mass
     out = lloyd_step(gens, field, BIG_R, 1.0)
     assert np.allclose(out[1], [8.0, 8.0])
+    summary = coverage_summary(field, gens, BIG_R)
+    assert summary.limited_mass[1] == 0.0
+    assert np.all(np.isnan(summary.limited_centroid[1]))
 
 
 def test_step_fraction_validated():
@@ -338,38 +314,17 @@ def test_step_fraction_validated():
 
 # -- identities and descent --------------------------------------------------------------
 
-def test_parallel_axis_identity_random_triples():
-    rng = np.random.default_rng(21)
-    field = rasterize_mixture((0, 0, 30, 30), 1.0,
-                              [(1.0, [14, 17], [[30, 5], [5, 40]])])
-    gens = rng.uniform(0, 30, size=(4, 2))
-    assignment = plane_voronoi(field, gens)
-    for _ in range(50):
-        i = int(rng.integers(0, 4))
-        cell = r_limited_cell(assignment, field, i, gens[i], float(rng.uniform(3, 50)))
-        mass = field.mass[cell.pixels].sum()
-        if mass <= 0:
-            continue
-        c = weighted_centroid(cell, field)
-        x = rng.uniform(-5, 35, size=2)
-        j_x = polar_moment(cell, field, x)
-        j_c = polar_moment(cell, field, c)
-        identity = j_c + mass * float(np.sum((x - c) ** 2))
-        assert abs(j_x - identity) <= 1e-9 * max(j_x, 1e-12)
-
-
 def test_fixed_partition_move_toward_centroid_never_increases_moment():
+    # One generator owns the whole raster at every position, so its cell stays fixed.
     rng = np.random.default_rng(31)
     field = rasterize_mixture((0, 0, 20, 20), 1.0, [(1.0, [8, 12], [[20, 0], [0, 12]])])
-    gens = rng.uniform(0, 20, size=(3, 2))
-    assignment = plane_voronoi(field, gens)
-    for i in range(3):
-        cell = r_limited_cell(assignment, field, i, gens[i], BIG_R)
-        c = weighted_centroid(cell, field)
-        j0 = polar_moment(cell, field, gens[i])
+    for g in rng.uniform(0, 20, size=(3, 2)):
+        summary = coverage_summary(field, [g], BIG_R)
+        c = summary.limited_centroid[0]
+        j0 = summary.j_full[0]
         for lam in (0.1, 0.5, 1.0):
-            x = gens[i] + lam * (c - gens[i])
-            assert polar_moment(cell, field, x) <= j0 + 1e-12
+            x = g + lam * (c - g)
+            assert coverage_summary(field, [x], BIG_R).j_full[0] <= j0 + 1e-12
 
 
 def test_full_lloyd_descent_unlimited_radius():
@@ -421,13 +376,12 @@ def test_centroid_stays_inside_cell_bounding_box():
     rng = np.random.default_rng(61)
     field = rasterize_mixture((0, 0, 20, 20), 1.0, [(1.0, [10, 6], [[25, 0], [0, 25]])])
     gens = rng.uniform(0, 20, size=(4, 2))
-    assignment = plane_voronoi(field, gens)
+    summary = coverage_summary(field, gens, BIG_R)
     for i in range(4):
-        cell = r_limited_cell(assignment, field, i, gens[i], BIG_R)
-        if field.mass[cell.pixels].sum() <= 0:
+        if summary.limited_mass[i] <= 0:
             continue
-        c = weighted_centroid(cell, field)
-        pts = field.centers[cell.pixels]
+        c = summary.limited_centroid[i]
+        pts = field.centers[summary.assignment == i]
         assert pts[:, 0].min() <= c[0] <= pts[:, 0].max()
         assert pts[:, 1].min() <= c[1] <= pts[:, 1].max()
 
@@ -444,11 +398,9 @@ def test_coverage_summary_matches_granular_ops():
     assert np.array_equal(summary.assignment, assignment)
     for i in range(6):
         limited = r_limited_cell(assignment, field, i, gens[i], r)
-        full_pixels = np.flatnonzero(assignment == i)
-        from cvrsim.plane import PlanarCell
-        full = PlanarCell(generator=gens[i], pixels=full_pixels)
+        full = np.flatnonzero(assignment == i)
         assert summary.limited_mass[i] == pytest.approx(
-            field.mass[limited.pixels].sum(), abs=1e-15)
+            field.mass[limited].sum(), abs=1e-15)
         assert summary.j_limited[i] == pytest.approx(
             polar_moment(limited, field, gens[i]), rel=1e-9, abs=1e-12)
         assert summary.j_full[i] == pytest.approx(
@@ -522,12 +474,11 @@ def test_coverage_summary_exact_and_consistent_on_random_rasters(case):
     summary = assert_summary_exact(field, gens, r)
     assignment = plane_voronoi(field, gens)
     assert np.array_equal(summary.assignment, assignment)
-    from cvrsim.plane import PlanarCell
     for i in range(len(gens)):
         limited = r_limited_cell(assignment, field, i, gens[i], r)
-        full = PlanarCell(generator=gens[i], pixels=np.flatnonzero(assignment == i))
+        full = np.flatnonzero(assignment == i)
         assert summary.limited_mass[i] == pytest.approx(
-            field.mass[limited.pixels].sum(), rel=1e-12, abs=1e-15)
+            field.mass[limited].sum(), rel=1e-12, abs=1e-15)
         assert summary.j_limited[i] == pytest.approx(
             polar_moment(limited, field, gens[i]), rel=1e-9, abs=1e-12)
         assert summary.j_full[i] == pytest.approx(

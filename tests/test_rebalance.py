@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 
 from cvrsim import rebalance
 from cvrsim.plane import (
-    PlanarCell,
     coverage_summary,
     plane_voronoi,
-    polar_moment,
-    r_limited_cell,
     rasterize_mixture,
     rasterize_node_mass,
 )
@@ -42,7 +39,9 @@ from oracles import (
     brute_position_distance,
     loop_cvr_targets,
     loop_select_holds,
+    polar_moment,
     position_lead,
+    r_limited_cell,
     random_connected_graph,
 )
 
@@ -269,8 +268,7 @@ def test_hold_score_matches_manual_ratio(grid):
     assignment = plane_voronoi(field, positions)
     r = 20.0
     for i in range(3):
-        full = PlanarCell(generator=positions[i],
-                          pixels=np.flatnonzero(assignment == i))
+        full = np.flatnonzero(assignment == i)
         limited = r_limited_cell(assignment, field, i, positions[i], r)
         expected = (polar_moment(limited, field, positions[i])
                     / polar_moment(full, field, positions[i]))

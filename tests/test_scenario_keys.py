@@ -1,8 +1,8 @@
 """Each scenario key's rejection, pinned: the field and reason a bad value gets.
 
-A range case is checked twice, through :func:`build_config` on the desk
-document and as a programmatic :class:`SimConfig` passed to ``validate``, and
-both routes must report the same (field, reason). A type case is a value of
+A range case is checked through :func:`build_config` on the desk document and
+as a programmatic :class:`SimConfig` passed to ``validate`` and to ``World``,
+and every route must report the same (field, reason). A type case is a value of
 the wrong JSON type, which the scenario parser rejects. A programmatic type
 case is a wrong Python type set on a :class:`SimConfig`, which ``validate``
 rejects. Every fleet, controller and sim key has at least one case.
@@ -16,7 +16,7 @@ import pytest
 
 from cvrsim.errors import ConfigValidationError
 from cvrsim.scenario import build_config, desk_document
-from cvrsim.sim import DEFAULT_MFD, MFDParams, SimConfig
+from cvrsim.sim import DEFAULT_MFD, MFDParams, SimConfig, World
 
 inf, nan = math.inf, math.nan
 
@@ -48,10 +48,13 @@ FIELDS = {
 POSITIVE_RADIUS = "coverage radius must be positive"
 PERIODS = "need tick <= control period <= fleet period"
 MULTIPLE = "must be an integer multiple of the tick"
+FLEET_SIZE = f"fleet size must lie in [0, {np.iinfo(np.intp).max}]"
 
 # (path, bad value, field named, reason given)
 RANGE_CASES = [
-    ("fleet.n_av", -1, "fleet.n_av", "fleet size must be nonnegative"),
+    ("fleet.n_av", -1, "fleet.n_av", FLEET_SIZE),
+    # more vehicles than a numpy array can index
+    ("fleet.n_av", 10**30, "fleet.n_av", FLEET_SIZE),
     ("fleet.placement", "corner", "fleet.placement", "unknown placement 'corner'"),
     ("controller.name", "warp_drive", "controller.name", "unknown controller 'warp_drive'"),
     ("controller.r_m", 0.0, "controller.r_m", POSITIVE_RADIUS),
@@ -74,6 +77,8 @@ RANGE_CASES = [
     ("sim.tick_s", -1.0, "sim.tick_s", "tick must be positive"),
     ("sim.tick_s", nan, "sim.tick_s", "must be finite, got nan"),
     ("sim.tick_s", 0.3, "sim.control_period_s", MULTIPLE),
+    # a subnormal tick: the control period spans 1e310 ticks, which overflows
+    ("sim.tick_s", 1e-309, "sim.control_period_s", "must span a finite number of ticks"),
     ("sim.control_period_s", -10.0, "sim.control_period_s", PERIODS),
     ("sim.control_period_s", 7.5, "sim.control_period_s", MULTIPLE),
     ("sim.control_period_s", 400.0, "sim.control_period_s", PERIODS),
@@ -201,6 +206,7 @@ def test_range_case_names_the_same_field_both_ways(desk_config, path, value, fie
         value = dataclasses.replace(DEFAULT_MFD, **value)
     cfg = dataclasses.replace(desk_config, **{FIELDS[path]: value})
     assert rejection(cfg.validate) == (field, reason)
+    assert rejection(lambda: World(cfg)) == (field, reason)
 
 
 @pytest.mark.parametrize("path, value, field, reason", TYPE_CASES, ids=map(case_id, TYPE_CASES))
