@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -13,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import scenario as scenario_mod
-from .errors import ConfigValidationError, UnknownParameterError
+from .errors import ConfigValidationError
 from .roadnet import graph_to_json
 from .sim import TIMESERIES_COLUMNS, World, run_scenario
 
@@ -139,7 +140,9 @@ def cmd_sweep(args) -> int:
     tasks = [(doc, base_dir, args.param, value, base_seed + rep)
              for value in values for rep in range(args.reps)]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawn, not fork: numpy's threads are already running in this process
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             flat = list(pool.map(_sweep_worker, tasks))
     else:
         flat = [_sweep_worker(t) for t in tasks]
@@ -253,9 +256,6 @@ def main(argv=None) -> int:
     except ConfigValidationError as exc:
         print(json.dumps({"error": "ConfigValidation", "field": exc.field,
                           "message": exc.reason}))
-        return 2
-    except UnknownParameterError as exc:
-        print(json.dumps({"error": "UnknownParameter", "message": str(exc)}))
         return 2
     except OSError as exc:  # a path that cannot be read or written, e.g. FileNotFound
         print(json.dumps({"error": type(exc).__name__.removesuffix("Error"),

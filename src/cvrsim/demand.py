@@ -13,13 +13,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import (
-    AllZeroCountsError,
-    GammaOutOfRangeError,
-    LengthMismatchError,
-    UniformInputError,
-)
-
 PENDING = "pending"
 MATCHED = "matched"
 PICKED_UP = "picked_up"
@@ -71,7 +64,7 @@ def mass_from_counts(counts) -> np.ndarray:
         raise ValueError("counts must be nonnegative")
     total = counts.sum()
     if total <= 0:
-        raise AllZeroCountsError("all counts are zero")
+        raise ValueError("all counts are zero")
     return counts / total
 
 
@@ -81,18 +74,18 @@ def complement_mass(p) -> np.ndarray:
     raw = p.max() - p
     total = raw.sum()
     if total <= 0:
-        raise UniformInputError("uniform mass has no complement")
+        raise ValueError("uniform mass has no complement")
     return raw / total
 
 
 def synthesize_destination(p_dest, p_origin_complement, gamma: float) -> np.ndarray:
     """Convex blend gamma * p_dest + (1 - gamma) * p_origin_complement."""
     if not 0.0 <= gamma <= 1.0:
-        raise GammaOutOfRangeError(f"gamma={gamma!r} outside [0, 1]")
+        raise ValueError(f"gamma={gamma!r} outside [0, 1]")
     p_dest = check_node_mass(p_dest, "p_dest")
     p_comp = check_node_mass(p_origin_complement, "p_origin_complement")
     if len(p_dest) != len(p_comp):
-        raise LengthMismatchError(f"{len(p_dest)} vs {len(p_comp)} nodes")
+        raise ValueError(f"{len(p_dest)} vs {len(p_comp)} nodes")
     return gamma * p_dest + (1.0 - gamma) * p_comp
 
 
@@ -111,7 +104,7 @@ def hellinger(p, q) -> float:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
-        raise LengthMismatchError(f"{p.shape} vs {q.shape}")
+        raise ValueError(f"{p.shape} vs {q.shape}")
     return float(np.sqrt(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)))
 
 
@@ -134,7 +127,7 @@ def generate_requests(
     p_origin = check_node_mass(p_origin, "p_origin")
     p_destination = check_node_mass(p_destination, "p_destination")
     if len(p_origin) != len(p_destination):
-        raise LengthMismatchError(f"{len(p_origin)} vs {len(p_destination)} nodes")
+        raise ValueError(f"{len(p_origin)} vs {len(p_destination)} nodes")
     check_profile(profile)
 
     rng = np.random.default_rng(seed)

@@ -1,56 +1,8 @@
-"""Exception types raised by validation and geometry layers."""
+"""The one cvrsim exception: a scenario rejected on a named field.
 
-
-class DisconnectedGraphError(ValueError):
-    """The edge set does not connect every node."""
-
-
-class DuplicateEdgeError(ValueError):
-    """An undirected edge (or a self-loop) appears more than once."""
-
-
-class NonPositiveLengthError(ValueError):
-    """An edge length is zero or negative."""
-
-
-class EmptyGeneratorSetError(ValueError):
-    """A Voronoi partition was requested with no generators."""
-
-
-class EmptyCellError(ValueError):
-    """A centroid was requested for a cell with no member nodes."""
-
-
-class NonPositiveDefiniteCovarianceError(ValueError):
-    """A mixture component covariance is not positive definite."""
-
-
-class EmptyGridError(ValueError):
-    """The raster has no pixels, or the rasterized density is identically zero."""
-
-
-class NodeOutsideBoxError(ValueError):
-    """A node coordinate falls outside the raster bounding box."""
-
-
-class AllZeroCountsError(ValueError):
-    """Request counts sum to zero and cannot be normalized."""
-
-
-class UniformInputError(ValueError):
-    """A uniform mass has no complement (max(p) - p is identically zero)."""
-
-
-class GammaOutOfRangeError(ValueError):
-    """The imbalance parameter must lie in [0, 1]."""
-
-
-class LengthMismatchError(ValueError):
-    """Two node-mass vectors have different lengths."""
-
-
-class UnknownParameterError(ValueError):
-    """A sweep parameter name is not addressable in the scenario schema."""
+The library layers raise plain ``ValueError``s; the scenario parser reports
+each one as a :class:`ConfigValidationError` on the field it came from.
+"""
 
 
 class ConfigValidationError(ValueError):
@@ -63,3 +15,6 @@ class ConfigValidationError(ValueError):
         super().__init__(f"{field}: {message}")
         self.field = field
         self.reason = message
+
+    def __reduce__(self):  # a sweep worker's error is pickled back to the parent
+        return type(self), (self.field, self.reason)

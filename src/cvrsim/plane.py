@@ -23,12 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    EmptyGeneratorSetError,
-    EmptyGridError,
-    NodeOutsideBoxError,
-    NonPositiveDefiniteCovarianceError,
-)
 from .roadnet import RoadGraph, _box_distances
 
 _TILE = 8  # tile side in pixels for the nearest-generator pass
@@ -89,7 +83,7 @@ class GridField:
 def _grid_geometry(box, resolution: float):
     xmin, ymin, xmax, ymax = (float(b) for b in box)
     if xmax <= xmin or ymax <= ymin or resolution <= 0:
-        raise EmptyGridError(f"degenerate box {box!r} at resolution {resolution}")
+        raise ValueError(f"degenerate box {box!r} at resolution {resolution}")
     nx = int(np.ceil((xmax - xmin) / resolution - 1e-9))
     ny = int(np.ceil((ymax - ymin) / resolution - 1e-9))
     ix = np.arange(nx)
@@ -104,7 +98,7 @@ def _grid_geometry(box, resolution: float):
 def _field_from_raw(resolution, raw: np.ndarray, xmin, ymin, nx, ny, centers) -> GridField:
     total = raw.sum()
     if not total > 0:
-        raise EmptyGridError("rasterized density is identically zero")
+        raise ValueError("rasterized density is identically zero")
     return GridField(
         xmin=xmin, ymin=ymin, resolution=float(resolution),
         nx=nx, ny=ny, mass=raw / total, centers=centers,
@@ -115,9 +109,8 @@ def mixture_density(points, components) -> np.ndarray:
     """Density of a 2-D Gaussian mixture at each row of ``points``.
 
     components: iterable of (weight, mean, cov) with positive definite 2x2
-    covariances; the weights are used as given. Raises
-    NonPositiveDefiniteCovarianceError when a covariance has no Cholesky
-    factor.
+    covariances; the weights are used as given. Raises ValueError when a
+    covariance has no Cholesky factor.
     """
     points = np.asarray(points, dtype=np.float64)
     density = np.zeros(len(points))
@@ -126,7 +119,7 @@ def mixture_density(points, components) -> np.ndarray:
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
-            raise NonPositiveDefiniteCovarianceError(f"covariance {cov.tolist()}") from None
+            raise ValueError(f"covariance {cov.tolist()}") from None
         delta = points - np.asarray(mean, dtype=np.float64)
         # solve L z = delta^T, quadratic form = |z|^2
         z = np.linalg.solve(chol, delta.T)
@@ -161,7 +154,7 @@ def rasterize_node_mass(box, resolution: float, graph: RoadGraph, node_mass) -> 
     outside = (fx < -1e-9) | (fy < -1e-9) | (fx > nx + 1e-9) | (fy > ny + 1e-9)
     if outside.any():
         bad = int(np.flatnonzero(outside)[0])
-        raise NodeOutsideBoxError(f"node {bad} at {coords[bad].tolist()} lies outside {box!r}")
+        raise ValueError(f"node {bad} at {coords[bad].tolist()} lies outside {box!r}")
     ix = np.clip(fx.astype(np.int64), 0, nx - 1)
     iy = np.clip(fy.astype(np.int64), 0, ny - 1)
     raw = np.zeros(nx * ny)
@@ -227,7 +220,7 @@ def _nearest_generator(field: GridField, gens: np.ndarray) -> tuple[np.ndarray, 
 def _generators(generators) -> np.ndarray:
     gens = np.atleast_2d(np.asarray(generators, dtype=np.float64))
     if gens.size == 0:
-        raise EmptyGeneratorSetError("no generators")
+        raise ValueError("no generators")
     if not np.isfinite(gens).all():
         raise ValueError("generator coordinates must be finite")
     return gens

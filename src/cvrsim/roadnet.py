@@ -22,20 +22,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
-
-from .errors import (
-    DisconnectedGraphError,
-    DuplicateEdgeError,
-    EmptyCellError,
-    EmptyGeneratorSetError,
-    NonPositiveLengthError,
-)
 
 # The largest grid side k whose k * k nodes one numpy array can index.
 MAX_GRID_K = math.isqrt(np.iinfo(np.intp).max)
@@ -147,7 +140,7 @@ def _real(value) -> float:
     An int beyond the float range becomes an infinity. The ValueError gives
     the reason alone, e.g. "must be a number, got 'x'".
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"must be a number, got {value!r}")
     try:
         return float(value)
@@ -172,7 +165,7 @@ def _connected_graph(coords: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.nda
     _, labels = connected_components(graph.adjacency_matrix(), directed=False)
     unreached = np.flatnonzero(labels != labels[0])
     if unreached.size:
-        raise DisconnectedGraphError(f"node {unreached[0]} unreachable from node 0")
+        raise ValueError(f"node {unreached[0]} unreachable from node 0")
     return graph
 
 
@@ -183,11 +176,11 @@ def build_graph(nodes, edges) -> RoadGraph:
     edges: iterable of (u, v, length_m).
     Each entry is a list or tuple of three values.
 
-    Raises DuplicateEdgeError, NonPositiveLengthError, DisconnectedGraphError,
-    or ValueError for an entry of another shape, for malformed ids, for ids or
-    endpoints that are not whole numbers (a bool is not one), and for
-    coordinates or lengths that are not finite numbers. The error names the
-    first bad entry.
+    Raises ValueError for an entry of another shape, for malformed ids, for
+    ids or endpoints that are not whole numbers (a bool is not one), for
+    coordinates or lengths that are not finite numbers, for a self-loop, a
+    repeated edge or a length <= 0, and for a graph that is not connected.
+    The error names the first bad entry.
     """
     nodes = list(nodes)
     if not nodes:
@@ -226,14 +219,14 @@ def build_graph(nodes, edges) -> RoadGraph:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge endpoint out of range: ({u}, {v})")
         if u == v:
-            raise DuplicateEdgeError(f"self-loop at node {u}")
+            raise ValueError(f"self-loop at node {u}")
         if not math.isfinite(length):
             raise ValueError(f"edge ({u}, {v}) has non-finite length {length}")
         if length <= 0:
-            raise NonPositiveLengthError(f"edge ({u}, {v}) has length {length}")
+            raise ValueError(f"edge ({u}, {v}) has length {length}")
         key = (min(u, v), max(u, v))
         if key in seen_edges:
-            raise DuplicateEdgeError(f"edge ({u}, {v}) appears twice")
+            raise ValueError(f"edge ({u}, {v}) appears twice")
         seen_edges.add(key)
         eu.append(u)
         ev.append(v)
@@ -247,16 +240,14 @@ def grid_graph(k: int, spacing_m: float) -> RoadGraph:
 
     Edges run row by row, each node's right edge before its up edge. Only the
     two arguments are checked, not the entries they generate: raises
-    ValueError for k outside [2, MAX_GRID_K], NonPositiveLengthError for a
-    spacing <= 0, and ValueError for a spacing that is NaN or infinite, for
-    one whose farthest coordinate (k - 1) * spacing_m overflows, and for an
-    edge total that overflows (checked as for :func:`build_graph`).
+    ValueError for k outside [2, MAX_GRID_K], for a spacing that is not
+    positive and finite, for one whose farthest coordinate (k - 1) * spacing_m
+    overflows, and for an edge total that overflows (checked as for
+    :func:`build_graph`).
     """
     if not 2 <= k <= MAX_GRID_K:
         raise ValueError(f"grid needs 2 <= k <= {MAX_GRID_K}, got {k}")
-    if spacing_m <= 0:
-        raise NonPositiveLengthError(f"grid spacing must be positive and finite, got {spacing_m}")
-    if not math.isfinite(spacing_m):
+    if not 0 < spacing_m < math.inf:
         raise ValueError(f"grid spacing must be positive and finite, got {spacing_m}")
     if not math.isfinite(_real(k - 1) * spacing_m):
         raise ValueError(f"grid spacing {spacing_m} puts the farthest node at a non-finite "
@@ -362,7 +353,7 @@ def _owners(oracle: DistanceOracle, generators) -> tuple[np.ndarray, np.ndarray,
     given = np.asarray(generators, dtype=np.int64)
     gens = np.unique(given)
     if gens.size == 0:
-        raise EmptyGeneratorSetError("no generators")
+        raise ValueError("no generators")
     if gens.size != given.size:
         raise ValueError("generators must be distinct")
     rows = oracle.dist[gens]
@@ -474,7 +465,7 @@ def graph_centroid(cell: GraphCell, mass: np.ndarray, oracle: DistanceOracle) ->
     """
     members = np.asarray(cell.members)
     if len(members) == 0:
-        raise EmptyCellError("cell has no member nodes")
+        raise ValueError("cell has no member nodes")
     return int(graph_centroids(oracle, members, [0, len(members)], mass)[0])
 
 

@@ -35,7 +35,7 @@ from . import demand
 from .errors import ConfigValidationError
 from .plane import mixture_density
 from .roadnet import MAX_GRID_K, RoadGraph, _real, _whole, graph_from_json, grid_graph, load_json
-from .sim import DEFAULT_MFD, SCENARIO_KEYS, MFDParams, SimConfig
+from .sim import DEFAULT_MFD, MFD_KEYS, SCENARIO_KEYS, MFDParams, SimConfig
 
 _SECTIONS = {"graph", "demand", "fleet", "controller", "sim", "output_dir"}
 _GRAPH_KEYS = {"path", "grid"}
@@ -43,7 +43,6 @@ _GRID_KEYS = {"k", "spacing_m"}
 _DEMAND_KEYS = {"origin", "destination", "gamma", "profile"}
 _SOURCE_KEYS = {"mixture", "node_counts"}
 _COMPONENT_KEYS = {"weight", "mean", "cov"}
-_MFD_KEYS = {f.name for f in dataclasses.fields(MFDParams)}
 
 
 def _reject_unknown(section, allowed: set, where: str) -> None:
@@ -90,9 +89,11 @@ def _numbers(value, shape: tuple, field: str) -> np.ndarray:
 
 
 def _mfd(value, field: str) -> MFDParams:
-    """The accumulation-speed relation; SimConfig.validate checks each value."""
-    _reject_unknown(value, _MFD_KEYS, field)
-    return dataclasses.replace(DEFAULT_MFD, **value)
+    """The accumulation-speed relation, each value read as a number; SimConfig.validate
+    checks each value as :data:`~cvrsim.sim.MFD_KEYS` declares it."""
+    _reject_unknown(value, MFD_KEYS.keys(), field)
+    return dataclasses.replace(
+        DEFAULT_MFD, **{key: _read(_real, v, f"{field}.{key}") for key, v in value.items()})
 
 
 # Each key of SCENARIO_KEYS is read at the (section, key) of its dotted path
@@ -254,11 +255,9 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
 
 def set_sweep_value(doc: dict, param: str, value) -> dict:
     """Return a copy of the scenario document with one sweepable entry replaced."""
-    from .errors import UnknownParameterError
-
     if param not in SWEEPABLE:
-        raise UnknownParameterError(
-            f"{param!r} is not sweepable; choose from {sorted(SWEEPABLE)}")
+        raise ConfigValidationError(
+            "param", f"{param!r} is not sweepable; choose from {sorted(SWEEPABLE)}")
     section, key = SWEEPABLE[param]
     out = json.loads(json.dumps(doc))
     out.setdefault(section, {})[key] = value

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import ConfigValidationError
 from .roadnet import (
     DistanceOracle,
     RoadGraph,
+    _real,
     all_pairs_shortest,
     graph_voronoi,
     position_node_distance,
@@ -166,6 +168,18 @@ def _has_type(value, kind) -> bool:
     return type(value) is kind
 
 
+# Every MFDParams field, the keys a scenario's sim.mfd may hold: (range or None,
+# the reason a value out of range is rejected). SimConfig.validate checks each
+# value as a float key of SCENARIO_KEYS, named sim.mfd.<field>.
+MFD_KEYS = {
+    "free_flow_mps": (lambda v: v > 0, "free-flow speed must be positive"),
+    "exp_rate": (lambda v: v >= 0, "decay rate must be nonnegative"),
+    "exp_cutoff": (lambda v: v >= 0, "cutoff must be nonnegative"),
+    "jam_accumulation": (None, None),
+    "linear_intercept": (lambda v: v >= 0, "intercept must be nonnegative"),
+}
+
+
 @dataclass
 class SimConfig:
     """Everything a run needs; see scenario.py for the JSON form."""
@@ -209,23 +223,29 @@ class SimConfig:
     def validate(self) -> None:
         """Reject the first bad value with a ConfigValidationError naming its key.
 
-        Each key of :data:`SCENARIO_KEYS` is checked alone, in table order: its
-        type (a number of that kind but not a bool for int and float, else the
-        exact type), a float must be finite, then its range. The checks that
-        span several fields follow.
+        Each key of :data:`SCENARIO_KEYS`, then each value of ``mfd`` under
+        :data:`MFD_KEYS`, is checked alone, in table order: its type (a number
+        of that kind but not a bool for int and float, else the exact type), a
+        float must be finite as the scenario files' number reader reads it,
+        then its range. The checks that span several fields follow.
         """
         def fail(field, msg):
             raise ConfigValidationError(field, msg)
 
-        for field, (path, kind, in_range, reason) in SCENARIO_KEYS.items():
-            # an unset r_graph_m is checked as the radius a run uses, once r_m is
-            value = self.effective_r_graph() if field == "r_graph_m" else getattr(self, field)
+        def check(path, value, kind, in_range, reason):
             if not _has_type(value, kind):
                 fail(path, f"must be of type {kind.__name__}, got {value!r}")
-            if kind is float and not math.isfinite(value):
-                fail(path, f"must be finite, got {value}")
+            if kind is float and not math.isfinite(real := _real(value)):
+                fail(path, f"must be finite, got {real}")
             if in_range is not None and not in_range(value):
                 fail(path, reason.format(value))
+
+        for field, (path, *spec) in SCENARIO_KEYS.items():
+            # an unset r_graph_m is checked as the radius a run uses, once r_m is
+            check(path, self.effective_r_graph() if field == "r_graph_m" else getattr(self, field),
+                  *spec)
+        for key, spec in MFD_KEYS.items():
+            check(f"sim.mfd.{key}", getattr(self.mfd, key), float, *spec)
         if not self.tick_s <= self.control_period_s <= self.fleet_period_s:
             fail("sim.control_period_s", "need tick <= control period <= fleet period")
         for name, period in (("sim.control_period_s", self.control_period_s),
@@ -235,21 +255,11 @@ class SimConfig:
                 fail(name, "must span a finite number of ticks")
             if abs(ratio - round(ratio)) > 1e-9:
                 fail(name, "must be an integer multiple of the tick")
-        mfd = self.mfd
-        for key, value in mfd.__dict__.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not math.isfinite(value):
-                fail(f"sim.mfd.{key}", f"must be a finite number, got {value!r}")
-        if mfd.free_flow_mps <= 0:
-            fail("sim.mfd.free_flow_mps", "free-flow speed must be positive")
-        if mfd.exp_rate < 0:
-            fail("sim.mfd.exp_rate", "decay rate must be nonnegative")
-        if mfd.exp_cutoff < 0:
-            fail("sim.mfd.exp_cutoff", "cutoff must be nonnegative")
-        if mfd.jam_accumulation <= mfd.exp_cutoff:
+        # World.series holds a row per tick, and no list holds more than sys.maxsize
+        if self.horizon_s / self.tick_s > sys.maxsize:
+            fail("sim.horizon_s", f"must span at most {sys.maxsize} ticks")
+        if self.mfd.jam_accumulation <= self.mfd.exp_cutoff:
             fail("sim.mfd.jam_accumulation", "jam accumulation must exceed exp_cutoff")
-        if mfd.linear_intercept < 0:
-            fail("sim.mfd.linear_intercept", "intercept must be nonnegative")
         try:
             demand.check_profile(self.profile)
         except ValueError as exc:
@@ -392,7 +402,12 @@ class World:
             starts = placement_rng.choice(n_nodes, size=cfg.n_av, p=cfg.destination_mass)
         self.fleet = Fleet(self.graph, starts)
 
-        self.field = self._build_field() if cfg.controller in ("cvr", "cvr_alpha", "cvr_pi") else None
+        self.field = None
+        if cfg.controller in ("cvr", "cvr_alpha", "cvr_pi"):
+            try:
+                self.field = self._build_field()
+            except ValueError as exc:  # a mixture that is positive at a node but at no pixel
+                raise ConfigValidationError("demand.origin", str(exc)) from None
 
         self.tick = 0
         self.pending: list[Request] = []

@@ -6,13 +6,14 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvrsim import cli
 from cvrsim.cli import main
-from cvrsim.errors import ConfigValidationError, UnknownParameterError
+from cvrsim.errors import ConfigValidationError
 from cvrsim.roadnet import graph_from_json, graph_to_json, grid_graph
 from cvrsim.scenario import DESK_PI, build_config, desk_document, set_sweep_value
 from cvrsim.sim import DEFAULT_MFD, SCENARIO_KEYS, MFDParams, World
@@ -88,9 +89,14 @@ def test_mixture_demand_resolves_to_node_mass():
     assert cfg.mixture is not None
 
 
+NOT_SWEEPABLE = ("{!r} is not sweepable; choose from ['alpha', 'control_period_s', 'gamma', "
+                 "'k_i', 'k_p', 'n_av', 'y_ref']")
+
+
 def test_sweep_value_setter_rejects_unknown_parameter():
-    with pytest.raises(UnknownParameterError):
+    with pytest.raises(ConfigValidationError) as err:
         set_sweep_value(mini_scenario_doc(), "warp_factor", 9)
+    assert (err.value.field, err.value.reason) == ("param", NOT_SWEEPABLE.format("warp_factor"))
 
 
 def test_sweep_value_setter_replaces_entry():
@@ -268,6 +274,11 @@ OVERFLOW_ROWS = [
                                "cov": [[1e7, 0.0], [0.0, 1e7]]}]},
                  id="demand-origin-vanishing-mixture"),
     pytest.param("demand", "profile", [[3600.0, 75.0, 1.0]], id="demand-profile-triple"),
+    # positive at the desk node at its mean, but zero at every pixel center of the raster
+    pytest.param("demand", "origin",
+                 {"mixture": [{"weight": 1.0, "mean": [250.0, 250.0],
+                               "cov": [[1e-4, 0.0], [0.0, 1e-4]]}]},
+                 id="demand-origin-vanishing-raster"),
     # keys the schema no longer has are unknown, whatever their value
     ("controller", "min_retarget_gain_m", 0.0),
     ("sim", "persistent_private_trips", "no"),
@@ -278,6 +289,7 @@ OVERFLOW_ROWS = [
                  [math.nan] + [1 / (DESK_NODES - 1)] * (DESK_NODES - 1),
                  id="demand.origin-node_mass-value"),
     *OVERFLOW_ROWS,
+    pytest.param("sim.mfd", "exp_cutoff", 10**400, id="sim.mfd-exp_cutoff-1e400"),
     # more vehicles, or grid nodes, than a numpy array can index
     pytest.param("fleet", "n_av", 10**30, id="fleet-n_av-1e30"),
     pytest.param("graph.grid", "k", 10**30, id="graph.grid-k-1e30"),
@@ -410,6 +422,8 @@ def test_mfd_within_bounds_accepted():
     assert build_config(mini_scenario_doc()).mfd == DEFAULT_MFD
     doc = mini_scenario_doc(mfd={"exp_rate": 0.0, "exp_cutoff": 0.0})
     assert build_config(doc).mfd == MFDParams(exp_rate=0.0, exp_cutoff=0.0)
+    # read by the number reader every other float key shares
+    assert build_config(mini_scenario_doc(mfd={"free_flow_mps": np.int64(36)})).mfd == DEFAULT_MFD
 
 
 def test_run_rejects_invalid_json(tmp_path, capsys):
@@ -492,7 +506,8 @@ def test_sweep_unknown_parameter_errors(scenario_path, tmp_path, capsys):
                  "--values", "1", "--reps", "1", "--out", str(tmp_path)])
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert err["error"] == "UnknownParameter"
+    assert err == {"error": "ConfigValidation", "field": "param",
+                   "message": NOT_SWEEPABLE.format("warp")}
 
 
 @pytest.mark.parametrize("threads", ["abc", "1.5", "0", "-2"])
@@ -614,6 +629,22 @@ def test_process_pool_and_in_process_sweeps_write_the_same_bytes(scenario_path, 
         assert main(args + ["--out", str(tmp_path / threads)]) == 0
     pool, in_process = (tmp_path / threads / "sweep.csv" for threads in ("2", "1"))
     assert pool.read_bytes() == in_process.read_bytes()
+
+
+def test_pool_sweep_reports_a_worker_rejection_on_its_field(tmp_path, capsys, monkeypatch):
+    # only World finds this origin's raster empty, so the error comes back from a worker
+    doc = mini_scenario_doc()
+    doc["demand"]["origin"] = {"mixture": [{"weight": 1.0, "mean": [400.0, 400.0],
+                                            "cov": [[1e-4, 0.0], [0.0, 1e-4]]}]}
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("AMOD_THREADS", "2")
+    code = main(["sweep", "--scenario", str(path), "--param", "n_av",
+                 "--values", "3,4", "--reps", "1", "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "ConfigValidation", "field": "demand.origin",
+                   "message": "rasterized density is identically zero"}
 
 
 def test_sweep_deterministic_across_invocations(scenario_path, tmp_path, capsys):

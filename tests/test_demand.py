@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,12 +15,6 @@ from cvrsim.demand import (
     synthesize_destination,
 )
 from cvrsim.scenario import build_config, desk_document
-from cvrsim.errors import (
-    AllZeroCountsError,
-    GammaOutOfRangeError,
-    LengthMismatchError,
-    UniformInputError,
-)
 
 from test_city_trajectories import perfbench_module
 
@@ -39,7 +34,7 @@ def test_single_nonzero_count():
 
 
 def test_all_zero_counts_rejected():
-    with pytest.raises(AllZeroCountsError):
+    with pytest.raises(ValueError, match=f"^{re.escape('all counts are zero')}$"):
         mass_from_counts([0, 0, 0])
 
 
@@ -74,7 +69,7 @@ def test_complement_point_mass():
 
 
 def test_complement_of_uniform_rejected():
-    with pytest.raises(UniformInputError):
+    with pytest.raises(ValueError, match=f"^{re.escape('uniform mass has no complement')}$"):
         complement_mass([0.25, 0.25, 0.25, 0.25])
 
 
@@ -98,7 +93,7 @@ def test_gamma_half_blends():
 
 
 def test_gamma_out_of_range_rejected():
-    with pytest.raises(GammaOutOfRangeError):
+    with pytest.raises(ValueError, match=f"^{re.escape('gamma=1.5 outside [0, 1]')}$"):
         synthesize_destination([1.0, 0.0], [0.0, 1.0], 1.5)
 
 
@@ -128,7 +123,7 @@ def test_half_versus_point_mass():
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValueError, match=f"^{re.escape('(1,) vs (2,)')}$"):
         hellinger([1.0], [0.5, 0.5])
 
 

@@ -8,13 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvrsim import roadnet
-from cvrsim.errors import (
-    DisconnectedGraphError,
-    DuplicateEdgeError,
-    EmptyCellError,
-    EmptyGeneratorSetError,
-    NonPositiveLengthError,
-)
 from cvrsim.roadnet import (
     _build_oracle,
     all_pairs_shortest,
@@ -66,24 +59,24 @@ def test_three_node_path_valid():
 
 def test_disconnected_graph_rejected():
     nodes = [(i, float(i), 0.0) for i in range(4)]
-    with pytest.raises(DisconnectedGraphError):
+    with pytest.raises(ValueError, match=f"^{re.escape('node 2 unreachable from node 0')}$"):
         build_graph(nodes, [(0, 1, 1.0)])
 
 
 def test_duplicate_edge_rejected():
     nodes = [(0, 0, 0), (1, 1, 0)]
-    with pytest.raises(DuplicateEdgeError):
+    with pytest.raises(ValueError, match=f"^{re.escape('edge (1, 0) appears twice')}$"):
         build_graph(nodes, [(0, 1, 1.0), (1, 0, 2.0)])
 
 
 def test_self_loop_rejected():
-    with pytest.raises(DuplicateEdgeError):
+    with pytest.raises(ValueError, match=f"^{re.escape('self-loop at node 0')}$"):
         build_graph([(0, 0, 0), (1, 1, 0)], [(0, 1, 1.0), (0, 0, 1.0)])
 
 
 def test_nonpositive_length_rejected():
     nodes = [(0, 0, 0), (1, 1, 0)]
-    with pytest.raises(NonPositiveLengthError):
+    with pytest.raises(ValueError, match=f"^{re.escape('edge (0, 1) has length 0.0')}$"):
         build_graph(nodes, [(0, 1, 0.0)])
 
 
@@ -210,20 +203,20 @@ def test_grid_graph_equals_the_loop_built_grid(k, spacing_m):
 
 SPACING = "grid spacing must be positive and finite, got {}"
 BAD_SPACINGS = [
-    (3, 1e308, ValueError, "grid spacing 1e+308 puts the farthest node at a non-finite coordinate"),
-    (2, 1.7e308, ValueError, "edge lengths add up to a non-finite total inf"),
-    (3, 0.0, NonPositiveLengthError, SPACING.format(0.0)),
-    (3, -0.0, NonPositiveLengthError, SPACING.format(-0.0)),
-    (3, -250.0, NonPositiveLengthError, SPACING.format(-250.0)),
-    (3, float("nan"), ValueError, SPACING.format("nan")),
-    (3, float("inf"), ValueError, SPACING.format("inf")),
-    (3, float("-inf"), NonPositiveLengthError, SPACING.format("-inf")),
+    (3, 1e308, "grid spacing 1e+308 puts the farthest node at a non-finite coordinate"),
+    (2, 1.7e308, "edge lengths add up to a non-finite total inf"),
+    (3, 0.0, SPACING.format(0.0)),
+    (3, -0.0, SPACING.format(-0.0)),
+    (3, -250.0, SPACING.format(-250.0)),
+    (3, float("nan"), SPACING.format("nan")),
+    (3, float("inf"), SPACING.format("inf")),
+    (3, float("-inf"), SPACING.format("-inf")),
 ]
 
 
-@pytest.mark.parametrize("k, spacing_m, error, message", BAD_SPACINGS,
-                         ids=[f"{k}-{spacing_m}" for k, spacing_m, *_ in BAD_SPACINGS])
-def test_a_bad_grid_spacing_is_rejected_as_the_loop_built_grid_is(k, spacing_m, error, message):
+@pytest.mark.parametrize("k, spacing_m, message", BAD_SPACINGS,
+                         ids=[f"{k}-{spacing_m}" for k, spacing_m, _ in BAD_SPACINGS])
+def test_a_bad_grid_spacing_is_rejected_as_the_loop_built_grid_is(k, spacing_m, message):
     # grid_graph checks its arguments, so its message names the spacing where
     # build_graph names the first generated entry it rejects
     with pytest.raises(ValueError):
@@ -232,7 +225,7 @@ def test_a_bad_grid_spacing_is_rejected_as_the_loop_built_grid_is(k, spacing_m, 
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
         with pytest.raises(ValueError) as got:
             grid_graph(k, spacing_m)
-    assert (type(got.value), str(got.value)) == (error, message)
+    assert (type(got.value), str(got.value)) == (ValueError, message)
 
 
 def test_a_k_beyond_the_float_range_is_a_value_error():
@@ -429,7 +422,7 @@ def test_voronoi_all_generators_self_assign():
 
 def test_voronoi_empty_generators_rejected():
     oracle = all_pairs_shortest(grid_graph(2, 10.0))
-    with pytest.raises(EmptyGeneratorSetError):
+    with pytest.raises(ValueError, match=f"^{re.escape('no generators')}$"):
         graph_voronoi(oracle, [])
 
 
@@ -507,7 +500,7 @@ def test_centroid_tie_goes_to_smaller_node():
 def test_centroid_empty_cell_rejected():
     oracle = all_pairs_shortest(path_graph([1.0]))
     from cvrsim.roadnet import GraphCell
-    with pytest.raises(EmptyCellError):
+    with pytest.raises(ValueError, match=f"^{re.escape('cell has no member nodes')}$"):
         graph_centroid(GraphCell(0, np.array([], dtype=int)), np.array([1.0, 0.0]), oracle)
 
 
@@ -643,7 +636,7 @@ def test_graph_cells_on_grid_ties():
 
 def test_graph_cells_reject_bad_generator_sets():
     oracle = all_pairs_shortest(path_graph([1.0] * 3))
-    with pytest.raises(EmptyGeneratorSetError):
+    with pytest.raises(ValueError, match=f"^{re.escape('no generators')}$"):
         graph_cells(oracle, [], 1.0)
     with pytest.raises(ValueError):
         graph_cells(oracle, [1, 1], 1.0)

@@ -10,13 +10,15 @@ rejects. Every fleet, controller and sim key has at least one case.
 
 import dataclasses
 import math
+import reprlib
+import sys
 
 import numpy as np
 import pytest
 
 from cvrsim.errors import ConfigValidationError
 from cvrsim.scenario import build_config, desk_document
-from cvrsim.sim import DEFAULT_MFD, MFDParams, SimConfig, World
+from cvrsim.sim import DEFAULT_MFD, MFD_KEYS, MFDParams, SimConfig, World
 
 inf, nan = math.inf, math.nan
 
@@ -79,6 +81,8 @@ RANGE_CASES = [
     ("sim.tick_s", 0.3, "sim.control_period_s", MULTIPLE),
     # a subnormal tick: the control period spans 1e310 ticks, which overflows
     ("sim.tick_s", 1e-309, "sim.control_period_s", "must span a finite number of ticks"),
+    # the horizon spans 1.08e304 ticks, so the run would never end
+    ("sim.tick_s", 1e-300, "sim.horizon_s", f"must span at most {sys.maxsize} ticks"),
     ("sim.control_period_s", -10.0, "sim.control_period_s", PERIODS),
     ("sim.control_period_s", 7.5, "sim.control_period_s", MULTIPLE),
     ("sim.control_period_s", 400.0, "sim.control_period_s", PERIODS),
@@ -88,6 +92,8 @@ RANGE_CASES = [
     ("sim.fleet_period_s", nan, "sim.fleet_period_s", "must be finite, got nan"),
     ("sim.horizon_s", -1.0, "sim.horizon_s", "horizon must be nonnegative"),
     ("sim.horizon_s", inf, "sim.horizon_s", "must be finite, got inf"),
+    # an int beyond the float range is an infinity on every route
+    ("sim.horizon_s", 10**400, "sim.horizon_s", "must be finite, got inf"),
     ("sim.beta", -0.5, "sim.beta", "beta must be nonnegative"),
     ("sim.beta", nan, "sim.beta", "must be finite, got nan"),
     ("sim.match_tolerance_s", -1.0, "sim.match_tolerance_s", "match tolerance must be nonnegative"),
@@ -98,10 +104,10 @@ RANGE_CASES = [
     ("sim.baseline_accumulation", -1, "sim.baseline_accumulation",
      "baseline accumulation must be nonnegative"),
     ("sim.mfd", {"free_flow_mps": 0.0}, "sim.mfd.free_flow_mps", "free-flow speed must be positive"),
-    ("sim.mfd", {"free_flow_mps": inf}, "sim.mfd.free_flow_mps", "must be a finite number, got inf"),
+    ("sim.mfd", {"free_flow_mps": inf}, "sim.mfd.free_flow_mps", "must be finite, got inf"),
+    ("sim.mfd", {"exp_cutoff": 10**400}, "sim.mfd.exp_cutoff", "must be finite, got inf"),
     ("sim.mfd", {"exp_rate": -1e-4}, "sim.mfd.exp_rate", "decay rate must be nonnegative"),
     ("sim.mfd", {"exp_cutoff": -1.0}, "sim.mfd.exp_cutoff", "cutoff must be nonnegative"),
-    ("sim.mfd", {"exp_cutoff": "high"}, "sim.mfd.exp_cutoff", "must be a finite number, got 'high'"),
     ("sim.mfd", {"jam_accumulation": 100.0}, "sim.mfd.jam_accumulation",
      "jam accumulation must exceed exp_cutoff"),
     ("sim.mfd", {"linear_intercept": -1.0}, "sim.mfd.linear_intercept",
@@ -135,6 +141,7 @@ TYPE_CASES = [
      "must be a whole number, got 3200.5"),
     ("sim.mfd", [36.0], "sim.mfd", "must be a JSON object, got [36.0]"),
     ("sim.mfd", {"warp": 1.0}, "sim.mfd.warp", "unknown key"),
+    ("sim.mfd", {"exp_cutoff": "high"}, "sim.mfd.exp_cutoff", "must be a number, got 'high'"),
     ("sim.resolution_m", "50", "sim.resolution_m", "must be a number, got '50'"),
     ("sim.seed", 1.5, "sim.seed", "must be a whole number, got 1.5"),
     ("sim.seed", True, "sim.seed", "must be a whole number, got True"),
@@ -155,6 +162,8 @@ PROGRAMMATIC_TYPE_CASES = [
      "must be of type int, got 3200.0"),
     ("mfd", {"free_flow_mps": 36.0}, "sim.mfd",
      "must be of type MFDParams, got {'free_flow_mps': 36.0}"),
+    ("mfd", MFDParams(exp_cutoff="high"), "sim.mfd.exp_cutoff",
+     "must be of type float, got 'high'"),
     ("seed", 1.0, "sim.seed", "must be of type int, got 1.0"),
 ]
 
@@ -171,7 +180,7 @@ PATHS = {field: path for path, field in FIELDS.items()}
 
 def case_id(case):
     path, value = case[:2]
-    return f"{path}={value!r}"
+    return f"{path}={reprlib.repr(value)}"  # 10**400 as 1000...000
 
 
 def rejection(call) -> tuple[str, str]:
@@ -197,6 +206,7 @@ def desk_config():
 
 def test_every_key_has_a_range_or_type_case():
     assert {path for path, *_ in RANGE_CASES + TYPE_CASES} == set(FIELDS)
+    assert list(MFD_KEYS) == [f.name for f in dataclasses.fields(MFDParams)]
 
 
 @pytest.mark.parametrize("path, value, field, reason", RANGE_CASES, ids=map(case_id, RANGE_CASES))
