@@ -23,7 +23,7 @@ _PERCENTILES = (25, 50, 75, 90)
 
 def _write_metrics(metrics, out_dir: str) -> None:
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
-        fh.write(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
+        fh.write(json.dumps(metrics.to_dict(), indent=2, sort_keys=True, allow_nan=False))
         fh.write("\n")
 
 
@@ -56,7 +56,7 @@ def cmd_run(args) -> int:
     _write_metrics(metrics, out_dir)
     _write_timeseries(series, out_dir)
     _write_requests(requests, out_dir)
-    print(json.dumps(metrics.to_dict(), sort_keys=True))
+    print(json.dumps(metrics.to_dict(), sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -65,11 +65,7 @@ def _sweep_worker(task):
     modified = scenario_mod.set_sweep_value(doc, param, value)
     cfg = scenario_mod.build_config(modified, base_dir=base_dir, seed_override=seed)
     metrics, _, _ = run_scenario(cfg)
-    return metrics.to_dict()
-
-
-def _nan_guard(x):
-    return float("nan") if x is None else x
+    return metrics
 
 
 def _aggregate(values, results_by_value):
@@ -80,20 +76,23 @@ def _aggregate(values, results_by_value):
         row = {"value": value, "runs": len(runs)}
         for metric in ("completion_rate_pct", "mean_wait_s", "mean_system_time_s",
                        "rebalance_distance_km"):
-            samples = np.array([_nan_guard(r[metric]) for r in runs], dtype=np.float64)
+            samples = np.array([getattr(r, metric) for r in runs], dtype=np.float64)
             if np.isnan(samples).all():  # e.g. the wait when no run had an order
                 row[f"{metric}_mean"] = math.nan
                 row.update({f"{metric}_p{p}": math.nan for p in _PERCENTILES})
                 continue
             row[f"{metric}_mean"] = float(np.nanmean(samples))
             for p in _PERCENTILES:
-                row[f"{metric}_p{p}"] = float(np.nanpercentile(samples, p))
+                with np.errstate(invalid="ignore"):  # numpy interpolates at inf as inf - inf
+                    value = float(np.nanpercentile(samples, p))
+                # every metric is >= 0, so a NaN here comes from an infinite sample
+                row[f"{metric}_p{p}"] = math.inf if math.isnan(value) else value
         rows.append(row)
     sys_means = np.array([row["mean_system_time_s_mean"] for row in rows])
     rebal_means = np.array([row["rebalance_distance_km_mean"] for row in rows])
 
     def minmax(x):
-        known = x[~np.isnan(x)]  # a value whose runs had no request has no system time
+        known = x[np.isfinite(x)]  # NaN: a value whose runs had no request; inf: an overflow
         span = known.max() - known.min() if known.size else 0.0
         if not span > 0:
             return np.zeros_like(x)
@@ -260,6 +259,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # a path that cannot be read or written, e.g. FileNotFound
         print(json.dumps({"error": type(exc).__name__.removesuffix("Error"),
                           "message": str(exc)}))
+        return 2
+    except MemoryError as exc:  # e.g. a fleet too large to allocate; numpy's class is private
+        print(json.dumps({"error": "Memory", "message": str(exc)}))
         return 2
 
 

@@ -18,6 +18,7 @@ and the hold scores derive from the summary. Its one-cell references are in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +27,9 @@ import numpy as np
 from .roadnet import RoadGraph, _box_distances
 
 _TILE = 8  # tile side in pixels for the nearest-generator pass
+
+# The most pixels one numpy array can index.
+MAX_PIXELS = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -80,12 +84,29 @@ class GridField:
                 row_y.min(axis=1)[:, None], row_y.max(axis=1)[:, None])
 
 
-def _grid_geometry(box, resolution: float):
+def raster_shape(box, resolution: float) -> tuple[int, int]:
+    """Columns and rows (nx, ny) of the pixels of side ``resolution`` covering ``box``.
+
+    Raises ValueError, before any array is made, for a degenerate box and for
+    a raster whose pixel count is not finite or exceeds :data:`MAX_PIXELS`.
+    """
     xmin, ymin, xmax, ymax = (float(b) for b in box)
     if xmax <= xmin or ymax <= ymin or resolution <= 0:
         raise ValueError(f"degenerate box {box!r} at resolution {resolution}")
-    nx = int(np.ceil((xmax - xmin) / resolution - 1e-9))
-    ny = int(np.ceil((ymax - ymin) / resolution - 1e-9))
+    cols = (xmax - xmin) / resolution - 1e-9
+    rows = (ymax - ymin) / resolution - 1e-9
+    if not (math.isfinite(cols) and math.isfinite(rows)):
+        raise ValueError(f"a raster at resolution {resolution} has a non-finite pixel count")
+    nx, ny = math.ceil(cols), math.ceil(rows)
+    if nx * ny > MAX_PIXELS:
+        raise ValueError(f"a raster at resolution {resolution} has {cols:.4g} x {rows:.4g} "
+                         f"pixels, more than the {MAX_PIXELS} an array can index")
+    return nx, ny
+
+
+def _grid_geometry(box, resolution: float):
+    nx, ny = raster_shape(box, resolution)
+    xmin, ymin = float(box[0]), float(box[1])
     ix = np.arange(nx)
     iy = np.arange(ny)
     cx = xmin + (ix + 0.5) * resolution

@@ -56,19 +56,13 @@ class RoadGraph:
     def n_edges(self) -> int:
         return len(self.edge_len)
 
-    def edge_length(self, u: int, v: int) -> float:
-        return self._length_lookup[(u, v)]
-
     def __post_init__(self):
-        u, v, w = self.edge_u.tolist(), self.edge_v.tolist(), self.edge_len.tolist()
-        lookup = dict(zip(zip(u, v), w))
-        lookup.update(zip(zip(v, u), w))
-        object.__setattr__(self, "_length_lookup", lookup)
         for arr in (self.coords, self.edge_u, self.edge_v, self.edge_len):
             arr.flags.writeable = False
 
-    def adjacency_matrix(self) -> csr_matrix:
-        """(N, N) sparse matrix holding each edge length in both directions."""
+    @cached_property
+    def adjacency(self) -> csr_matrix:
+        """(N, N) sparse matrix of each edge length in both directions, built once."""
         n = self.n_nodes
         tail = np.concatenate([self.edge_u, self.edge_v])
         head = np.concatenate([self.edge_v, self.edge_u])
@@ -95,6 +89,10 @@ class DistanceOracle:
     first node after i on a shortest path toward j (next_hop[i, i] == i).
     Among equally short paths the next hop is the smallest-id neighbour v of
     i with w(i, v) + dist[j, v] == dist[j, i].
+
+    A hop (i, v) is then a shortest i-v path, so ``dist[i, v]``, where the
+    simulator reads it, is its edge's length: exactly on a uniform lattice,
+    elsewhere up to the rounding of two i-v paths that tie in length.
     """
 
     dist: np.ndarray
@@ -162,7 +160,7 @@ def _connected_graph(coords: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.nda
     if not math.isfinite(total):  # bounds every path sum, so no distance overflows
         raise ValueError(f"edge lengths add up to a non-finite total {total}")
     graph = RoadGraph(coords=coords, edge_u=u, edge_v=v, edge_len=w)
-    _, labels = connected_components(graph.adjacency_matrix(), directed=False)
+    _, labels = connected_components(graph.adjacency, directed=False)
     unreached = np.flatnonzero(labels != labels[0])
     if unreached.size:
         raise ValueError(f"node {unreached[0]} unreachable from node 0")
@@ -331,7 +329,7 @@ def _build_oracle(graph: RoadGraph) -> DistanceOracle:
     always qualifies and the rule never comes up empty.
     """
     n = graph.n_nodes
-    adj = graph.adjacency_matrix()
+    adj = graph.adjacency
     dist = shortest_path(adj, method="D", directed=True)
     to_target = np.ascontiguousarray(dist.T)  # to_target[v, j] == dist[j, v]
     nxt = np.full((n, n), -1, dtype=np.int32)

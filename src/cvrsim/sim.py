@@ -90,8 +90,10 @@ class Fleet:
     A route is its destination: ``dest[i]`` is the node vehicle i drives to
     (>= 0), :data:`HOLD` while the controller holds it where it stands, or
     :data:`NO_DEST`. The way to a node is the oracle's next-hop walk from
-    the forward node, looked up one hop at a time. A vehicle moves if and
-    only if it has a destination, ``dest[i] >= 0``.
+    the forward node, looked up one hop at a time, and a hop's length is the
+    oracle's ``dist[tail, node]``; see :class:`~cvrsim.roadnet.DistanceOracle`
+    for why that is the edge's length. A vehicle moves if and only if it has
+    a destination, ``dest[i] >= 0``.
     """
 
     def __init__(self, graph: RoadGraph, starts):
@@ -258,6 +260,23 @@ class SimConfig:
         # World.series holds a row per tick, and no list holds more than sys.maxsize
         if self.horizon_s / self.tick_s > sys.maxsize:
             fail("sim.horizon_s", f"must span at most {sys.maxsize} ticks")
+        if self.controller == "cvr_pi":
+            # The largest values rebalance.pi_update meets over the run: a
+            # window's wait sum (at most one pickup per vehicle a tick, over at
+            # most fleet period / tick + 1 ticks, each waiting less than the
+            # horizon), the error |y_ref - y| and the integral of at most
+            # horizon / fleet period errors. The factor 4 covers that + 1, the
+            # sum of the two PI terms and its rounding.
+            n_av, horizon = float(self.n_av), float(self.horizon_s)
+            err = abs(float(self.y_ref)) + math.sqrt(horizon * n_av)
+            integral = err * (horizon / self.fleet_period_s)
+            for name, bound in (
+                    ("sim.horizon_s", horizon * n_av * (self.fleet_period_s / self.tick_s)),
+                    ("controller.y_ref", integral),
+                    ("controller.k_p", abs(float(self.k_p)) * err),
+                    ("controller.k_i", abs(float(self.k_i)) * integral)):
+                if not math.isfinite(4.0 * bound):
+                    fail(name, "lets the PI adapter's terms leave the float range over the run")
         if self.mfd.jam_accumulation <= self.mfd.exp_cutoff:
             fail("sim.mfd.jam_accumulation", "jam accumulation must exceed exp_cutoff")
         try:
@@ -290,8 +309,9 @@ class SimMetrics:
     service_distance_km: float
 
     def to_dict(self) -> dict:
+        """The metrics as JSON values: a NaN or infinite float is None (null)."""
         def jsonable(x):
-            return None if isinstance(x, float) and math.isnan(x) else x
+            return None if isinstance(x, float) and not math.isfinite(x) else x
         return {k: jsonable(v) for k, v in self.__dict__.items()}
 
 
@@ -404,10 +424,7 @@ class World:
 
         self.field = None
         if cfg.controller in ("cvr", "cvr_alpha", "cvr_pi"):
-            try:
-                self.field = self._build_field()
-            except ValueError as exc:  # a mixture that is positive at a node but at no pixel
-                raise ConfigValidationError("demand.origin", str(exc)) from None
+            self.field = self._build_field()
 
         self.tick = 0
         self.pending: list[Request] = []
@@ -455,9 +472,16 @@ class World:
         if ymax - ymin < res:
             ymin, ymax = ymin - res / 2, ymax + res / 2
         box = (xmin, ymin, xmax, ymax)
-        if self.cfg.mixture is not None:
-            return plane.rasterize_mixture(box, res, self.cfg.mixture)
-        return plane.rasterize_node_mass(box, res, self.graph, self.cfg.origin_mass)
+        try:
+            plane.raster_shape(box, res)
+        except ValueError as exc:  # a raster too large to hold, or a box it cannot cut
+            raise ConfigValidationError("sim.resolution_m", str(exc)) from None
+        try:
+            if self.cfg.mixture is not None:
+                return plane.rasterize_mixture(box, res, self.cfg.mixture)
+            return plane.rasterize_node_mass(box, res, self.graph, self.cfg.origin_mass)
+        except ValueError as exc:  # a mixture that is positive at a node but at no pixel
+            raise ConfigValidationError("demand.origin", str(exc)) from None
 
     # -- tick phases ----------------------------------------------------------
 
@@ -634,10 +658,14 @@ class World:
             self._drive(i, budget, t_end)
 
     def _drive(self, i: int, budget: float, t_end: float) -> None:
-        """Move vehicle i edge by edge until the budget runs out or it arrives."""
+        """Move vehicle i edge by edge until the budget runs out or it arrives.
+
+        Each hop and its length come from the oracle: the next hop toward
+        ``dest``, and ``dist[tail, node]``, the length of a hop's edge.
+        """
         f = self.fleet
         dest = int(f.dest[i])
-        next_hop = self.oracle.next_hop
+        next_hop, dist = self.oracle.next_hop, self.oracle.dist
         node, tail = int(f.node[i]), int(f.tail[i])
         offset, length = float(f.offset[i]), float(f.length[i])
         odometer = f.rebalance_m if f.state[i] == _IDLE else f.service_m
@@ -645,7 +673,7 @@ class World:
         while budget > 1e-12 and dest >= 0:
             if tail < 0:
                 tail, node, offset = node, int(next_hop[node, dest]), 0.0
-                length = self.graph.edge_length(tail, node)
+                length = dist.item(tail, node)
             step = min(budget, length - offset)
             offset += step
             budget -= step

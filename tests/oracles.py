@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from cvrsim.demand import CANCELLED, COMPLETED, MATCHED, PENDING, PICKED_UP
-from cvrsim.sim import ASSIGNED, CARRYING, IDLE
+from cvrsim.sim import ASSIGNED, CARRYING, IDLE, TIMESERIES_COLUMNS
 
 
 def adjacency_lists(graph):
@@ -131,6 +131,53 @@ def audit_requests(requests, metrics):
         == metrics["n_requests"]
 
 
+def audit_accounting(requests, series, metrics, dist, tick_s):
+    """The series rows and the request records account for the same vehicle time and distance.
+
+    ``requests`` and ``metrics`` are as :func:`audit_requests` takes them,
+    ``series`` the run's timeseries rows and ``dist`` its oracle's distances.
+    A row counts the vehicles in each state at its clock, after the tick, so
+    the time-average of a count is the summed stays in that state (Little's
+    law), up to how events fall within their tick. Every bound below is one
+    tick per matched request, plus a float slack of 1e-9 s per request:
+
+    - carrying: sum of ``n_carrying`` * tick against the sum of drop-off -
+      pickup, clipped to the last row's clock. A pickup at the match clock
+      is stamped before its tick's row (one tick under), and a trip still
+      carrying at the end counts the last row (one tick over).
+    - assigned: sum of ``n_assigned`` * tick against the sum of pickup -
+      match, clipped likewise; never over, and at most one tick under per
+      match, as the match is stamped at the tick's start and its row falls
+      at the tick's end.
+
+    The last row's ``cum_rebalance_km`` is ``rebalance_distance_km`` exactly,
+    and the completed trips' shortest origin-destination distances add up to
+    at most ``service_distance_km``, which also counts each drive to a
+    pickup, up to a relative float slack of 1e-9.
+    """
+    col = {name: k for k, name in enumerate(TIMESERIES_COLUMNS)}
+    end = series[-1][col["t_s"]]
+    matched = [r for r in requests if r.match_time is not None]
+    picked = [r for r in matched if r.pickup_time is not None]
+    ticks = tick_s * len(matched)
+    slack = 1e-9 * len(requests)
+
+    def clipped(t):
+        return end if t is None else min(t, end)
+
+    carrying = sum(row[col["n_carrying"]] for row in series) * tick_s
+    stays = math.fsum(clipped(r.dropoff_time) - r.pickup_time for r in picked)
+    assert abs(carrying - stays) <= ticks + slack, (carrying, stays, len(matched))
+    assigned = sum(row[col["n_assigned"]] for row in series) * tick_s
+    stays = math.fsum(clipped(r.pickup_time) - r.match_time for r in matched)
+    assert -ticks - slack <= assigned - stays <= slack, (assigned, stays, len(matched))
+
+    assert series[-1][col["cum_rebalance_km"]] == metrics["rebalance_distance_km"]
+    trips = math.fsum(float(dist[r.origin, r.destination])
+                      for r in requests if r.dropoff_time is not None)
+    assert trips <= metrics["service_distance_km"] * 1000.0 * (1 + 1e-9), trips
+
+
 def requests_from_csv(path):
     """The rows of a ``requests.csv`` as records :func:`audit_requests` reads."""
     def clock(text):
@@ -143,23 +190,29 @@ def requests_from_csv(path):
                 for row in csv.DictReader(fh)]
 
 
-def position_lead(graph, pos):
-    """Forward node and distance left to it, of a node id or of (u, v, offset) driving to v."""
+def position_lead(lengths, pos):
+    """Forward node and distance left to it, of a node id or of (u, v, offset) driving to v.
+
+    ``lengths`` is the graph's :func:`loop_length_lookup`.
+    """
     if isinstance(pos, (int, np.integer)):
         return int(pos), 0.0
     u, v, offset = pos
-    return v, graph.edge_length(u, v) - offset
+    return v, lengths[(u, v)] - offset
 
 
-def brute_position_distance(graph, dist, pos, node):
-    """Distance from a node, or from (u, v, offset) driving on to v, as one scalar sum."""
+def brute_position_distance(lengths, dist, pos, node):
+    """Distance from a node, or from (u, v, offset) driving on to v, as one scalar sum.
+
+    ``lengths`` is the graph's :func:`loop_length_lookup`.
+    """
     if isinstance(pos, (int, np.integer)):
         return float(dist[pos, node])
     u, v, offset = pos
-    return float((graph.edge_length(u, v) - offset) + dist[v, node])
+    return float((lengths[(u, v)] - offset) + dist[v, node])
 
 
-def brute_match_tick(pending, idle_vehicles, clock, graph, dist, speed_mps):
+def brute_match_tick(pending, idle_vehicles, clock, lengths, dist, speed_mps):
     """First-come-first-served matching: a scalar scan of the pool for each request.
 
     The first vehicle in pool order with the strictly smallest distance wins
@@ -175,7 +228,7 @@ def brute_match_tick(pending, idle_vehicles, clock, graph, dist, speed_mps):
             continue
         best, best_d = None, math.inf
         for veh in pool:
-            d = brute_position_distance(graph, dist, veh.position, req.origin)
+            d = brute_position_distance(lengths, dist, veh.position, req.origin)
             if d < best_d:
                 best, best_d = veh, d
         estimate = clock + best_d / speed_mps if speed_mps > 0 else math.inf
@@ -295,7 +348,11 @@ def loop_cvr_targets(ids, summary, graph, held=frozenset(), previous=None):
 
 
 def loop_length_lookup(graph) -> dict:
-    """(u, v) -> length of every edge in both directions, filled one edge at a time."""
+    """(u, v) -> length of every edge in both directions, filled one edge at a time.
+
+    The tests' only edge-length map: the library keeps none, and reads a
+    hop's length from the distance oracle.
+    """
     lookup = {}
     for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_len):
         u, v, w = int(u), int(v), float(w)
@@ -365,13 +422,15 @@ class ScalarMovement:
 
     The methods below are ``cvrsim.sim.World``'s movement loop as it was
     before the fleet moved into arrays, copied verbatim but for the idle
-    count of the PI window, which the world now reads from its series rows:
-    the reference that the masked step of ``World._advance`` must match bit
-    for bit.
+    count of the PI window, which the world now reads from its series rows,
+    and for the edge lengths, which it reads from :func:`loop_length_lookup`
+    where the world reads the oracle's distances: the reference that the
+    masked step of ``World._advance`` must match bit for bit.
     """
 
     def __init__(self, graph, oracle, vehicles, tick_s, tick=0, private_remaining=()):
         self.graph = graph
+        self.lengths = loop_length_lookup(graph)
         self.oracle = oracle
         self.vehicles = vehicles
         self.cfg = SimpleNamespace(tick_s=tick_s)
@@ -439,7 +498,7 @@ class ScalarMovement:
                     veh.offset = 0.0
                     veh.node = None
                 u, w = veh.edge
-                length = self.graph.edge_length(u, w)
+                length = self.lengths[(u, w)]
                 step = min(budget, length - veh.offset)
                 veh.offset += step
                 budget -= step

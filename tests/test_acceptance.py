@@ -27,6 +27,7 @@ from cvrsim.scenario import build_config, desk_document
 from cvrsim.sim import mfd_speed, run_scenario
 
 from oracles import (
+    audit_accounting,
     audit_requests,
     brute_graph_centroid,
     brute_min_assignment_cost,
@@ -75,6 +76,14 @@ def desk():
     runs[("cvr_alpha1", 10.0, 1)] = run("cvr_alpha", 1, alpha=1.0)
 
     return {"runs": runs, "ordering_elapsed": ordering_elapsed}
+
+
+def test_every_desk_run_accounts_for_its_vehicle_time_and_distance(desk):
+    cfg = build_config(desk_document("cvr"))
+    dist = all_pairs_shortest(cfg.graph).dist  # every desk run shares this graph
+    for metrics, series, requests in desk["runs"].values():
+        audit_accounting(requests, series, metrics.to_dict(), dist, cfg.tick_s)
+    assert len(desk["runs"]) == 92
 
 
 def mean_metric(desk_runs, ctrl, attr, period=10.0):

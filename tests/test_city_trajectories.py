@@ -14,6 +14,8 @@ import pytest
 from cvrsim.scenario import build_config
 from cvrsim.sim import World
 
+from oracles import audit_accounting, audit_requests
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -40,6 +42,9 @@ def test_city_trajectory_is_pinned(controller, hours):
     requests = world.requests[:world.n_injected]
     assert checks.check_world(world, metrics) == []
     assert checks.digest(metrics, world.series, requests) == CITY_SHA256[controller, hours]
+    audit_requests(requests, metrics.to_dict())
+    audit_accounting(requests, world.series, metrics.to_dict(), world.oracle.dist,
+                     world.cfg.tick_s)
 
 
 @pytest.mark.parametrize("seed", [1, 7])

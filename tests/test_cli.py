@@ -2,7 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -293,6 +296,11 @@ OVERFLOW_ROWS = [
     # more vehicles, or grid nodes, than a numpy array can index
     pytest.param("fleet", "n_av", 10**30, id="fleet-n_av-1e30"),
     pytest.param("graph.grid", "k", 10**30, id="graph.grid-k-1e30"),
+    # a raster of the desk box with more pixels than an array can index, or with
+    # a pixel count beyond the float range; each is rejected before any array
+    ("sim", "resolution_m", 1e-300),
+    ("sim", "resolution_m", 1e-310),
+    ("sim", "resolution_m", 1e-6),
 ])
 def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key, value):
     doc = desk_document()
@@ -499,6 +507,105 @@ def test_sweep_reference_signal_grid(scenario_path, tmp_path, capsys):
     header = rows[0].split(",")
     thetas = [float(r.split(",")[header.index("theta")]) for r in rows[1:]]
     assert all(0.0 <= t <= 2.0 for t in thetas)  # two min-max normalized terms
+
+
+def strict_json(text):
+    """The JSON value of ``text``, refusing NaN and Infinity, which RFC 8259 does not allow."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_an_infinite_metric_is_written_as_null(tmp_path, capsys):
+    # beta 1e308 makes every cancellation's penalty, and so the mean system time, infinite
+    doc = desk_document("do_nothing")
+    doc["sim"].update(horizon_s=3600.0, beta=1e308)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    printed = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+    written = strict_json((tmp_path / "o" / "metrics.json").read_text())
+    assert printed == written
+    assert written["mean_system_time_s"] is None and written["n_cancelled"] > 0
+
+
+def test_sweep_aggregates_an_infinite_metric_as_infinite(tmp_path, capsys, monkeypatch):
+    doc = desk_document("do_nothing")
+    doc["sim"].update(horizon_s=3600.0, beta=1e308)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("AMOD_THREADS", "1")
+    assert main(["sweep", "--scenario", str(path), "--param", "gamma", "--values", "0.5",
+                 "--reps", "2", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    for stat in ["mean"] + [f"p{p}" for p in cli._PERCENTILES]:
+        assert float(row[f"mean_system_time_s_{stat}"]) == math.inf
+    assert math.isfinite(float(row["mean_wait_s_p50"]))
+
+
+@pytest.mark.parametrize("extra, field", [
+    # the integral overflows, and k_i * integral is 0 * inf
+    ({"k_i": 0.0, "y_ref": 1e308}, "controller.y_ref"),
+    # the proportional term overflows, and the two terms meet as inf - inf
+    ({"k_p": 1e308, "k_i": 1e308}, "controller.k_p"),
+], ids=["zero-k_i-huge-y_ref", "huge-gains"])
+def test_pi_settings_whose_terms_overflow_are_rejected(tmp_path, capsys, extra, field):
+    # each passes every check of its own, and once ended the run in a NaN traceback
+    doc = desk_document("cvr_pi", controller_extra=extra)
+    doc["sim"]["horizon_s"] = 3600.0
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (err["field"], err["message"]) == (
+        field, "lets the PI adapter's terms leave the float range over the run")
+
+
+def test_a_fleet_too_large_to_allocate_exits_2_with_one_json_line(tmp_path, capsys):
+    # 10**18 vehicles pass the index bound, but their placement needs 8e18 bytes,
+    # beyond any address space, so the allocation fails at once
+    doc = desk_document("do_nothing")
+    doc["sim"]["horizon_s"] = 60.0
+    doc["fleet"]["n_av"] = 10**18
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "Memory"
+
+
+def test_a_memory_error_is_one_json_line(scenario_path, tmp_path, capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 35.4 GiB")
+
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    assert main(["run", "--scenario", scenario_path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        json.dumps({"error": "Memory", "message": "Unable to allocate 35.4 GiB"})]
+
+
+def run_module(*args):
+    """``python -m cvrsim.cli args`` in a new process, with this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "cvrsim.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_the_module_entry_point_exits_with_main_s_code(scenario_path, tmp_path):
+    out = tmp_path / "out"
+    done = run_module("run", "--scenario", scenario_path, "--out", str(out))
+    assert (done.returncode, done.stderr) == (0, "")
+    for name in ("metrics.json", "timeseries.csv", "requests.csv"):
+        assert (out / name).exists()
+    done = run_module("sweep", "--scenario", scenario_path, "--param", "warp", "--values", "1",
+                      "--out", str(tmp_path))
+    assert (done.returncode, done.stderr) == (2, "")
+    (line,) = done.stdout.splitlines()
+    assert json.loads(line)["field"] == "param"
 
 
 def test_sweep_unknown_parameter_errors(scenario_path, tmp_path, capsys):

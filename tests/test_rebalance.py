@@ -38,6 +38,7 @@ from oracles import (
     brute_min_assignment_cost,
     brute_position_distance,
     loop_cvr_targets,
+    loop_length_lookup,
     loop_select_holds,
     polar_moment,
     position_lead,
@@ -409,6 +410,7 @@ def test_lp_cost_matrix_equals_per_pair_distances(monkeypatch):
     nodes, edges = random_connected_graph(rng, 40, extra_edges=15)
     g = build_graph(nodes, edges)
     oracle = all_pairs_shortest(g)
+    lengths = loop_length_lookup(g)
     seen = []
 
     def spy(cost):
@@ -422,9 +424,9 @@ def test_lp_cost_matrix_equals_per_pair_distances(monkeypatch):
         for u, v, w in edges[:12]:
             positions += [u, (u, v, w * rng.random()), (v, u, w / 3.0)]
         origins = rng.integers(0, 40, size=9).tolist()
-        fwd, lead = zip(*(position_lead(g, p) for p in positions))
+        fwd, lead = zip(*(position_lead(lengths, p) for p in positions))
         lp_rebalance(fwd, lead, origins, oracle, speed)
-        want = np.array([[brute_position_distance(g, oracle.dist, p, o) / speed
+        want = np.array([[brute_position_distance(lengths, oracle.dist, p, o) / speed
                           for o in origins] for p in positions])
         assert np.array_equal(seen[-1], want)
 

@@ -49,7 +49,7 @@ def path_graph(lengths):
 def test_minimal_two_node_graph():
     g = build_graph([(0, 0, 0), (1, 5, 0)], [(0, 1, 5.0)])
     assert g.n_nodes == 2
-    assert g.edge_length(0, 1) == 5.0
+    assert loop_length_lookup(g)[(0, 1)] == 5.0
 
 
 def test_three_node_path_valid():
@@ -135,7 +135,7 @@ def test_whole_floats_and_numpy_numbers_are_accepted():
     g = build_graph([(np.int64(1), np.float32(2.5), 0), (0.0, 0, np.int32(1))],
                     [(np.int16(1), 0.0, np.int64(3))])
     assert g.coords.tolist() == [[0.0, 1.0], [2.5, 0.0]]
-    assert g.edge_length(0, 1) == 3.0
+    assert loop_length_lookup(g)[(0, 1)] == 3.0
 
 
 @pytest.mark.parametrize("nodes, edges, message", [
@@ -198,7 +198,6 @@ def test_grid_graph_equals_the_loop_built_grid(k, spacing_m):
         got, ref = getattr(g, name), getattr(want, name)
         assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
         assert got.tobytes() == ref.tobytes()
-    assert g._length_lookup == loop_length_lookup(want)
 
 
 SPACING = "grid spacing must be positive and finite, got {}"
@@ -275,10 +274,11 @@ def test_next_hop_walk_reproduces_distance():
     nodes, edges = random_connected_graph(rng, 60, extra_edges=40)
     g = build_graph(nodes, edges)
     oracle = all_pairs_shortest(g)
+    lengths = loop_length_lookup(g)
     for a in range(0, 60, 7):
         for b in range(0, 60, 5):
             hops = oracle.path(a, b)
-            walked = sum(g.edge_length(u, v) for u, v in zip(hops, hops[1:]))
+            walked = sum(lengths[(u, v)] for u, v in zip(hops, hops[1:]))
             assert walked == pytest.approx(oracle.dist[a, b], rel=1e-9, abs=1e-9)
     assert np.allclose(oracle.dist, oracle.dist.T)
 
@@ -331,6 +331,7 @@ def connected_graphs(draw):
 @given(connected_graphs())
 def test_next_hop_walks_are_shortest_paths(g):
     oracle = all_pairs_shortest(g)
+    lengths = loop_length_lookup(g)
     n = g.n_nodes
     for a in range(n):
         for b in range(n):
@@ -339,8 +340,56 @@ def test_next_hop_walks_are_shortest_paths(g):
                 walk.append(int(oracle.next_hop[walk[-1], b]))
             assert walk[-1] == b and len(walk) <= n
             assert walk == oracle.path(a, b)
-            walked = sum(g.edge_length(u, v) for u, v in zip(walk, walk[1:]))
+            walked = sum(lengths[(u, v)] for u, v in zip(walk, walk[1:]))
             assert walked == pytest.approx(oracle.dist[a, b], rel=1e-9, abs=0.0)
+
+
+@st.composite
+def hop_graphs(draw):
+    """A graph as the strategies of this file draw them: real lengths from
+    :func:`connected_graphs`, integer or real lengths from
+    :func:`random_connected_graph`, or a lattice at 1, 250 or 9750/29 m."""
+    kind = draw(st.sampled_from(["drawn", "integer", "real", "grid"]))
+    if kind == "drawn":
+        return draw(connected_graphs())
+    if kind == "grid":
+        return grid_graph(draw(st.integers(2, 8)), draw(st.sampled_from([1.0, 250.0, 9750 / 29])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    return build_graph(*random_connected_graph(rng, n, extra_edges=n // 3, max_len=5,
+                                               real_lengths=kind == "real"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hop_graphs())
+def test_the_distance_of_every_hop_is_its_edge_length(g):
+    # World._drive reads a hop's length as dist[u, next_hop[u, j]]
+    oracle = all_pairs_shortest(g)
+    lengths = loop_length_lookup(g)
+    for u, j in itertools.permutations(range(g.n_nodes), 2):
+        v = int(oracle.next_hop[u, j])
+        assert oracle.dist[u, v] == lengths[(u, v)], (u, j, v)
+
+
+def test_a_graph_builds_its_csr_once_and_the_oracle_build_reads_it(monkeypatch, oracle_builds):
+    built, searched = [], []
+    real_csr, real_search = roadnet.csr_matrix, roadnet.shortest_path
+
+    def csr(*args, **kwargs):
+        built.append(real_csr(*args, **kwargs))
+        return built[-1]
+
+    def search(adj, **kwargs):
+        searched.append(adj)
+        return real_search(adj, **kwargs)
+
+    monkeypatch.setattr(roadnet, "csr_matrix", csr)
+    monkeypatch.setattr(roadnet, "shortest_path", search)
+    g = grid_graph(5, 10.0)  # its connectivity check reads the CSR first
+    assert len(built) == 1 and g.adjacency is built[0]
+    all_pairs_shortest(g)
+    assert len(oracle_builds) == 1
+    assert len(built) == 1 and len(searched) == 1 and searched[0] is built[0]
 
 
 # -- the kept oracle ----------------------------------------------------------------
@@ -827,12 +876,13 @@ def test_position_distance_equals_scalar_sum_on_random_graphs():
         nodes, edges = random_connected_graph(rng, n, extra_edges=n // 2)
         g = build_graph(nodes, edges)
         oracle = all_pairs_shortest(g)
+        lengths = loop_length_lookup(g)
         for u, v, w in edges:
             for pos in (u, v, (u, v, w * rng.random()), (v, u, w / 3.0)):
-                fwd, lead = position_lead(g, pos)
+                fwd, lead = position_lead(lengths, pos)
                 for node in range(n):
                     assert position_node_distance(oracle, fwd, lead, node) == \
-                        brute_position_distance(g, oracle.dist, pos, node)
+                        brute_position_distance(lengths, oracle.dist, pos, node)
 
 
 def test_random_graph_rejects_more_chords_than_free_node_pairs():

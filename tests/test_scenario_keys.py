@@ -219,6 +219,18 @@ def test_range_case_names_the_same_field_both_ways(desk_config, path, value, fie
     assert rejection(lambda: World(cfg)) == (field, reason)
 
 
+def test_the_pi_bound_names_the_horizon_when_a_window_of_waits_can_overflow():
+    # 30 vehicles a tick, each waiting up to 1e307 s: a window's wait sum
+    # could reach 3e308, beyond the float range
+    cfg = build_config(desk_document("cvr_pi"))
+    huge = dataclasses.replace(cfg, tick_s=1e300, control_period_s=1e300, fleet_period_s=1e300,
+                               horizon_s=1e307)
+    assert rejection(huge.validate) == (
+        "sim.horizon_s", "lets the PI adapter's terms leave the float range over the run")
+    dataclasses.replace(huge, controller="cvr").validate()  # only cvr_pi runs the adapter
+    dataclasses.replace(huge, n_av=1).validate()
+
+
 @pytest.mark.parametrize("path, value, field, reason", TYPE_CASES, ids=map(case_id, TYPE_CASES))
 def test_type_case_names_its_field(path, value, field, reason):
     assert rejection(lambda: build_config(document_with(path, value))) == (field, reason)

@@ -33,6 +33,7 @@ from oracles import (
     ScalarVehicle,
     audit_requests,
     brute_match_tick,
+    loop_length_lookup,
     position_lead,
     random_connected_graph,
 )
@@ -131,7 +132,8 @@ class StubVehicle:
 
 def pool(graph, vehicles):
     """The idle pool match_tick takes: each vehicle's id, forward node and lead."""
-    leads = [position_lead(graph, v.position) for v in vehicles]
+    lengths = loop_length_lookup(graph)
+    leads = [position_lead(lengths, v.position) for v in vehicles]
     return IdlePool(np.array([v.id for v in vehicles], dtype=np.int64),
                     np.array([fwd for fwd, _ in leads], dtype=np.int64),
                     np.array([lead for _, lead in leads], dtype=np.float64))
@@ -217,7 +219,8 @@ def test_match_tick_equals_scalar_scan(case):
     graph, vehicles, requests, clock, speed = case
     oracle = all_pairs_shortest(graph)
     got = match_tick(requests, pool(graph, vehicles), clock, oracle, speed)
-    want = brute_match_tick(requests, vehicles, clock, graph, oracle.dist, speed)
+    want = brute_match_tick(requests, vehicles, clock, loop_length_lookup(graph), oracle.dist,
+                            speed)
     assert [(r.id, vid) for r, vid in got[0]] == [(r.id, v.id) for r, v in want[0]]
     assert [r.id for r in got[1]] == [r.id for r in want[1]]
 
@@ -805,7 +808,7 @@ def test_masked_movement_equals_scalar_loop(case):
         if edge is None:
             f.node[i] = node
         else:
-            (f.tail[i], f.node[i]), f.length[i] = edge, graph.edge_length(*edge)
+            (f.tail[i], f.node[i]), f.length[i] = edge, reference.lengths[edge]
         f.offset[i], f.state[i] = offset, STATES.index(state)
         f.requests[i] = request
         if route or held:  # the reference's route, as the world plans it, or a hold
@@ -837,6 +840,7 @@ class RouteAuditWorld(World):
 
     def __init__(self, cfg):
         self.audit = []
+        self.lengths = loop_length_lookup(cfg.graph)
         super().__init__(cfg)
 
     def _apply_match(self, req, i, clock):
@@ -854,8 +858,8 @@ class RouteAuditWorld(World):
         if tail < 0:
             nodes.insert(0, node)
         else:  # the route starts at the forward endpoint of the current edge
-            length = self.graph.edge_length(tail, node) - float(f.offset[i])
-        length += sum(self.graph.edge_length(a, b) for a, b in zip(nodes, nodes[1:]))
+            length = self.lengths[(tail, node)] - float(f.offset[i])
+        length += sum(self.lengths[(a, b)] for a, b in zip(nodes, nodes[1:]))
         self.audit.append((tail >= 0, estimate, length))
 
 
