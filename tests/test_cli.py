@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvrsim import cli
+from cvrsim import cli, rebalance
 from cvrsim.cli import main
 from cvrsim.errors import ConfigValidationError
 from cvrsim.roadnet import graph_from_json, graph_to_json, grid_graph
@@ -868,7 +868,8 @@ def test_inspect_desk_snapshot_is_pinned(tmp_path, capsys):
 
 
 # sha256 of every `cvrsim run` artifact of the desk scenario, keyed by run
-# label: each controller once. A refactor keeps these bytes, or says why they
+# label: each controller once, and cvr_pi again at a seed where the PI adapter
+# holds the whole idle fleet. A refactor keeps these bytes, or says why they
 # changed.
 DESK_RUN_SHA256 = {
     "cvr": {
@@ -891,6 +892,11 @@ DESK_RUN_SHA256 = {
         "requests.csv": "4bdb7ef20df17dbcdbb7c9ea08ae1c3f12a07c66c55105989f16c9520e1fccc4",
         "timeseries.csv": "863b424a4cbedb4079395ee25f41d40f9a5cc2f274a0edef7f9ab530afd700f7",
     },
+    "cvr_pi_hold_all": {
+        "metrics.json": "801abea5bcf4a4ac0c4f907485ed4c90e3e5b66f3c417523041f6da99e89790a",
+        "requests.csv": "b4541798af44974309bddd0971015fe5ae68df2b10584bfab4f706bb1b9d6454",
+        "timeseries.csv": "7b56959a0302999beb44ea73dc525c56f1882cc0832e83d75fac49df744fe901",
+    },
     "do_nothing": {
         "metrics.json": "8f922e02558eb22194694eba9228a7713e45e338ad8f157738618e918a83d74a",
         "requests.csv": "42235271913bf054b7e0918c0cce50a11a1edb9678cd08834f34e5e9022683a1",
@@ -906,20 +912,36 @@ DESK_RUN_SHA256 = {
 DESK_RUN_EXTRA = {
     "cvr_alpha": {"alpha": 0.3},
     "cvr_pi": DESK_PI,
+    "cvr_pi_hold_all": {"name": "cvr_pi", **DESK_PI},
 }
+# The --seed of each pinned run that does not run at the scenario's own seed.
+DESK_RUN_SEED = {"cvr_pi_hold_all": 15}  # 2 of its 35 PI updates hold all
 
 
 @pytest.mark.parametrize("label", sorted(DESK_RUN_SHA256))
-def test_desk_run_artifacts_are_pinned(tmp_path, capsys, label):
+def test_desk_run_artifacts_are_pinned(tmp_path, capsys, monkeypatch, label):
     doc = json.loads(DESK_SCENARIO.read_text())
     doc["controller"].update({"name": label, **DESK_RUN_EXTRA.get(label, {})})
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    holds_all = []
+
+    def spy(state, mean_wait_s, mean_idle, n_av, n_idle_now):
+        # the adapter's hold-all rule, y <= y_hold, read from its own inputs
+        y = math.sqrt(max(mean_wait_s, 0.0) * max(n_av - mean_idle, 0.0))
+        holds_all.append(y <= state.y_hold)
+        return real(state, mean_wait_s, mean_idle, n_av, n_idle_now)
+
+    real = rebalance.pi_update
+    monkeypatch.setattr(rebalance, "pi_update", spy)
+    seed = ["--seed", str(DESK_RUN_SEED[label])] if label in DESK_RUN_SEED else []
+    assert main(["run", "--scenario", str(path), "--out", str(out)] + seed) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in DESK_RUN_SHA256[label]}
     assert digests == DESK_RUN_SHA256[label]
+    if label == "cvr_pi_hold_all":  # the pin reaches the adapter's hold-all branch
+        assert any(holds_all)
 
 
 def test_desk_scenario_file_is_the_desk_document():
