@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -60,19 +61,18 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_worker(task):
-    doc, base_dir, param, value, seed = task
-    modified = scenario_mod.set_sweep_value(doc, param, value)
-    cfg = scenario_mod.build_config(modified, base_dir=base_dir, seed_override=seed)
-    metrics, _, _ = run_scenario(cfg)
-    return metrics
+def _sweep_worker(cfg):
+    return run_scenario(cfg)[0]
 
 
-def _aggregate(values, results_by_value):
-    """Per-value mean and percentile rows plus the normalized tuning score."""
+def _aggregate(values, results, reps):
+    """Per-value mean and percentile rows plus the normalized tuning score.
+
+    ``results`` holds each value's ``reps`` runs in turn, in the order of ``values``.
+    """
     rows = []
-    for value in values:
-        runs = results_by_value[value]
+    for i, value in enumerate(values):
+        runs = results[i * reps:(i + 1) * reps]
         row = {"value": value, "runs": len(runs)}
         for metric in ("completion_rate_pct", "mean_wait_s", "mean_system_time_s",
                        "rebalance_distance_km"):
@@ -127,17 +127,16 @@ def cmd_sweep(args) -> int:
             raise ConfigValidationError("values", f"{value!r} is given twice in {args.values!r}")
     if args.reps < 1:
         raise ConfigValidationError("reps", "need at least one repetition")
-    base_seed = args.seed
-    if base_seed is None:
-        base_seed = scenario_mod.build_config(doc, base_dir=base_dir).seed
-    for value in values:  # fail before any run on a bad name or value
-        scenario_mod.build_config(scenario_mod.set_sweep_value(doc, args.param, value),
-                                  base_dir=base_dir, seed_override=base_seed)
+    # Each value's config is built, and so checked, before any run. The seed is
+    # not sweepable, so every config has the document's sim.seed or --seed.
+    configs = [scenario_mod.build_config(scenario_mod.set_sweep_value(doc, args.param, value),
+                                         base_dir=base_dir, seed_override=args.seed)
+               for value in values]
     out_dir = args.out or doc.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)  # an unusable --out fails before any run too
 
-    tasks = [(doc, base_dir, args.param, value, base_seed + rep)
-             for value in values for rep in range(args.reps)]
+    tasks = [dataclasses.replace(cfg, seed=cfg.seed + rep)
+             for cfg in configs for rep in range(args.reps)]
     if workers > 1 and len(tasks) > 1:
         # spawn, not fork: numpy's threads are already running in this process
         with ProcessPoolExecutor(max_workers=workers,
@@ -145,11 +144,7 @@ def cmd_sweep(args) -> int:
             flat = list(pool.map(_sweep_worker, tasks))
     else:
         flat = [_sweep_worker(t) for t in tasks]
-
-    results_by_value = {value: [] for value in values}
-    for task, result in zip(tasks, flat):
-        results_by_value[task[3]].append(result)
-    rows = _aggregate(values, results_by_value)
+    rows = _aggregate(values, flat, args.reps)
 
     out_path = os.path.join(out_dir, "sweep.csv")
     columns = ["param"] + list(rows[0].keys())

@@ -47,7 +47,7 @@ class RebalanceDecision:
 
 @dataclass(frozen=True)
 class PIState:
-    """Persistent state of the PI fleet-size adapter."""
+    """Persistent state of the PI fleet-size adapter, with the hold count its last update set."""
 
     k_p: float = 0.2
     k_i: float = 0.4
@@ -55,35 +55,28 @@ class PIState:
     y_hold: float = 90.0
     integral: float = 0.0
     u_not: float = 0.0
-
-
-@dataclass(frozen=True)
-class PIUpdate:
-    state: PIState
-    hold_count: int
-    hold_all: bool
-    y: float
+    hold_count: int = 0
 
 
 def pi_update(state: PIState, mean_wait_s: float, mean_idle: float,
-              n_av: int, n_idle_now: int) -> PIUpdate:
-    """One fleet-size adaptation step.
+              n_av: int, n_idle_now: int) -> PIState:
+    """One fleet-size adaptation step; returns the adapter's next state.
 
     The service signal is y = sqrt(mean_wait * (n_av - mean_idle)). Below the
-    hold-all threshold the whole idle fleet holds and the PI state is left
-    untouched; otherwise the PI law tracks y_ref and the integer hold count
-    is floor(u_not) after clamping u_not to [0, n_idle_now].
+    hold-all threshold the hold count is the whole fleet, so the whole idle
+    pool holds until the next update, and the PI terms are left untouched;
+    otherwise the PI law tracks y_ref and the hold count is floor(u_not)
+    after clamping u_not to [0, n_idle_now].
     """
     busy = max(n_av - mean_idle, 0.0)
     y = math.sqrt(max(mean_wait_s, 0.0) * busy)
     if y <= state.y_hold:
-        return PIUpdate(state=state, hold_count=n_idle_now, hold_all=True, y=y)
+        return replace(state, hold_count=n_av)
     err = state.y_ref - y
     integral = state.integral + err
     delta_u = state.k_p * err + state.k_i * integral
     u_not = min(max(state.u_not + delta_u, 0.0), float(n_idle_now))
-    new_state = replace(state, integral=integral, u_not=u_not)
-    return PIUpdate(state=new_state, hold_count=int(math.floor(u_not)), hold_all=False, y=y)
+    return replace(state, integral=integral, u_not=u_not, hold_count=int(math.floor(u_not)))
 
 
 def _hold_ratio(j_limited, j_full) -> np.ndarray:

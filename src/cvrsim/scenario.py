@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from . import demand
-from .errors import ConfigValidationError
+from .errors import ConfigValidationError, reported_on
 from .plane import mixture_density
 from .roadnet import MAX_GRID_K, RoadGraph, _real, _whole, graph_from_json, grid_graph, load_json
 from .sim import DEFAULT_MFD, MFD_KEYS, SCENARIO_KEYS, MFDParams, SimConfig
@@ -62,10 +62,8 @@ def _require(section: dict, key: str, where: str):
 
 def _read(reader, value, field: str):
     """``reader(value)``, its rejection reported as a ConfigValidationError on ``field``."""
-    try:
+    with reported_on(field):
         return reader(value)
-    except ValueError as exc:
-        raise ConfigValidationError(field, str(exc)) from None
 
 
 def _text(value, field: str) -> str:
@@ -165,10 +163,8 @@ def _demand_source(source, graph: RoadGraph, where: str) -> tuple[np.ndarray, li
             raise ConfigValidationError(where, "mixture density vanishes on every node")
         return density / total, components
     counts = _numbers(source["node_counts"], (graph.n_nodes,), where)
-    try:
+    with reported_on(where):
         return demand.mass_from_counts(counts), None
-    except ValueError as exc:
-        raise ConfigValidationError(where, str(exc)) from None
 
 
 def checked_grid_graph(k: int, spacing_m: float, k_field: str, spacing_field: str) -> RoadGraph:
@@ -179,10 +175,8 @@ def checked_grid_graph(k: int, spacing_m: float, k_field: str, spacing_field: st
     """
     if not 2 <= k <= MAX_GRID_K:
         raise ConfigValidationError(k_field, f"grid needs 2 <= k <= {MAX_GRID_K}, got {k}")
-    try:
+    with reported_on(spacing_field):
         return grid_graph(k, spacing_m)
-    except ValueError as exc:
-        raise ConfigValidationError(spacing_field, str(exc)) from None
 
 
 def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = None) -> SimConfig:
@@ -221,11 +215,9 @@ def build_config(doc: dict, base_dir: str = ".", seed_override: int | None = Non
         dest_mass, _ = _demand_source(demand_sec["destination"], graph, "demand.destination")
     if "gamma" in demand_sec:
         gamma = _read(_real, demand_sec["gamma"], "demand.gamma")
-        try:
+        with reported_on("demand.gamma"):
             dest_mass = demand.synthesize_destination(
                 dest_mass, demand.complement_mass(origin_mass), gamma)
-        except ValueError as exc:
-            raise ConfigValidationError("demand.gamma", str(exc)) from None
     raw_profile = _require(demand_sec, "profile", "demand")
     if not (isinstance(raw_profile, list)
             and all(isinstance(pair, list) and len(pair) == 2 for pair in raw_profile)):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import demand, plane, rebalance
 from .demand import CANCELLED, COMPLETED, MATCHED, PENDING, PICKED_UP, Request
-from .errors import ConfigValidationError
+from .errors import ConfigValidationError, reported_on
 from .roadnet import (
     DistanceOracle,
     RoadGraph,
@@ -279,17 +279,13 @@ class SimConfig:
                     fail(name, "lets the PI adapter's terms leave the float range over the run")
         if self.mfd.jam_accumulation <= self.mfd.exp_cutoff:
             fail("sim.mfd.jam_accumulation", "jam accumulation must exceed exp_cutoff")
-        try:
+        with reported_on("demand.profile"):
             demand.check_profile(self.profile)
-        except ValueError as exc:
-            fail("demand.profile", str(exc))
         n = self.graph.n_nodes
         for name, mass in (("demand.origin", self.origin_mass),
                            ("demand.destination", self.destination_mass)):
-            try:
+            with reported_on(name):
                 demand.check_node_mass(mass)
-            except ValueError as exc:
-                fail(name, str(exc))
             if len(mass) != n:
                 fail(name, f"mass length {len(mass)} != {n} nodes")
 
@@ -431,10 +427,8 @@ class World:
         self.n_injected = 0
         self.private_remaining: list[float] = []
         self.cum_cancelled = 0
-        # The PI adapter's last update; none has run yet, so nobody holds.
-        self.pi = rebalance.PIUpdate(
-            state=rebalance.PIState(k_p=cfg.k_p, k_i=cfg.k_i, y_ref=cfg.y_ref, y_hold=cfg.y_hold),
-            hold_count=0, hold_all=False, y=math.nan)
+        # The PI adapter's state; no update has run yet, so nobody holds.
+        self.pi = rebalance.PIState(k_p=cfg.k_p, k_i=cfg.k_i, y_ref=cfg.y_ref, y_hold=cfg.y_hold)
         self._window_waits: list[float] = []
         self.series: list[tuple] = []
         self._record_series()
@@ -472,16 +466,12 @@ class World:
         if ymax - ymin < res:
             ymin, ymax = ymin - res / 2, ymax + res / 2
         box = (xmin, ymin, xmax, ymax)
-        try:
+        with reported_on("sim.resolution_m"):  # a raster too large to hold, or a box it cannot cut
             plane.raster_shape(box, res)
-        except ValueError as exc:  # a raster too large to hold, or a box it cannot cut
-            raise ConfigValidationError("sim.resolution_m", str(exc)) from None
-        try:
+        with reported_on("demand.origin"):  # a mixture that is positive at a node but at no pixel
             if self.cfg.mixture is not None:
                 return plane.rasterize_mixture(box, res, self.cfg.mixture)
             return plane.rasterize_node_mass(box, res, self.graph, self.cfg.origin_mass)
-        except ValueError as exc:  # a mixture that is positive at a node but at no pixel
-            raise ConfigValidationError("demand.origin", str(exc)) from None
 
     # -- tick phases ----------------------------------------------------------
 
@@ -575,7 +565,7 @@ class World:
             if name == "cvr_alpha":
                 hold_n = int(math.floor(len(ids) * cfg.alpha))
             elif name == "cvr_pi":
-                hold_n = len(ids) if self.pi.hold_all else min(self.pi.hold_count, len(ids))
+                hold_n = self.pi.hold_count
             if hold_n > 0:
                 held = rebalance.select_holds(hold_n, rebalance.hold_scores(summary))
             # Where each vehicle heads now: its destination, else the node it
@@ -590,7 +580,7 @@ class World:
         mean_wait = (sum(self._window_waits) / len(self._window_waits)
                      if self._window_waits else 0.0)
         mean_idle = sum(row[1] + row[2] for row in window) / max(len(window), 1)
-        self.pi = rebalance.pi_update(self.pi.state, mean_wait, mean_idle,
+        self.pi = rebalance.pi_update(self.pi, mean_wait, mean_idle,
                                       self.cfg.n_av, len(self._idle_ids()))
         self._window_waits = []
         self._window_start = len(self.series)

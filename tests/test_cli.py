@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvrsim import cli, rebalance
+from cvrsim import scenario as scenario_mod
 from cvrsim.cli import main
 from cvrsim.errors import ConfigValidationError
 from cvrsim.roadnet import graph_from_json, graph_to_json, grid_graph
@@ -716,6 +717,40 @@ def test_sweep_checks_every_value_before_any_run(scenario_path, tmp_path, capsys
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "ConfigValidation" and err["field"] == "fleet.n_av"
     assert runs == []
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["document seed", "--seed"])
+def test_sweep_never_reads_the_swept_key_s_own_value(tmp_path, capsys, monkeypatch, seed):
+    # the document's fleet.n_av is invalid, but every run sets it; with or
+    # without --seed the sweep checks exactly the configs it runs
+    runs = counted_runs(monkeypatch)
+    doc = mini_scenario_doc(horizon_s=60.0)
+    doc["fleet"]["n_av"] = -1
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--scenario", str(path), "--param", "n_av", "--values", "3,4",
+                 "--reps", "1", "--out", str(tmp_path)] + seed) == 0
+    assert [(cfg.n_av, cfg.seed) for cfg in runs] == [(3, 3), (4, 3)]
+
+
+def test_sweep_reads_a_graph_file_once_per_value(tmp_path, capsys, monkeypatch):
+    counted_runs(monkeypatch)
+    reads = []
+    real = scenario_mod.graph_from_json
+
+    def counting(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(scenario_mod, "graph_from_json", counting)
+    (tmp_path / "net.json").write_text(json.dumps(graph_to_json(grid_graph(5, 200.0))))
+    doc = mini_scenario_doc(horizon_s=60.0)
+    doc["graph"] = {"path": "net.json"}
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--scenario", str(path), "--param", "n_av", "--values", "3,4",
+                 "--reps", "3", "--out", str(tmp_path)]) == 0
+    assert len(reads) == 2
 
 
 def test_in_process_sweep_builds_one_oracle(scenario_path, tmp_path, capsys, monkeypatch,

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -348,36 +349,33 @@ def test_pi_no_error_no_motion():
     state = PIState(y_ref=60.0, y_hold=30.0, integral=0.0, u_not=5.0)
     # y == y_ref: wait 36 s, 100 busy -> y = 60
     update = pi_update(state, 36.0, 50.0, 150, 40)
-    assert update.state.u_not == pytest.approx(5.0)
+    assert update.u_not == pytest.approx(5.0)
     assert update.hold_count == 5
-    assert not update.hold_all
 
 
 def test_pi_reference_tracking_is_stationary_at_default_gains():
     state = PIState()  # stock gains, y_ref=60, y_hold=90
     update = pi_update(state, 90.0, 110.0, 150, 30)  # y = sqrt(90*40) = 60 <= y_hold
-    assert update.hold_all and update.hold_count == 30
-    assert update.state == state  # untouched below the hold threshold
+    assert update.hold_count == 150  # the whole fleet: every idle vehicle holds
+    assert update == replace(state, hold_count=150)  # PI terms untouched below the threshold
 
 
 def test_pi_hold_all_boundary():
     state = PIState()  # y_hold = 90
-    update = pi_update(state, 100.0, 69.0, 150, 12)  # y = sqrt(100*81) = 90
-    assert update.y == pytest.approx(90.0)
-    assert update.hold_all
-    assert update.hold_count == 12
-    assert update.state == state
+    update = pi_update(state, 100.0, 69.0, 150, 12)  # y = sqrt(100*81) = 90 = y_hold
+    assert update == replace(state, hold_count=150)  # y = y_hold still holds all
+    # just above the threshold the PI law runs: y = sqrt(100.0001*81) > 90
+    assert pi_update(state, 100.0001, 69.0, 150, 12).hold_count != 150
 
 
 def test_pi_active_branch_updates_and_clamps():
     state = PIState(y_ref=60.0, y_hold=10.0, k_p=0.2, k_i=0.4)
     update = pi_update(state, 400.0, 50.0, 150, 20)  # y = 200, err = -140
-    assert not update.hold_all
-    assert update.state.integral == pytest.approx(-140.0)
-    assert update.state.u_not == 0.0  # clamped from below
+    assert update.integral == pytest.approx(-140.0)
+    assert update.u_not == 0.0  # clamped from below
     assert update.hold_count == 0
     update2 = pi_update(PIState(y_ref=300.0, y_hold=10.0), 400.0, 50.0, 150, 20)
-    assert update2.state.u_not == 20.0  # clamped from above
+    assert update2.u_not == 20.0  # clamped from above
     assert update2.hold_count == 20
 
 
@@ -385,8 +383,7 @@ def test_pi_u_not_monotone_when_under_reference():
     state = PIState(y_ref=60.0, y_hold=10.0)
     prev = state.u_not
     for _ in range(6):
-        update = pi_update(state, 25.0, 100.0, 150, 1000)  # y ~ 35.4 < y_ref
-        state = update.state
+        state = pi_update(state, 25.0, 100.0, 150, 1000)  # y ~ 35.4 < y_ref
         assert state.u_not >= prev
         prev = state.u_not
 

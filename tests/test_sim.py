@@ -579,6 +579,20 @@ def test_config_validation_errors():
         ("demand.destination", "mass length 24 != 25 nodes")
 
 
+@pytest.mark.parametrize("change, field, reason", [
+    ({"profile": [(-1.0, 80.0)]}, "demand.profile",
+     "entry 0: duration must be positive and finite, got -1.0"),
+    ({"origin_mass": np.full(25, 0.5)}, "demand.origin", "mass sums to 12.5, expected 1"),
+    ({"destination_mass": np.full(25, -0.04)}, "demand.destination", "mass has negative entries"),
+], ids=["profile", "origin", "destination"])
+def test_a_library_rejection_in_validate_is_reported_without_its_context(change, field, reason):
+    with pytest.raises(ConfigValidationError) as err:
+        dataclasses.replace(mini_config(), **change).validate()
+    assert (err.value.field, err.value.reason) == (field, reason)
+    # like every other field report of a library ValueError: no "During handling" chain
+    assert err.value.__suppress_context__ and err.value.__cause__ is None
+
+
 @pytest.mark.parametrize("name, field", [("origin_mass", "demand.origin"),
                                          ("destination_mass", "demand.destination")])
 def test_a_mass_summing_to_one_plus_1e_7_is_rejected_naming_its_field(name, field):
