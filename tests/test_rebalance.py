@@ -364,8 +364,6 @@ def test_pi_hold_all_boundary():
     state = PIState()  # y_hold = 90
     update = pi_update(state, 100.0, 69.0, 150, 12)  # y = sqrt(100*81) = 90 = y_hold
     assert update == replace(state, hold_count=150)  # y = y_hold still holds all
-    # just above the threshold the PI law runs: y = sqrt(100.0001*81) > 90
-    assert pi_update(state, 100.0001, 69.0, 150, 12).hold_count != 150
 
 
 def test_pi_active_branch_updates_and_clamps():
@@ -379,6 +377,21 @@ def test_pi_active_branch_updates_and_clamps():
     assert update2.hold_count == 20
 
 
+def test_pi_step_at_the_stock_gains():
+    # y = sqrt(100 * 100) = 100 > y_hold = 90, so err = 60 - 100 = -40 = the integral
+    update = pi_update(PIState(u_not=100.0), 100.0, 50.0, 150, 120)
+    # u_not = 100 + 0.2 * -40 + 0.4 * -40
+    assert (update.integral, update.u_not, update.hold_count) == (-40.0, 76.0, 76)
+
+
+def test_pi_signal_vanishes_without_waits_or_without_busy_vehicles():
+    # y = sqrt(mean_wait * busy) is 0 when nobody waited or every vehicle idled,
+    # so even a threshold of 0.5 holds all
+    state = PIState(y_hold=0.5)
+    assert pi_update(state, 0.0, 50.0, 150, 40) == replace(state, hold_count=150)
+    assert pi_update(state, 400.0, 150.0, 150, 40) == replace(state, hold_count=150)
+
+
 def test_pi_u_not_monotone_when_under_reference():
     state = PIState(y_ref=60.0, y_hold=10.0)
     prev = state.u_not
@@ -389,6 +402,13 @@ def test_pi_u_not_monotone_when_under_reference():
 
 
 # -- lp_rebalance ------------------------------------------------------------------------------
+
+@pytest.mark.parametrize("speed", [0.0, -1.0])
+def test_lp_rejects_a_speed_that_is_not_positive(grid, speed):
+    _, oracle = grid
+    with pytest.raises(ValueError, match="speed must be positive"):
+        lp_rebalance([0], [0.0], [1], oracle, speed)
+
 
 def test_lp_one_vehicle_two_requests(grid):
     _, oracle = grid
