@@ -132,6 +132,11 @@ def cmd_sweep(args) -> int:
     configs = [scenario_mod.build_config(scenario_mod.set_sweep_value(doc, args.param, value),
                                          base_dir=base_dir, seed_override=args.seed)
                for value in values]
+    reader = scenario_mod.SWEEP_READER.get(args.param)
+    if reader is not None and configs[0].controller != reader:  # every row would be the same
+        raise ConfigValidationError(
+            "param", f"controller {configs[0].controller!r} never reads {args.param!r}; "
+                     f"only {reader!r} does")
     out_dir = args.out or doc.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)  # an unusable --out fails before any run too
 

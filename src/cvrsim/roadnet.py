@@ -428,9 +428,10 @@ def graph_centroids(oracle: DistanceOracle, members, bounds, mass) -> np.ndarray
     gives -1. Each cost is summed left to right over the members in the order
     given, so it does not depend on the BLAS build.
 
-    All cells share one pass: rank r of the (max cell size, members) index
-    matrix pairs each candidate with the r-th member of its cell, or with
-    itself past the cell's end, where d = 0 adds exactly +0.0.
+    All cells share one pass over the sum of squared cell sizes (candidate,
+    partner) pairs, laid out candidate by candidate with each candidate's
+    partners in cell order; one ``bincount`` adds each candidate's terms in
+    that order.
     """
     members = np.asarray(members, dtype=np.int64)
     bounds = np.asarray(bounds, dtype=np.int64)
@@ -440,13 +441,15 @@ def graph_centroids(oracle: DistanceOracle, members, bounds, mass) -> np.ndarray
     if members.size == 0:
         return out
     cell = np.repeat(np.arange(len(sizes)), sizes)
-    rank = np.arange(sizes.max())[:, None]
-    partner = members[np.where(rank < sizes[cell], bounds[cell] + rank, np.arange(members.size))]
-    d = oracle.dist.take(members * oracle.dist.shape[1] + partner)
-    w = d * d * mass[partner]
-    cost = w[0].copy()
-    for row in w[1:]:
-        cost += row
+    span = sizes[cell]  # each candidate's partner count
+    candidate = np.repeat(np.arange(members.size), span)
+    # a candidate's k-th pair takes the k-th member of its cell as the partner
+    shift = np.repeat(bounds[cell] - (np.cumsum(span) - span), span)
+    partner = members[shift + np.arange(candidate.size)]
+    w = oracle.dist.take(np.repeat(members * oracle.dist.shape[1], span) + partner)
+    w *= w
+    w *= mass[partner]  # (d * d) * mass
+    cost = np.bincount(candidate, weights=w, minlength=members.size)
     full = sizes > 0
     starts = bounds[:-1][full]
     best = np.repeat(np.minimum.reduceat(cost, starts), sizes[full])

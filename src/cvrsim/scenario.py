@@ -106,6 +106,8 @@ _REQUIRED = {f.name for f in dataclasses.fields(SimConfig) if f.default is datac
 
 SWEEPABLE = {"gamma": ("demand", "gamma")} | {
     field: _PATHS[field] for field in ("n_av", "control_period_s", "alpha", "y_ref", "k_p", "k_i")}
+# The one controller that reads each sweepable key; every controller reads the others.
+SWEEP_READER = {"alpha": "cvr_alpha", "y_ref": "cvr_pi", "k_p": "cvr_pi", "k_i": "cvr_pi"}
 
 
 def load_scenario(path: str) -> dict:

@@ -348,23 +348,24 @@ def match_tick(pending, pool: IdlePool, clock: float, oracle: DistanceOracle, sp
     respects the pickup tolerance, and leaves the pool immediately. Nothing
     is mutated; returns (matches, cancellations) as
     ([(request, vehicle id)], [request]).
+
+    One call to :func:`position_node_distance` gives the (pending, pool)
+    block of distances, and a matched vehicle's column is set to infinity.
     """
-    fwd, lead = pool.fwd, pool.lead
-    taken = np.zeros(len(pool), dtype=bool)
+    origins = np.array([req.origin for req in pending], dtype=np.int64)
+    block = position_node_distance(oracle, pool.fwd, pool.lead, origins[:, None])
     matches = []
     cancellations = []
-    for req in pending:
+    for req, d in zip(pending, block):
         if clock >= req.t0 + req.t_mtol - 1e-9:
             cancellations.append(req)
             continue
         if len(matches) == len(pool):
             continue
-        d = position_node_distance(oracle, fwd, lead, req.origin)
-        d[taken] = math.inf
-        best = int(np.argmin(d))  # first occurrence: the earliest vehicle in pool order
+        best = d.argmin()  # first occurrence: the earliest vehicle in pool order
         if estimate_pickup(d[best], clock, speed_mps) - req.t0 <= req.t_ptol + 1e-9:
-            matches.append((req, int(pool.ids[best])))
-            taken[best] = True
+            matches.append((req, pool.ids.item(best)))
+            block[:, best] = math.inf  # taken: no later request sees it
     return matches, cancellations
 
 
@@ -394,6 +395,11 @@ def metrics_finalize(requests, beta: float,
         rebalance_distance_km=rebalance_km,
         service_distance_km=service_km,
     )
+
+
+def _total(values: np.ndarray) -> float:
+    """Sum of ``values`` added left to right, as Python 3.10 and 3.11's ``sum`` adds floats."""
+    return np.add.accumulate(values)[-1].item() if values.size else 0.0
 
 
 class World:
@@ -519,8 +525,8 @@ class World:
         injected = self.requests[:self.n_injected]
         return metrics_finalize(
             injected, self.cfg.beta,
-            rebalance_km=sum(self.fleet.rebalance_m.tolist()) / 1000.0,
-            service_km=sum(self.fleet.service_m.tolist()) / 1000.0,
+            rebalance_km=_total(self.fleet.rebalance_m) / 1000.0,
+            service_km=_total(self.fleet.service_m) / 1000.0,
         )
 
     # -- matching and cancellation -------------------------------------------
@@ -654,15 +660,15 @@ class World:
         ``dest``, and ``dist[tail, node]``, the length of a hop's edge.
         """
         f = self.fleet
-        dest = int(f.dest[i])
+        dest = f.dest.item(i)
         next_hop, dist = self.oracle.next_hop, self.oracle.dist
-        node, tail = int(f.node[i]), int(f.tail[i])
-        offset, length = float(f.offset[i]), float(f.length[i])
-        odometer = f.rebalance_m if f.state[i] == _IDLE else f.service_m
-        driven = float(odometer[i])
+        node, tail = f.node.item(i), f.tail.item(i)
+        offset, length = f.offset.item(i), f.length.item(i)
+        odometer = f.rebalance_m if f.state.item(i) == _IDLE else f.service_m
+        driven = odometer.item(i)
         while budget > 1e-12 and dest >= 0:
             if tail < 0:
-                tail, node, offset = node, int(next_hop[node, dest]), 0.0
+                tail, node, offset = node, next_hop.item(node, dest), 0.0
                 length = dist.item(tail, node)
             step = min(budget, length - offset)
             offset += step
@@ -687,7 +693,7 @@ class World:
         self.series.append((
             self.clock, idle - idle_held, idle_held, assigned, carrying,
             self.accumulation,
-            sum(f.rebalance_m.tolist()) / 1000.0,
+            _total(f.rebalance_m) / 1000.0,
             self.cum_cancelled,
         ))
 

@@ -7,12 +7,14 @@ session fixture so every controller/seed combination is simulated once.
 
 import json
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from cvrsim.cli import main as cli_main
+from cvrsim.cli import _sweep_workers, main as cli_main
 from cvrsim.demand import complement_mass, hellinger, synthesize_destination
 from cvrsim.plane import (
     coverage_objective,
@@ -51,30 +53,30 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def desk():
-    def run(controller, seed, control_period_s=10.0, **overrides):
-        cfg = build_config(desk_document(controller, seed=seed,
-                                         control_period_s=control_period_s,
-                                         controller_extra=overrides or None))
-        metrics, series, requests = run_scenario(cfg)
-        audit_requests(requests, metrics.to_dict())
-        return metrics, series, requests
+    def config(controller, seed, control_period_s=10.0, **overrides):
+        return build_config(desk_document(controller, seed=seed,
+                                          control_period_s=control_period_s,
+                                          controller_extra=overrides or None))
 
-    t0 = time.time()
-    runs = {}
-    for ctrl in ("cvr", "cvr_graph", "lp", "do_nothing"):
-        for seed in SEEDS:
-            runs[(ctrl, 10.0, seed)] = run(ctrl, seed)
-    ordering_elapsed = time.time() - t0
-
-    for seed in SEEDS:
-        runs[("cvr_pi", 10.0, seed)] = run("cvr_pi", seed)
+    ordering = {(ctrl, 10.0, seed): config(ctrl, seed)
+                for ctrl in ("cvr", "cvr_graph", "lp", "do_nothing") for seed in SEEDS}
+    others = {("cvr_pi", 10.0, seed): config("cvr_pi", seed) for seed in SEEDS}
     for ctrl in ("cvr", "lp"):
         for period in (60.0, 300.0):
             for seed in SEEDS:
-                runs[(ctrl, period, seed)] = run(ctrl, seed, control_period_s=period)
-    runs[("cvr_alpha0", 10.0, 1)] = run("cvr_alpha", 1, alpha=0.0)
-    runs[("cvr_alpha1", 10.0, 1)] = run("cvr_alpha", 1, alpha=1.0)
+                others[(ctrl, period, seed)] = config(ctrl, seed, control_period_s=period)
+    others[("cvr_alpha0", 10.0, 1)] = config("cvr_alpha", 1, alpha=0.0)
+    others[("cvr_alpha1", 10.0, 1)] = config("cvr_alpha", 1, alpha=1.0)
 
+    # The runs are independent: start workers the way `cvrsim sweep` does.
+    with ProcessPoolExecutor(max_workers=_sweep_workers(),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        t0 = time.time()
+        runs = dict(zip(ordering, pool.map(run_scenario, ordering.values())))
+        ordering_elapsed = time.time() - t0
+        runs.update(zip(others, pool.map(run_scenario, others.values())))
+    for metrics, series, requests in runs.values():
+        audit_requests(requests, metrics.to_dict())
     return {"runs": runs, "ordering_elapsed": ordering_elapsed}
 
 

@@ -9,12 +9,14 @@ goes through the calls ``cvrsim run`` makes: ``build_config``, ``World`` and
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cvrsim import rebalance
 from cvrsim.scenario import build_config
 from cvrsim.sim import World
 
-from oracles import audit_accounting, audit_requests
+from oracles import audit_accounting, audit_requests, brute_graph_centroid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,6 +47,31 @@ def test_city_trajectory_is_pinned(controller, hours):
     audit_requests(requests, metrics.to_dict())
     audit_accounting(requests, world.series, metrics.to_dict(), world.oracle.dist,
                      world.cfg.tick_s)
+
+
+def test_city_graph_centroids_equal_brute_force(monkeypatch):
+    # The city's 9750/29 m lattice has equal paths that round apart, and its
+    # range-limited cells reach far more members than the property test draws.
+    workloads = perfbench_module("workloads")
+    world = World(build_config(workloads.city_document("cvr_graph", 1, 2)))
+    ticks = []
+    real = rebalance.graph_centroids
+
+    def recording(oracle, members, bounds, mass):
+        got = real(oracle, members, bounds, mass)
+        ticks.append((np.array(members), np.array(bounds), np.array(mass), got))
+        return got
+
+    monkeypatch.setattr(rebalance, "graph_centroids", recording)
+    world.run()
+    assert len(ticks) == 720
+    largest = 0
+    for members, bounds, mass, got in ticks[::120]:
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            want = brute_graph_centroid(members[a:b], mass, world.oracle.dist)
+            assert got[k] == (-1 if want is None else want)
+            largest = max(largest, b - a)
+    assert largest >= 25
 
 
 @pytest.mark.parametrize("seed", [1, 7])

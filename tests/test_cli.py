@@ -478,9 +478,13 @@ def test_sweep_single_value_matches_run(scenario_path, tmp_path, capsys):
     assert float(row["theta"]) == 0.0  # single row normalizes to zero
 
 
-def test_sweep_emits_row_per_value_with_percentiles(scenario_path, tmp_path, capsys):
+def test_sweep_emits_row_per_value_with_percentiles(tmp_path, capsys):
     out = tmp_path / "sweep_out"
-    code = main(["sweep", "--scenario", scenario_path, "--param", "alpha",
+    doc = mini_scenario_doc()
+    doc["controller"]["name"] = "cvr_alpha"
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    code = main(["sweep", "--scenario", str(path), "--param", "alpha",
                  "--values", "0,0.2,0.4,0.6,0.8,1.0", "--reps", "2",
                  "--out", str(out)])
     assert code == 0
@@ -616,6 +620,23 @@ def test_sweep_unknown_parameter_errors(scenario_path, tmp_path, capsys):
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err == {"error": "ConfigValidation", "field": "param",
                    "message": NOT_SWEEPABLE.format("warp")}
+
+
+@pytest.mark.parametrize("param, value, reader", [
+    ("alpha", "0.5", "cvr_alpha"),
+    ("y_ref", "60", "cvr_pi"),
+])
+def test_sweep_rejects_a_parameter_the_controller_never_reads(scenario_path, tmp_path, capsys,
+                                                              monkeypatch, param, value, reader):
+    # the document's controller is cvr, so every row would run one and the same scenario
+    runs = counted_runs(monkeypatch)
+    code = main(["sweep", "--scenario", scenario_path, "--param", param,
+                 "--values", f"0,{value}", "--reps", "1", "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "ConfigValidation", "field": "param",
+                   "message": f"controller 'cvr' never reads {param!r}; only {reader!r} does"}
+    assert runs == [] and not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("threads", ["abc", "1.5", "0", "-2"])

@@ -432,6 +432,28 @@ def test_do_nothing_accrues_zero_rebalancing():
     assert all(row[6] == 0.0 for row in series)
 
 
+def left_to_right(values):
+    """A plain loop over floats: the order Python 3.10 and 3.11's ``sum`` adds them in."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def test_odometer_totals_add_the_fleet_left_to_right():
+    # Python 3.12's sum() compensates and numpy's sum() adds pairwise; the km
+    # column and the metrics must add in fleet order on every version
+    world = World(dataclasses.replace(desk_scenario("cvr"), horizon_s=3600.0))
+    f = world.fleet
+    assert world.series[0][6] == 0.0
+    while world.clock < world.cfg.horizon_s - 1e-9:
+        world.step()
+        assert world.series[-1][6] == left_to_right(f.rebalance_m) / 1000.0
+    metrics = world.metrics()
+    assert metrics.rebalance_distance_km == left_to_right(f.rebalance_m) / 1000.0 > 0.0
+    assert metrics.service_distance_km == left_to_right(f.service_m) / 1000.0 > 0.0
+
+
 def test_accumulation_accounting_every_tick():
     cfg = mini_config("cvr", n_av=8)
     world = World(cfg)
