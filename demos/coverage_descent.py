@@ -30,7 +30,7 @@ radius = 1000.0
 print(f"{'step':>4}  {'objective (mass*m^2)':>22}  mean position shift (m)")
 h = coverage_objective(agents, field, radius)
 for step in range(30):
-    moved = lloyd_step(agents, field, radius, step_fraction=1.0)
+    moved = lloyd_step(agents, field, radius)
     shift = float(np.linalg.norm(moved - agents, axis=1).mean())
     agents = moved
     h = coverage_objective(agents, field, radius)

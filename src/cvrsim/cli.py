@@ -16,8 +16,9 @@ import numpy as np
 
 from . import scenario as scenario_mod
 from .errors import ConfigValidationError
-from .roadnet import graph_to_json
-from .sim import TIMESERIES_COLUMNS, World, run_scenario
+from .plane import plane_voronoi
+from .roadnet import graph_to_json, graph_voronoi
+from .sim import HOLD, STATES, TIMESERIES_COLUMNS, World, run_scenario
 
 _PERCENTILES = (25, 50, 75, 90)
 
@@ -183,32 +184,33 @@ def cmd_inspect(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     world = World(cfg)
     world.run(until=args.time)
-    snap = world.snapshot()
+    f, field = world.fleet, world.field
 
     with open(os.path.join(out_dir, "snapshot_vehicles.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "x_m", "y_m", "state", "held", "destination"])
-        for v in snap["vehicles"]:
-            writer.writerow([v["id"], f"{v['x_m']:.3f}", f"{v['y_m']:.3f}",
-                             v["state"], int(v["held"]),
-                             "" if v["destination"] is None else v["destination"]])
+        xy = f.xy(np.arange(len(f.node))).tolist()
+        for i, ((x, y), state, dest) in enumerate(zip(xy, f.state.tolist(), f.dest.tolist())):
+            writer.writerow([i, f"{x:.3f}", f"{y:.3f}", STATES[state], int(dest == HOLD),
+                             dest if dest >= 0 else ""])
 
+    # The idle fleet's Voronoi partition: pixel rows under a planar controller,
+    # node rows under any other; only the header when no vehicle is idle.
+    idle = world.idle_ids()
     with open(os.path.join(out_dir, "snapshot_assignment.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        if "pixel_assignment" in snap:
-            field = snap["field"]
-            gen_ids = snap["pixel_generator_ids"]
+        if field is not None:
             writer.writerow(["pixel_x", "pixel_y", "generator_index"])
-            for pix, gen in enumerate(snap["pixel_assignment"]):
-                x, y = field.centers[pix]
-                writer.writerow([f"{x:.3f}", f"{y:.3f}", gen_ids[int(gen)]])
-        elif "node_assignment" in snap:
-            writer.writerow(["node", "generator_node"])
-            for node, gen in enumerate(snap["node_assignment"]):
-                writer.writerow([node, int(gen)])
+            if idle.size:
+                owners = idle[plane_voronoi(field, f.xy(idle))].tolist()
+                writer.writerows([f"{x:.3f}", f"{y:.3f}", gen]
+                                 for (x, y), gen in zip(field.centers.tolist(), owners))
         else:
             writer.writerow(["node", "generator_node"])
-    print(f"snapshot at t={snap['t_s']:.1f}s written to {out_dir}")
+            if idle.size:
+                owners = graph_voronoi(world.oracle, np.unique(f.node[idle])).tolist()
+                writer.writerows(enumerate(owners))
+    print(f"snapshot at t={world.clock:.1f}s written to {out_dir}")
     return 0
 
 

@@ -13,6 +13,8 @@ from itertools import repeat
 
 import numpy as np
 
+from .roadnet import _named, _real
+
 PENDING = "pending"
 MATCHED = "matched"
 PICKED_UP = "picked_up"
@@ -90,9 +92,15 @@ def synthesize_destination(p_dest, p_origin_complement, gamma: float) -> np.ndar
 
 
 def check_profile(profile) -> None:
-    """Validate (duration_s, rate_per_hour) pairs: durations positive, rates
-    nonnegative, both finite (a non-finite entry would never end the stream)."""
-    for i, (duration, rate) in enumerate(profile):
+    """Validate (duration_s, rate_per_hour) pairs of real numbers, not bools: durations
+    positive, rates nonnegative, both finite (a non-finite entry would never end the stream)."""
+    try:
+        pairs = [(duration, rate) for duration, rate in profile]
+    except (TypeError, ValueError):  # not iterable, or an entry that is not a pair
+        raise ValueError("need a sequence of (duration_s, rate_per_hour) pairs") from None
+    for i, (duration, rate) in enumerate(pairs):
+        duration = _named(_real, duration, "entry {}: duration", i)
+        rate = _named(_real, rate, "entry {}: rate", i)
         if not (math.isfinite(duration) and duration > 0):
             raise ValueError(f"entry {i}: duration must be positive and finite, got {duration!r}")
         if not (math.isfinite(rate) and rate >= 0):

@@ -58,9 +58,6 @@ class GridField:
     def n_pixels(self) -> int:
         return self.nx * self.ny
 
-    def diagonal(self) -> float:
-        return float(np.hypot(self.nx * self.resolution, self.ny * self.resolution))
-
     @cached_property
     def _tiles(self):
         """Pixel indices and center coordinates of the 8x8-pixel tiles, and their boxes.
@@ -311,15 +308,13 @@ def coverage_objective(generators, field: GridField, r_m: float) -> float:
     return float(coverage_summary(field, generators, r_m).j_limited.sum())
 
 
-def lloyd_step(generators, field: GridField, r_m: float, step_fraction: float = 1.0) -> np.ndarray:
-    """Move each generator a fraction of the way toward its cell centroid.
+def lloyd_step(generators, field: GridField, r_m: float) -> np.ndarray:
+    """Move each generator to the centroid of its range-limited cell.
 
     Generators whose range-limited cell carries no mass stay put.
     """
-    if not 0.0 < step_fraction <= 1.0:
-        raise ValueError("step fraction must lie in (0, 1]")
     gens = _generators(generators).copy()
     summary = coverage_summary(field, gens, r_m)
     moving = summary.limited_mass > 0
-    gens[moving] += step_fraction * (summary.limited_centroid[moving] - gens[moving])
+    gens[moving] += summary.limited_centroid[moving] - gens[moving]
     return gens

@@ -286,7 +286,7 @@ DESK_PI = {"y_ref": 28.0, "y_hold": 10.0, "k_p": 0.2, "k_i": 0.4}
 
 
 def desk_document(controller: str = "cvr", seed: int = 1, gamma: float = 0.5,
-                  n_av: int = 30, control_period_s: float = 10.0,
+                  control_period_s: float = 10.0,
                   controller_extra: dict | None = None) -> dict:
     controller_sec = {"name": controller, "r_m": 1000.0}
     if controller == "cvr_pi":
@@ -300,7 +300,7 @@ def desk_document(controller: str = "cvr", seed: int = 1, gamma: float = 0.5,
             "gamma": gamma,
             "profile": copy.deepcopy(DESK_PROFILE),
         },
-        "fleet": {"n_av": n_av, "placement": "uniform"},
+        "fleet": {"n_av": 30, "placement": "uniform"},
         "controller": controller_sec,
         "sim": {
             "horizon_s": 10800.0,

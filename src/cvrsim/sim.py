@@ -27,7 +27,6 @@ from .roadnet import (
     RoadGraph,
     _real,
     all_pairs_shortest,
-    graph_voronoi,
     position_node_distance,
 )
 
@@ -133,8 +132,7 @@ _MAX_FLEET = int(np.iinfo(np.intp).max)
 SCENARIO_KEYS = {
     "n_av": ("fleet.n_av", int, lambda v: 0 <= v <= _MAX_FLEET,
              f"fleet size must lie in [0, {_MAX_FLEET}]"),
-    "placement": ("fleet.placement", str, lambda v: v in ("uniform", "destination"),
-                  "unknown placement {!r}"),
+    "placement": ("fleet.placement", str, lambda v: v == "uniform", "unknown placement {!r}"),
     "controller": ("controller.name", str, lambda v: v in rebalance.CONTROLLERS,
                    "unknown controller {!r}"),
     "r_m": ("controller.r_m", float, lambda v: v > 0, "coverage radius must be positive"),
@@ -417,12 +415,7 @@ class World:
             t_mtol=cfg.match_tolerance_s, t_ptol=cfg.pickup_tolerance_s,
         )
         placement_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 1]))
-        n_nodes = self.graph.n_nodes
-        if cfg.placement == "uniform":
-            starts = placement_rng.integers(0, n_nodes, size=cfg.n_av)
-        else:
-            starts = placement_rng.choice(n_nodes, size=cfg.n_av, p=cfg.destination_mass)
-        self.fleet = Fleet(self.graph, starts)
+        self.fleet = Fleet(self.graph, placement_rng.integers(0, self.graph.n_nodes, cfg.n_av))
 
         self.field = None
         if cfg.controller in ("cvr", "cvr_alpha", "cvr_pi"):
@@ -456,12 +449,13 @@ class World:
     def current_speed(self) -> float:
         return mfd_speed(self.accumulation, self.cfg.mfd)
 
-    def _idle_ids(self) -> np.ndarray:
+    def idle_ids(self) -> np.ndarray:
+        """The idle vehicles' fleet slots, ascending."""
         return (self.fleet.state == _IDLE).nonzero()[0]
 
     def _idle_pool(self) -> IdlePool:
         f = self.fleet
-        ids = self._idle_ids()
+        ids = self.idle_ids()
         return IdlePool(ids, f.node[ids], (f.length - f.offset)[ids])
 
     def _build_field(self) -> plane.GridField:
@@ -587,7 +581,7 @@ class World:
                      if self._window_waits else 0.0)
         mean_idle = sum(row[1] + row[2] for row in window) / max(len(window), 1)
         self.pi = rebalance.pi_update(self.pi, mean_wait, mean_idle,
-                                      self.cfg.n_av, len(self._idle_ids()))
+                                      self.cfg.n_av, len(self.idle_ids()))
         self._window_waits = []
         self._window_start = len(self.series)
 
@@ -696,30 +690,6 @@ class World:
             _total(f.rebalance_m) / 1000.0,
             self.cum_cancelled,
         ))
-
-    def snapshot(self) -> dict:
-        """Per-vehicle state plus the current idle-fleet Voronoi assignment."""
-        f = self.fleet
-        vehicles = []
-        for i, (x, y) in enumerate(f.xy(np.arange(len(f.node))).tolist()):
-            at_node = f.tail[i] < 0
-            vehicles.append({
-                "id": i, "x_m": x, "y_m": y,
-                "node": int(f.node[i]) if at_node else None,
-                "edge": None if at_node else (int(f.tail[i]), int(f.node[i])),
-                "offset_m": float(f.offset[i]), "state": STATES[f.state[i]],
-                "held": bool(f.dest[i] == HOLD),
-                "destination": int(f.dest[i]) if f.dest[i] >= 0 else None,
-            })
-        snap = {"t_s": self.clock, "vehicles": vehicles}
-        idle_ids = self._idle_ids()
-        if self.field is not None and idle_ids.size:
-            snap["pixel_assignment"] = plane.plane_voronoi(self.field, f.xy(idle_ids))
-            snap["pixel_generator_ids"] = idle_ids.tolist()
-            snap["field"] = self.field
-        elif idle_ids.size:
-            snap["node_assignment"] = graph_voronoi(self.oracle, np.unique(f.node[idle_ids]))
-        return snap
 
 
 def run_scenario(cfg: SimConfig) -> tuple[SimMetrics, list[tuple], list[Request]]:

@@ -145,7 +145,7 @@ def test_criterion_2_static_coverage_descent():
         h = coverage_objective(gens, field, diagonal)
         converged = None
         for step in range(500):
-            gens = lloyd_step(gens, field, diagonal, 1.0)
+            gens = lloyd_step(gens, field, diagonal)
             h_next = coverage_objective(gens, field, diagonal)
             assert h_next <= h + 1e-9 * max(h, 1e-12), f"ascent at seed {seed} step {step}"
             h = h_next

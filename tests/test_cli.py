@@ -899,8 +899,7 @@ def test_inspect_graph_assignment_is_the_idle_nodes_voronoi(tmp_path, capsys, co
     assert main(["inspect", "--scenario", str(path), "--time", "300", "--out", str(out)]) == 0
     world = World(build_config(doc))
     world.run(until=300.0)
-    idle_nodes = {v["node"] if v["edge"] is None else v["edge"][1]
-                  for v in world.snapshot()["vehicles"] if v["state"] == "idle"}
+    idle_nodes = set(world.fleet.node[world.idle_ids()].tolist())  # each one's forward node
     assert idle_nodes
     owner = brute_graph_owner(world.oracle.dist, idle_nodes)
     with open(out / "snapshot_assignment.csv", newline="") as fh:
@@ -909,10 +908,27 @@ def test_inspect_graph_assignment_is_the_idle_nodes_voronoi(tmp_path, capsys, co
     assert rows[1:] == [[str(node), str(gen)] for node, gen in enumerate(owner.tolist())]
 
 
+@pytest.mark.parametrize("controller, header", [("cvr", "pixel_x,pixel_y,generator_index"),
+                                                ("cvr_graph", "node,generator_node")])
+def test_inspect_without_idle_vehicles_writes_the_controllers_header(tmp_path, capsys,
+                                                                      controller, header):
+    doc = mini_scenario_doc()
+    doc["controller"] = {"name": controller}
+    doc["fleet"]["n_av"] = 0
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "snap"
+    assert main(["inspect", "--scenario", str(path), "--time", "60", "--out", str(out)]) == 0
+    assert (out / "snapshot_assignment.csv").read_text().splitlines() == [header]
+
+
 DESK_SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "desk_scenario.json"
 # sha256 of snapshot_vehicles.csv at t = 3600 s on the desk scenario. The
 # destination column is the node each vehicle drives to, empty when it has none.
 DESK_SNAPSHOT_3600_SHA256 = "49e2acd5c43d5bd802a9944680af486adbd8002ae40ff6bc2ce293f157b19874"
+# sha256 of snapshot_assignment.csv at the same time: the pixel rows of the
+# planar cvr controller, each pixel's center and the id of its idle generator.
+DESK_ASSIGNMENT_3600_SHA256 = "142fa4994c92201825fd45dace01b92d1b311d2c07c8c230ba1376b22a8b9e55"
 
 
 def test_inspect_desk_snapshot_is_pinned(tmp_path, capsys):
@@ -921,6 +937,8 @@ def test_inspect_desk_snapshot_is_pinned(tmp_path, capsys):
                  "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "snapshot_vehicles.csv").read_bytes()).hexdigest()
     assert digest == DESK_SNAPSHOT_3600_SHA256
+    digest = hashlib.sha256((out / "snapshot_assignment.csv").read_bytes()).hexdigest()
+    assert digest == DESK_ASSIGNMENT_3600_SHA256
 
 
 # sha256 of every `cvrsim run` artifact of the desk scenario, keyed by run

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -272,42 +273,23 @@ def test_objective_matches_brute_force():
 def test_generator_at_centroid_is_fixed_point():
     field = uniform_field(10)
     gens = np.array([[5.0, 5.0]])
-    assert np.allclose(lloyd_step(gens, field, BIG_R, 1.0), gens)
+    assert np.allclose(lloyd_step(gens, field, BIG_R), gens)
 
 
 def test_full_step_jumps_to_center_of_mass():
     field = uniform_field(10)
     gens = np.array([[1.0, 2.0]])
-    assert np.allclose(lloyd_step(gens, field, BIG_R, 1.0), [[5.0, 5.0]])
-
-
-def test_half_step_is_midpoint():
-    field = point_mass_field(np.array([4.0, 0.0]), n=8, res=1.0)
-    # shift the grid so a pixel center sits exactly at (4, 0)
-    centers = field.centers - np.array([0.5, 0.5])
-    field = GridField(xmin=-0.5, ymin=-0.5, resolution=1.0, nx=8, ny=8,
-                      mass=field.mass, centers=centers)
-    mass = np.zeros(field.n_pixels)
-    mass[np.argmin(np.einsum("ij,ij->i", centers - [4.0, 0.0], centers - [4.0, 0.0]))] = 1.0
-    field = GridField(xmin=-0.5, ymin=-0.5, resolution=1.0, nx=8, ny=8,
-                      mass=mass, centers=centers)
-    out = lloyd_step(np.array([[0.0, 0.0]]), field, BIG_R, 0.5)
-    assert np.allclose(out, [[2.0, 0.0]])
+    assert np.allclose(lloyd_step(gens, field, BIG_R), [[5.0, 5.0]])
 
 
 def test_zero_mass_cells_stay_put():
     field = point_mass_field(np.array([1.5, 1.5]))
     gens = np.array([[1.5, 1.5], [8.0, 8.0]])  # second cell has no mass
-    out = lloyd_step(gens, field, BIG_R, 1.0)
+    out = lloyd_step(gens, field, BIG_R)
     assert np.allclose(out[1], [8.0, 8.0])
     summary = coverage_summary(field, gens, BIG_R)
     assert summary.limited_mass[1] == 0.0
     assert np.all(np.isnan(summary.limited_centroid[1]))
-
-
-def test_step_fraction_validated():
-    with pytest.raises(ValueError):
-        lloyd_step(np.array([[1.0, 1.0]]), uniform_field(), BIG_R, 0.0)
 
 
 # -- identities and descent --------------------------------------------------------------
@@ -334,7 +316,7 @@ def test_full_lloyd_descent_unlimited_radius():
         gens = rng.uniform(0, 25, size=(4, 2))
         h = coverage_objective(gens, field, BIG_R)
         for _ in range(15):
-            gens = lloyd_step(gens, field, BIG_R, 1.0)
+            gens = lloyd_step(gens, field, BIG_R)
             h_next = coverage_objective(gens, field, BIG_R)
             assert h_next <= h + 1e-9 * max(h, 1e-12)
             h = h_next
@@ -360,7 +342,7 @@ def test_finite_radius_descent_up_to_boundary_churn():
     h_start = h = coverage_objective(gens, field, r)
     mask, owner = _limited_membership(field, gens, r)
     for _ in range(30):
-        gens_next = lloyd_step(gens, field, r, 1.0)
+        gens_next = lloyd_step(gens, field, r)
         mask_next, owner_next = _limited_membership(field, gens_next, r)
         churned = (mask != mask_next) | (mask & mask_next & (owner != owner_next))
         slack = field.mass[churned].sum() * r * r + field.mass.max() * field.resolution ** 2
@@ -426,7 +408,7 @@ def fields_and_generators(draw):
                          st.floats(ymin - 3 * ny * res, ymin + 4 * ny * res))
     gens = draw(st.lists(st.one_of(on_lattice, anywhere), min_size=1, max_size=12))
     gens += draw(st.lists(st.sampled_from(gens), max_size=4))  # duplicates
-    r = draw(st.floats(0.0, 1.5 * field.diagonal()))
+    r = draw(st.floats(0.0, 1.5 * math.hypot(nx * res, ny * res)))
     return field, np.array(gens), r
 
 
@@ -461,7 +443,7 @@ def crowded_generators(nx, ny):
 def test_coverage_summary_exact_on_every_candidate_rank(nx, ny):
     mass = np.random.default_rng(nx + ny).random(nx * ny)
     field = rect_field(nx, ny, mass=mass / mass.sum())
-    for r in (0.0, 1.5, 2.0 * field.diagonal()):
+    for r in (0.0, 1.5, 2.0 * math.hypot(nx, ny)):
         assert_summary_exact(field, crowded_generators(nx, ny), r)
 
 

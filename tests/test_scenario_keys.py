@@ -58,6 +58,8 @@ RANGE_CASES = [
     # more vehicles than a numpy array can index
     ("fleet.n_av", 10**30, "fleet.n_av", FLEET_SIZE),
     ("fleet.placement", "corner", "fleet.placement", "unknown placement 'corner'"),
+    # uniform is the one placement
+    ("fleet.placement", "destination", "fleet.placement", "unknown placement 'destination'"),
     ("controller.name", "warp_drive", "controller.name", "unknown controller 'warp_drive'"),
     ("controller.r_m", 0.0, "controller.r_m", POSITIVE_RADIUS),
     ("controller.r_m", -1.0, "controller.r_m", POSITIVE_RADIUS),

@@ -17,6 +17,7 @@ from cvrsim.sim import (
     CARRYING,
     HOLD,
     IDLE,
+    NO_DEST,
     STATES,
     IdlePool,
     SimConfig,
@@ -334,7 +335,7 @@ def test_vehicle_at_origin_picks_up_during_matching():
 
 
 class MatchOutcomeWorld(World):
-    """Records each request's status and its vehicle's snapshot right after its match."""
+    """Records each request's status and its vehicle's state right after its match."""
 
     def __init__(self, cfg):
         self.outcomes = []
@@ -342,9 +343,8 @@ class MatchOutcomeWorld(World):
 
     def _apply_match(self, req, i, clock):
         super()._apply_match(req, i, clock)
-        vehicle = self.snapshot()["vehicles"][i]
-        self.outcomes.append((req.status, vehicle["state"], vehicle["destination"],
-                              vehicle["held"]))
+        f = self.fleet
+        self.outcomes.append((req.status, STATES[f.state[i]], f.dest.item(i)))
 
 
 def test_trip_to_its_own_origin_completes_during_matching():
@@ -355,7 +355,7 @@ def test_trip_to_its_own_origin_completes_during_matching():
     world.run()
     requests = world.requests[:world.n_injected]
     assert requests and all((r.origin, r.destination) == (12, 12) for r in requests)
-    assert world.outcomes == [(COMPLETED, IDLE, None, False)] * len(requests)
+    assert world.outcomes == [(COMPLETED, IDLE, NO_DEST)] * len(requests)
     assert all(r.match_time == r.pickup_time == r.dropoff_time for r in requests)
     assert all(row[3] == row[4] == 0 for row in world.series)
 
@@ -511,13 +511,13 @@ def test_fcfs_match_log_ordering():
 def test_snapshot_destination_is_where_a_busy_vehicle_drives():
     world = World(desk_scenario("cvr", seed=1))
     world.run(until=3600.0)
+    f = world.fleet
     busy = 0
-    for v in world.snapshot()["vehicles"]:
-        req = world.fleet.requests[v["id"]]
-        if v["state"] == ASSIGNED:
-            assert v["destination"] == req.origin
-        elif v["state"] == CARRYING:
-            assert v["destination"] == req.destination
+    for state, dest, req in zip(f.state.tolist(), f.dest.tolist(), f.requests):
+        if STATES[state] == ASSIGNED:
+            assert dest == req.origin
+        elif STATES[state] == CARRYING:
+            assert dest == req.destination
         else:
             continue
         busy += 1
@@ -606,7 +606,12 @@ def test_config_validation_errors():
      "entry 0: duration must be positive and finite, got -1.0"),
     ({"origin_mass": np.full(25, 0.5)}, "demand.origin", "mass sums to 12.5, expected 1"),
     ({"destination_mass": np.full(25, -0.04)}, "demand.destination", "mass has negative entries"),
-], ids=["profile", "origin", "destination"])
+    ({"profile": [("x", 1.0)]}, "demand.profile", "entry 0: duration must be a number, got 'x'"),
+    ({"profile": None}, "demand.profile", "need a sequence of (duration_s, rate_per_hour) pairs"),
+    # a scenario file's true is rejected there too
+    ({"profile": [(True, 75.0)]}, "demand.profile",
+     "entry 0: duration must be a number, got True"),
+], ids=["profile", "origin", "destination", "profile-text", "profile-none", "profile-bool"])
 def test_a_library_rejection_in_validate_is_reported_without_its_context(change, field, reason):
     with pytest.raises(ConfigValidationError) as err:
         dataclasses.replace(mini_config(), **change).validate()
@@ -643,13 +648,6 @@ def test_graph_controller_destinations_reachable():
     metrics, _, _ = run_scenario(mini_config("cvr_graph"))
     assert metrics.n_requests > 0
     assert metrics.rebalance_distance_km >= 0.0
-
-
-def test_destination_placement_draws_from_destination_mass():
-    cfg = mini_config(placement="destination", n_av=40)
-    world = World(cfg)
-    allowed = set(np.flatnonzero(cfg.destination_mass > 0).tolist())
-    assert set(world.fleet.node.tolist()) <= allowed
 
 
 def test_pi_window_mean_idle_counts_every_advanced_tick(monkeypatch):
@@ -922,7 +920,7 @@ class MasslessAuditWorld(World):
 
     def _controller_tick(self, speed):
         f = self.fleet
-        ids = self._idle_ids()
+        ids = self.idle_ids()
         watched = []
         if ids.size:
             summary = plane.coverage_summary(self.field, f.xy(ids), self.cfg.r_m)
