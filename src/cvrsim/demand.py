@@ -95,9 +95,13 @@ def check_profile(profile) -> None:
     """Validate (duration_s, rate_per_hour) pairs of real numbers, not bools: durations
     positive, rates nonnegative, both finite (a non-finite entry would never end the stream)."""
     try:
+        one_shot = iter(profile) is profile
         pairs = [(duration, rate) for duration, rate in profile]
     except (TypeError, ValueError):  # not iterable, or an entry that is not a pair
         raise ValueError("need a sequence of (duration_s, rate_per_hour) pairs") from None
+    if one_shot:  # this check has used it up, so the stream would draw no request
+        raise ValueError("need a sequence of (duration_s, rate_per_hour) pairs, "
+                         "not a one-shot iterator")
     for i, (duration, rate) in enumerate(pairs):
         duration = _named(_real, duration, "entry {}: duration", i)
         rate = _named(_real, rate, "entry {}: rate", i)

@@ -157,17 +157,91 @@ def cvr_graph_targets(nodes, node_mass, oracle: DistanceOracle,
     return RebalanceDecision(destination=centroid[cell])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # IEEE arithmetic, silent as in the C++
+def _min_cost_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
+    """Min-cost matching of min(rows, cols) row/column pairs, ties as scipy breaks them.
+
+    A step-for-step port of scipy 1.17's ``rectangular_lsap.cpp``, the
+    shortest-augmenting-path solver behind ``linear_sum_assignment`` (D. F.
+    Crouse, "On implementing 2D rectangular assignment algorithms", IEEE
+    TAES 52(4), 2016), so it returns the same ``(rows, cols)`` for every
+    matrix. A tall matrix is solved transposed. Each row in turn grows one
+    shortest augmenting path; its scan over the columns not yet reached runs
+    from the last column down, drops the column it takes by swap-with-last,
+    and among equal path costs takes the last free column, else the first.
+    ``rows`` come out ascending. An entry of +inf forbids its pair, as in
+    scipy: ``lp``'s travel times overflow to it at a vanishing network speed.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if np.isnan(cost).any() or (cost == -np.inf).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    transpose = cost.shape[1] < cost.shape[0]
+    c = cost.T if transpose else cost
+    nr, nc = c.shape
+    u = np.zeros(nr)
+    v = np.zeros(nc)
+    path = np.full(nc, -1, dtype=np.intp)
+    col4row = np.full(nr, -1, dtype=np.intp)
+    row4col = np.full(nc, -1, dtype=np.intp)
+    for cur_row in range(nr):
+        path_cost = np.full(nc, np.inf)  # shortestPathCosts
+        reached_row = np.zeros(nr, dtype=bool)  # SR
+        reached_col = np.zeros(nc, dtype=bool)  # SC
+        remaining = np.arange(nc - 1, -1, -1, dtype=np.intp)
+        n_remaining = nc
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            reached_row[i] = True
+            cols = remaining[:n_remaining]
+            r = ((min_val + c[i, cols]) - u[i]) - v[cols]
+            shorter = r < path_cost[cols]
+            path[cols[shorter]] = i
+            path_cost[cols[shorter]] = r[shorter]
+            scanned = path_cost[cols]
+            tied = scanned == scanned.min()
+            free = np.flatnonzero(tied & (row4col[cols] == -1))
+            index = free[-1] if len(free) else np.argmax(tied)
+            min_val = scanned[index]
+            if min_val == np.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = cols[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            reached_col[j] = True
+            n_remaining -= 1
+            remaining[index] = remaining[n_remaining]
+        u[cur_row] += min_val
+        others = np.flatnonzero(reached_row)
+        others = others[others != cur_row]
+        u[others] += min_val - path_cost[col4row[others]]
+        v[reached_col] -= min_val - path_cost[reached_col]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr, dtype=np.intp), col4row
+
+
 def lp_rebalance(fwd, lead, pending_origins, oracle: DistanceOracle,
                  speed_mps: float) -> RebalanceDecision:
     """Reactive baseline: min-total-travel-time matching to pending origins.
 
     Vehicle k is ``lead[k]`` meters short of its forward node ``fwd[k]``.
     Matches min(#idle, #pending) vehicle/origin pairs by optimal assignment
-    on shortest-path travel times; matched vehicles get the request origin as
-    a rebalancing destination, the rest hold.
+    on shortest-path travel times (:func:`_min_cost_assignment`); matched
+    vehicles get the request origin as a rebalancing destination, the rest
+    hold.
     """
-    from scipy.optimize import linear_sum_assignment  # loaded by the first lp call, not on import
-
     if speed_mps <= 0:
         raise ValueError("speed must be positive")
     fwd = np.asarray(fwd, dtype=np.int64)
@@ -176,7 +250,7 @@ def lp_rebalance(fwd, lead, pending_origins, oracle: DistanceOracle,
     if len(fwd) and len(origins):
         lead = np.asarray(lead, dtype=np.float64)
         cost = position_node_distance(oracle, fwd[:, None], lead[:, None], origins) / speed_mps
-        rows, cols = linear_sum_assignment(cost)
+        rows, cols = _min_cost_assignment(cost)
         target[rows] = origins[cols]
     return RebalanceDecision(destination=target)
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -29,7 +30,8 @@ from cvrsim.rebalance import (
     pi_update,
     select_holds,
 )
-from cvrsim.roadnet import all_pairs_shortest, build_graph, grid_graph
+from cvrsim.roadnet import all_pairs_shortest, build_graph, grid_graph, position_node_distance
+from cvrsim.scenario import desk_document
 
 from oracles import (
     brute_graph_centroid,
@@ -434,8 +436,8 @@ def test_lp_cost_matrix_equals_per_pair_distances(monkeypatch):
         seen.append(cost.copy())
         return real(cost)
 
-    real = scipy.optimize.linear_sum_assignment
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    real = rebalance._min_cost_assignment
+    monkeypatch.setattr(rebalance, "_min_cost_assignment", spy)
     for speed in (1.0, 7.3, 1 / 3):
         positions = []
         for u, v, w in edges[:12]:
@@ -448,23 +450,81 @@ def test_lp_cost_matrix_equals_per_pair_distances(monkeypatch):
         assert np.array_equal(seen[-1], want)
 
 
-def test_scipy_optimize_loads_with_the_first_lp_run():
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 12), n_cols=st.integers(0, 12),
+       kind=st.sampled_from(["integer", "constant", "real", "rounded", "forbidden", "overflow",
+                             "lp"]))
+def test_min_cost_assignment_equals_scipy(grid, seed, n_rows, n_cols, kind):
+    rng = np.random.default_rng(seed)
+    shape = (n_rows, n_cols)
+    if kind == "integer":  # small integers: many equal path costs
+        cost = rng.integers(0, 4, size=shape).astype(np.float64)
+    elif kind == "constant":
+        cost = np.full(shape, float(rng.integers(0, 4)))
+    elif kind == "real":
+        cost = rng.normal(size=shape) * 10.0 ** float(rng.integers(-3, 4))
+    elif kind == "rounded":
+        cost = np.round(10.0 * rng.random(shape), 1)
+    elif kind == "forbidden":  # +inf forbids a pair; with too many no matching is left
+        cost = rng.integers(0, 4, size=shape).astype(np.float64)
+        cost[rng.random(shape) < rng.random()] = np.inf
+    elif kind == "overflow":  # reduced costs overflow to inf and nan
+        cost = rng.choice([-1.7e308, -1e308, 0.0, 1.0, 9e307, 1.7e308], size=shape)
+    else:  # lp's own matrices: 150 vehicles, half partway along an edge, 8 pending origins
+        _, oracle = grid
+        lead = np.where(rng.random(150) < 0.5, 0.0, 10.0 * rng.random(150))
+        fwd = rng.integers(0, 100, size=150)
+        origins = rng.integers(0, 100, size=8)
+        cost = position_node_distance(oracle, fwd[:, None], lead[:, None], origins) / 3.7
+    try:
+        want_rows, want_cols = scipy.optimize.linear_sum_assignment(cost)
+    except ValueError as exc:
+        assert str(exc) == "cost matrix is infeasible"
+        with pytest.raises(ValueError, match=str(exc)):
+            rebalance._min_cost_assignment(cost)
+        return
+    rows, cols = rebalance._min_cost_assignment(cost)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_min_cost_assignment_rejects_nan_and_minus_inf(bad):
+    cost = np.ones((3, 2))
+    cost[1, 0] = bad
+    with pytest.raises(ValueError, match="matrix contains invalid numeric entries"):
+        rebalance._min_cost_assignment(cost)
+
+
+def test_no_run_path_loads_scipy_optimize(tmp_path):
+    doc = desk_document("lp")
+    doc["sim"]["horizon_s"] = 3600.0  # 17 non-empty assignments; 600 s makes none
+    scenario_path = tmp_path / "lp.json"
+    scenario_path.write_text(json.dumps(doc))
+    argv = ["run", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]
     script = (
         "import dataclasses, sys\n"
-        "import cvrsim\n"
+        "import cvrsim.cli\n"
+        "from cvrsim import rebalance\n"
         "from cvrsim.scenario import desk_scenario\n"
         "from cvrsim.sim import World\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "solve, solved = rebalance._min_cost_assignment, []\n"
+        "rebalance._min_cost_assignment = lambda cost: solved.append(cost.size) or solve(cost)\n"
+        "print('loaded', 'scipy.optimize' in sys.modules)\n"
         "for name in ('cvr_graph', 'lp'):\n"
         "    World(dataclasses.replace(desk_scenario(name), horizon_s=600.0)).run()\n"
-        "    print('scipy.optimize' in sys.modules)\n"
+        "    print('loaded', 'scipy.optimize' in sys.modules)\n"
+        f"cvrsim.cli.main({argv!r})\n"
+        "print('loaded', 'scipy.optimize' in sys.modules)\n"
+        "print('solved', len(solved))\n"
     )
     src = str(Path(rebalance.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == ["False", "False", "True"]
+                         text=True, check=True).stdout.splitlines()
+    assert [line for line in out if line.startswith("loaded")] == ["loaded False"] * 4
+    # the run of the lp document solved assignments, so the check reached the solver
+    assert int(out[-1].split()[1]) > 0
 
 
 def test_lp_matches_brute_force(grid):

@@ -611,7 +611,13 @@ def test_config_validation_errors():
     # a scenario file's true is rejected there too
     ({"profile": [(True, 75.0)]}, "demand.profile",
      "entry 0: duration must be a number, got True"),
-], ids=["profile", "origin", "destination", "profile-text", "profile-none", "profile-bool"])
+    # validate would use up a one-shot iterator, and the run would then draw no request
+    ({"profile": (pair for pair in [(3600.0, 75.0)])}, "demand.profile",
+     "need a sequence of (duration_s, rate_per_hour) pairs, not a one-shot iterator"),
+    ({"profile": iter([(3600.0, 75.0)])}, "demand.profile",
+     "need a sequence of (duration_s, rate_per_hour) pairs, not a one-shot iterator"),
+], ids=["profile", "origin", "destination", "profile-text", "profile-none", "profile-bool",
+        "profile-generator", "profile-iterator"])
 def test_a_library_rejection_in_validate_is_reported_without_its_context(change, field, reason):
     with pytest.raises(ConfigValidationError) as err:
         dataclasses.replace(mini_config(), **change).validate()
