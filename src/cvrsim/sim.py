@@ -77,6 +77,12 @@ HOLD = rebalance.HOLD  # Fleet.dest of a held vehicle
 NO_DEST = -2  # Fleet.dest of a vehicle that neither drives nor holds
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class Fleet:
     """Every vehicle's state as arrays; vehicle i owns slot i.
 
@@ -93,6 +99,16 @@ class Fleet:
     oracle's ``dist[tail, node]``; see :class:`~cvrsim.roadnet.DistanceOracle`
     for why that is the edge's length. A vehicle moves if and only if it has
     a destination, ``dest[i] >= 0``.
+
+    ``offset``, ``rebalance_m`` and ``service_m`` are the rows of one (3, n)
+    array, ``glide_rows``: a vehicle gliding inside its edge adds the tick's
+    budget to its offset and to the odometer of its state, and ``credit[:, i]``
+    (always; idle; busy) says which rows. ``state`` and ``dest`` are read-only
+    views, each with one writer that keeps what follows from it:
+    :meth:`World._set_state` keeps ``credit`` and ``state_counts``, and
+    :meth:`World._route_to` keeps ``n_held``, the count of ``dest == HOLD``.
+    Only :meth:`World._drive` writes ``dest`` besides, and only ``NO_DEST``
+    over a destination, so ``n_held`` stands.
     """
 
     def __init__(self, graph: RoadGraph, starts):
@@ -100,12 +116,17 @@ class Fleet:
         self.graph = graph
         self.node = np.array(starts, dtype=np.int64)
         self.tail = np.full(n, -1, dtype=np.int64)
-        self.offset = np.zeros(n)
         self.length = np.zeros(n)
-        self.state = np.zeros(n, dtype=np.int8)
-        self.service_m = np.zeros(n)
-        self.rebalance_m = np.zeros(n)
-        self.dest = np.full(n, NO_DEST, dtype=np.int64)
+        self.glide_rows = np.zeros((3, n))
+        self.offset, self.rebalance_m, self.service_m = self.glide_rows
+        self._state = np.zeros(n, dtype=np.int8)  # every vehicle starts idle
+        self._credit = np.zeros((3, n), dtype=bool)
+        self._credit[:2] = True
+        self.state_counts = [n, 0, 0]  # vehicles per entry of STATES
+        self._dest = np.full(n, NO_DEST, dtype=np.int64)
+        self.n_held = 0
+        self.state, self.credit, self.dest = (
+            _read_only(a) for a in (self._state, self._credit, self._dest))
         self.requests: list[Request | None] = [None] * n
 
     def xy(self, ids) -> np.ndarray:
@@ -530,7 +551,8 @@ class World:
         req.status = MATCHED
         req.match_time = clock
         req.vehicle_id = i
-        f.state[i], f.requests[i] = _ASSIGNED, req
+        self._set_state(i, _ASSIGNED)
+        f.requests[i] = req
         self._route_to(i, req.origin)
         if f.dest[i] < 0:  # it already stands at the origin
             self._arrive(i, clock)
@@ -543,6 +565,14 @@ class World:
     # -- controller ------------------------------------------------------------
 
     def _controller_tick(self, speed: float) -> None:
+        """Decide, and route, the idle pool's moves: one destination or HOLD per vehicle.
+
+        The planar controllers count their holds first. When the hold count
+        covers the whole pool, every vehicle holds whatever the coverage pass
+        would give (:func:`~cvrsim.rebalance.cvr_targets` holds each held
+        vehicle), so the tick decides through
+        :func:`~cvrsim.rebalance.do_nothing` and runs no pass.
+        """
         pool = self._idle_pool()
         if not len(pool):
             return
@@ -559,20 +589,24 @@ class World:
             decision = rebalance.cvr_graph_targets(
                 nodes, cfg.origin_mass, self.oracle, cfg.effective_r_graph())
         else:
-            summary = plane.coverage_summary(self.field, f.xy(ids), cfg.r_m)
-            held = None
             hold_n = 0
             if name == "cvr_alpha":
                 hold_n = int(math.floor(len(ids) * cfg.alpha))
             elif name == "cvr_pi":
                 hold_n = self.pi.hold_count
-            if hold_n > 0:
-                held = rebalance.select_holds(hold_n, rebalance.hold_scores(summary))
-            # Where each vehicle heads now: its destination, else the node it
-            # stands at, else nowhere (HOLD: held inside an edge).
-            dest = f.dest[ids]
-            previous = np.where((dest < 0) & (f.tail[ids] < 0), nodes, dest)
-            decision = rebalance.cvr_targets(summary, self.graph, held=held, previous=previous)
+            if hold_n >= len(ids):
+                decision = rebalance.do_nothing(len(ids))
+            else:
+                summary = plane.coverage_summary(self.field, f.xy(ids), cfg.r_m)
+                held = None
+                if hold_n > 0:
+                    held = rebalance.select_holds(hold_n, rebalance.hold_scores(summary))
+                # Where each vehicle heads now: its destination, else the node it
+                # stands at, else nowhere (HOLD: held inside an edge).
+                dest = f.dest[ids]
+                previous = np.where((dest < 0) & (f.tail[ids] < 0), nodes, dest)
+                decision = rebalance.cvr_targets(summary, self.graph, held=held,
+                                                 previous=previous)
         self._route_to(ids, decision.destination)
 
     def _fleet_size_tick(self) -> None:
@@ -587,14 +621,26 @@ class World:
 
     # -- movement ---------------------------------------------------------------
 
+    def _set_state(self, i: int, state: int) -> None:
+        """Put vehicle i in ``STATES[state]``; as the one writer of ``Fleet.state``,
+        it keeps ``Fleet.credit`` and ``Fleet.state_counts``."""
+        f = self.fleet
+        f.state_counts[f._state.item(i)] -= 1
+        f.state_counts[state] += 1
+        f._state[i] = state
+        f._credit[1, i] = state == _IDLE
+        f._credit[2, i] = state != _IDLE
+
     def _route_to(self, i, dest) -> None:
         """Send vehicle(s) i to node ``dest``, or hold them where ``dest`` is HOLD.
 
         Mid-edge vehicles reach their forward node first, and a vehicle at its
-        target node gets NO_DEST.
+        target node gets NO_DEST. As the one writer of ``Fleet.dest`` but for
+        :meth:`_drive`'s ``NO_DEST``, it recounts ``Fleet.n_held``.
         """
         f = self.fleet
-        f.dest[i] = np.where((f.tail[i] < 0) & (f.node[i] == dest), NO_DEST, dest)
+        f._dest[i] = np.where((f.tail[i] < 0) & (f.node[i] == dest), NO_DEST, dest)
+        f.n_held = int(np.count_nonzero(f._dest == HOLD))
 
     def _arrive(self, i: int, t: float) -> None:
         """Vehicle i's route ended at its node at time ``t``: the one place events happen.
@@ -608,13 +654,14 @@ class World:
         if f.state[i] == _ASSIGNED:
             req.status, req.pickup_time = PICKED_UP, t
             self._window_waits.append(t - req.t0)
-            f.state[i] = _CARRYING
+            self._set_state(i, _CARRYING)
             self._route_to(i, req.destination)
             if f.dest[i] >= 0:
                 return
         if f.state[i] == _CARRYING:
             req.status, req.dropoff_time = COMPLETED, t
-            f.state[i], f.requests[i] = _IDLE, None
+            self._set_state(i, _IDLE)
+            f.requests[i] = None
 
     def _advance(self, speed: float) -> None:
         if speed > 0:
@@ -631,19 +678,17 @@ class World:
         """Drive every vehicle ``budget`` meters along its route; it moves iff ``dest >= 0``.
 
         A moving vehicle that stays inside its edge only adds ``budget`` to its
-        offset and to one odometer; all of those move in one masked step. The
-        other movers reach a node this tick, or start it at one, and go through
-        :meth:`_drive` in ascending id order, so events keep their order.
+        offset and to the odometer of its state: one masked add over the
+        fleet's (3, n) ``glide_rows``, where the glide mask meets each
+        vehicle's ``credit`` column. The other movers reach a node this tick,
+        or start it at one, and go through :meth:`_drive` in ascending id
+        order, so events keep their order.
         """
         f = self.fleet
         moving = f.dest >= 0
-        offset = f.offset + budget
         # At a node length is 0.0, so only a vehicle inside its edge glides.
-        glide = (offset < f.length - 1e-9) & (budget < f.length - f.offset) & moving
-        np.copyto(f.offset, offset, where=glide)
-        idle = f.state == _IDLE
-        np.add(f.rebalance_m, budget, out=f.rebalance_m, where=glide & idle)
-        np.add(f.service_m, budget, out=f.service_m, where=glide > idle)
+        glide = (f.offset + budget < f.length - 1e-9) & (budget < f.length - f.offset) & moving
+        np.add(f.glide_rows, budget, out=f.glide_rows, where=glide & f.credit)
         for i in (moving ^ glide).nonzero()[0].tolist():
             self._drive(i, budget, t_end)
 
@@ -673,19 +718,18 @@ class World:
                 if node == dest:
                     dest = NO_DEST
         f.node[i], f.tail[i], f.offset[i], f.length[i] = node, tail, offset, length
-        f.dest[i] = dest
         odometer[i] = driven
         if dest < 0:  # the route ended at this node
+            f._dest[i] = NO_DEST
             self._arrive(i, t_end)
 
     # -- observation --------------------------------------------------------------
 
     def _record_series(self) -> None:
         f = self.fleet
-        idle, assigned, carrying = np.bincount(f.state, minlength=len(STATES)).tolist()
-        idle_held = int(np.count_nonzero(f.dest == HOLD))  # only idle vehicles hold
+        idle, assigned, carrying = f.state_counts
         self.series.append((
-            self.clock, idle - idle_held, idle_held, assigned, carrying,
+            self.clock, idle - f.n_held, f.n_held, assigned, carrying,  # only idle vehicles hold
             self.accumulation,
             _total(f.rebalance_m) / 1000.0,
             self.cum_cancelled,

@@ -280,7 +280,8 @@ def test_metrics_no_orders_keeps_system_time_defined():
 def test_held_vehicle_does_not_move():
     world = World(mini_config())
     f = world.fleet
-    f.node[0], f.dest[0] = 12, HOLD  # every vehicle starts at a node
+    f.node[0] = 12  # every vehicle starts at a node
+    world._route_to(0, HOLD)
     start = f.xy([0])[0]
     for _ in range(20):
         world.step()
@@ -295,7 +296,8 @@ def test_arrival_triggers_dropoff_and_idle():
     world = World(cfg)
     f = world.fleet
     req = Request(id=999, origin=12, destination=13, t0=0.0)
-    f.node[0], f.state[0], f.requests[0] = 12, STATES.index(ASSIGNED), req
+    f.node[0], f.requests[0] = 12, req
+    world._set_state(0, STATES.index(ASSIGNED))
     world._arrive(0, t=0.0)
     assert STATES[f.state[0]] == CARRYING and req.status == PICKED_UP
     speed = world.current_speed()
@@ -372,6 +374,47 @@ def test_only_idle_vehicles_are_held():
     assert held_ticks > 0
 
 
+def refuse_coverage_pass(*args, **kwargs):
+    raise AssertionError("a coverage pass ran while the whole idle pool holds")
+
+
+class HoldAllAuditWorld(World):
+    """Records, after every control tick, the idle count and how many idle vehicles hold."""
+
+    def __init__(self, cfg):
+        self.audit = []
+        super().__init__(cfg)
+
+    def _controller_tick(self, speed):
+        super()._controller_tick(speed)
+        ids = self.idle_ids()
+        self.audit.append((len(ids), int(np.count_nonzero(self.fleet.dest[ids] == HOLD))))
+
+
+def test_alpha_one_holds_the_pool_without_a_coverage_pass(monkeypatch):
+    monkeypatch.setattr(plane, "coverage_summary", refuse_coverage_pass)
+    cfg = dataclasses.replace(
+        desk_scenario("cvr_alpha", seed=1, controller_extra={"alpha": 1.0}), horizon_s=1800.0)
+    world = HoldAllAuditWorld(cfg)
+    world.run()
+    assert len(world.audit) == 180
+    assert all(held == idle for idle, held in world.audit)
+    assert any(idle for idle, _ in world.audit)
+
+
+@pytest.mark.parametrize("extra_holds", [0, 5])
+def test_pi_tick_holding_the_whole_pool_runs_no_coverage_pass(monkeypatch, extra_holds):
+    world = World(desk_scenario("cvr_pi", seed=1))
+    world.run(until=600.0)  # no update has held yet, so some idle vehicles drive mid-edge
+    f = world.fleet
+    ids = world.idle_ids()
+    assert ((f.tail[ids] >= 0) & (f.dest[ids] >= 0)).any()
+    world.pi = dataclasses.replace(world.pi, hold_count=len(ids) + extra_holds)
+    monkeypatch.setattr(plane, "coverage_summary", refuse_coverage_pass)
+    world._controller_tick(world.current_speed())
+    assert (f.dest[ids] == HOLD).all()
+
+
 class HoldReplayWorld(World):
     """Replays holds from routing writes, and counts them at every series row.
 
@@ -420,7 +463,7 @@ def test_idle_pool_leads_node_and_mid_edge():
     f = world.fleet
     f.node[0] = 2
     f.tail[1], f.node[1], f.offset[1], f.length[1] = 0, 1, 50.0, 200.0
-    f.state[2] = STATES.index(ASSIGNED)
+    world._set_state(2, STATES.index(ASSIGNED))
     idle = world._idle_pool()
     assert len(idle) == 2 and idle.ids.tolist() == [0, 1]
     assert idle.fwd.tolist() == [2, 1] and idle.lead.tolist() == [0.0, 150.0]
@@ -440,6 +483,14 @@ def left_to_right(values):
     return total
 
 
+def assert_kept_state(f):
+    """The counts and credit mask the fleet keeps equal their recount from ``state`` and ``dest``."""
+    assert f.state_counts == np.bincount(f.state, minlength=len(STATES)).tolist()
+    assert f.n_held == np.count_nonzero(f.dest == HOLD)
+    idle = f.state == STATES.index(IDLE)
+    assert (f.credit == [np.ones_like(idle), idle, ~idle]).all()
+
+
 def test_odometer_totals_add_the_fleet_left_to_right():
     # Python 3.12's sum() compensates and numpy's sum() adds pairwise; the km
     # column and the metrics must add in fleet order on every version
@@ -449,6 +500,7 @@ def test_odometer_totals_add_the_fleet_left_to_right():
     while world.clock < world.cfg.horizon_s - 1e-9:
         world.step()
         assert world.series[-1][6] == left_to_right(f.rebalance_m) / 1000.0
+        assert_kept_state(f)
     metrics = world.metrics()
     assert metrics.rebalance_distance_km == left_to_right(f.rebalance_m) / 1000.0 > 0.0
     assert metrics.service_distance_km == left_to_right(f.service_m) / 1000.0 > 0.0
@@ -849,7 +901,8 @@ def test_masked_movement_equals_scalar_loop(case):
             f.node[i] = node
         else:
             (f.tail[i], f.node[i]), f.length[i] = edge, reference.lengths[edge]
-        f.offset[i], f.state[i] = offset, STATES.index(state)
+        f.offset[i] = offset
+        world._set_state(i, STATES.index(state))
         f.requests[i] = request
         if route or held:  # the reference's route, as the world plans it, or a hold
             world._route_to(i, route[-1] if route else HOLD)
@@ -872,6 +925,7 @@ def test_masked_movement_equals_scalar_loop(case):
         world.tick += 1
         reference.tick += 1
         assert fleet_view(world) == scalar_view(reference)
+        assert_kept_state(world.fleet)
         assert request_view(requests) == request_view(ref_requests)
 
 
