@@ -298,6 +298,18 @@ class SimConfig:
                     fail(name, "lets the PI adapter's terms leave the float range over the run")
         if self.mfd.jam_accumulation <= self.mfd.exp_cutoff:
             fail("sim.mfd.jam_accumulation", "jam accumulation must exceed exp_cutoff")
+        # A pickup estimate divides a distance, lead + dist, by the speed; the
+        # distance is at most twice the graph's edge-length total. The speed falls
+        # as the accumulation, a whole number, grows, so each branch's smallest
+        # positive speed is at its last whole accumulation: floor(exp_cutoff) on
+        # the exponential branch, the last below jam_accumulation on the ramp.
+        reach = 2.0 * float(self.graph.edge_len.sum())
+        for name, m in (("sim.mfd.free_flow_mps", math.floor(self.mfd.exp_cutoff)),
+                        ("sim.mfd.linear_intercept", math.ceil(self.mfd.jam_accumulation) - 1)):
+            speed = mfd_speed(m, self.mfd)
+            if speed > 0 and not math.isfinite(reach / speed):
+                fail(name, f"the speed {speed!r} m/s at accumulation {m} lets a pickup "
+                           "time on this graph leave the float range")
         with reported_on("demand.profile"):
             demand.check_profile(self.profile)
         n = self.graph.n_nodes

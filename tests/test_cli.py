@@ -159,6 +159,12 @@ def broken_grid_document(defect):
         doc["nodes"][3] = 3
     elif defect == "dict_edge":
         doc["edges"][0] = dict(zip(("u", "v", "length_m"), doc["edges"][0]))
+    elif defect == "no_nodes":
+        doc["nodes"] = []
+    elif defect == "duplicate_id":
+        doc["nodes"][7][0] = 6
+    elif defect == "far_endpoint":  # the grid's nodes are 0..24
+        doc["edges"][0][1] = 25
     return doc
 
 
@@ -221,6 +227,12 @@ OVERFLOW_ROWS = [
     ("sim.mfd", "exp_rate", -1e-4),
     ("sim.mfd", "exp_cutoff", -1.0),
     ("sim.mfd", "linear_intercept", -1.0),
+    # positive, but so slow that a pickup time on the desk grid overflows: 1e-305 and
+    # 2e-305 once ended lp in "cost matrix is infeasible", 5e-305 in an overflow warning
+    ("sim.mfd", "free_flow_mps", 1e-305),
+    ("sim.mfd", "free_flow_mps", 2e-305),
+    ("sim.mfd", "free_flow_mps", 5e-305),
+    ("sim.mfd", "linear_intercept", 1e-305),
     # values of the wrong JSON type are rejected, never coerced
     ("controller", "r_m", "abc"),
     ("controller", "r_m", "1000"),
@@ -259,6 +271,10 @@ OVERFLOW_ROWS = [
     ("graph", "path", "short_node"),
     ("graph", "path", "int_node"),
     ("graph", "path", "dict_edge"),
+    # no node at all, a node id given twice, and an edge to a node that does not exist
+    ("graph", "path", "no_nodes"),
+    ("graph", "path", "duplicate_id"),
+    ("graph", "path", "far_endpoint"),
     # finite, but on the desk's 20x20 grid a coordinate (1e308) or the edge total
     # (1e306) overflows
     ("graph.grid", "spacing_m", 1e308),
@@ -317,7 +333,9 @@ def test_run_rejects_malformed_value_naming_field(tmp_path, capsys, section, key
     path.write_text(json.dumps(doc))
     code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
-    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
     assert err["error"] == "ConfigValidation"
     assert err["field"] == f"{section}.{key}"
     if key in DELETED_KEYS:

@@ -47,6 +47,16 @@ def test_non_finite_entries_rejected(bad):
         check_node_mass([bad, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_node_mass([[0.5, 0.5]]), "mass must be one-dimensional"),
+    (lambda: synthesize_destination([1.0], [0.5, 0.5], 0.5), "1 vs 2 nodes"),
+    (lambda: generate_requests([(60.0, 60.0)], [1.0], [0.5, 0.5], seed=1), "1 vs 2 nodes"),
+], ids=["check_node_mass-2d", "synthesize_destination-lengths", "generate_requests-lengths"])
+def test_node_masses_of_another_shape_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # Explicit ids (the names these cases had), so a case inserted in the list renames none.
 @pytest.mark.parametrize("profile", [
     [(math.nan, 75.0)], [(math.inf, 75.0)], [(3600.0, math.inf)], [(3600.0, math.nan)],

@@ -12,6 +12,7 @@ from cvrsim.plane import (
     coverage_summary,
     lloyd_step,
     plane_voronoi,
+    raster_shape,
     rasterize_mixture,
     rasterize_node_mass,
 )
@@ -83,6 +84,21 @@ def test_mirrored_components_give_mirror_symmetric_field():
 def test_non_positive_definite_covariance_rejected():
     with pytest.raises(ValueError, match=f"^{re.escape('covariance [[1.0, 2.0], [2.0, 1.0]]')}$"):
         rasterize_mixture((0, 0, 10, 10), 1.0, [(1.0, [5, 5], [[1, 2], [2, 1]])])
+
+
+UNIT = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: raster_shape((0, 0, 0, 10), 1.0), "degenerate box (0, 0, 0, 10) at resolution 1.0"),
+    (lambda: rasterize_mixture((0, 0, 10, 10), 1.0, [(0.5, [5, 5], UNIT)]),
+     "component weights must be nonnegative and sum to 1"),
+    (lambda: rasterize_mixture((0, 0, 10, 10), 1.0, [(1.5, [5, 5], UNIT), (-0.5, [2, 2], UNIT)]),
+     "component weights must be nonnegative and sum to 1"),
+], ids=["raster_shape-degenerate-box", "rasterize_mixture-weight-sum", "rasterize_mixture-negative-weight"])
+def test_raster_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- rasterize_node_mass -----------------------------------------------------------
